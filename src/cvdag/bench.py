@@ -109,11 +109,13 @@ def _protocol_sem(cfg: ExperimentConfig, rep: int) -> GaussianSem:
 def _run_cell(cfg: ExperimentConfig, rep: int, n_index: int) -> Cell:
     n = cfg.n_grid[n_index]
     model = _protocol_sem(cfg, rep)
-    identifiable = check_identifiability(model).satisfied
     data = sample(model, n, derive_seed(cfg.seed, rep, 1 + n_index))
     lcfg = LearnConfig(alpha=cfg.alpha, parent_test_mode=cfg.parent_test_mode)
+    identifiable = False
     start = time.perf_counter()
     try:
+        identifiable = check_identifiability(model).satisfied
+        start = time.perf_counter()
         result = learn(data, lcfg)
     except ToolkitError as exc:
         return Cell(n, rep, math.nan, math.nan, time.perf_counter() - start,

@@ -32,7 +32,7 @@ class NumericalDegeneracyError(ToolkitError):
 
 
 class DegenerateDesignError(NumericalDegeneracyError):
-    """Regression design columns are numerically collinear even after jitter."""
+    """Design columns are collinear: a residual vanished, even after any ridge."""
 
 
 class ReportIOError(ToolkitError):

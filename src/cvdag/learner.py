@@ -8,22 +8,20 @@ exact arithmetic on a covariance matrix, deciding independence by thresholding
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, NumericalDegeneracyError, ValidationError
-from .graphs import Dag, Ordering
-from .numerics import (
-    Dataset,
-    _cholesky,
-    conditional_variances_from_gram,
-    fisher_z_test,
-    partial_correlation,
-    residual_partial_correlation,
-    schur_variances,
+from .errors import (
+    DegenerateDesignError,
+    InsufficientSamplesError,
+    NumericalDegeneracyError,
+    ValidationError,
 )
+from .graphs import Dag, Ordering
+from .numerics import Dataset, _cholesky, fisher_z_test
 
 ParentTestMode = Literal["conditional", "marginal"]
 
@@ -73,86 +71,122 @@ class LearnResult:
     test_log: tuple[TestRecord, ...] = field(repr=False)
 
 
-def _greedy_ordering(cond_var_fn, p: int):
-    """Shared forward selection: argmin conditional variance, ties to low index."""
+def _factor(x: np.ndarray, order=None):
+    """Householder QR of the columns of ``x``, pivoting on the smallest residual.
+
+    Before step m, the squared norm of an unplaced column below row m is its
+    residual sum of squares (RSS) given the m placed columns. With ``order``
+    None the column with the smallest RSS is placed next, ties to the lower
+    index; otherwise ``order[m]`` is. Both run the same arithmetic, so a given
+    order reproduces the greedy R bit for bit. Needs at least as many rows as
+    columns; costs O(n p^2).
+
+    Returns (order, R with its columns in that order, and per step the
+    ((node, RSS), ...) of every unplaced node).
+    """
+    w = np.array(x, dtype=float)
+    p = w.shape[1]
     remaining = list(range(p))
-    order: list[int] = []
+    placed: list[int] = []
     steps = []
-    while remaining:
-        values = cond_var_fn(order, remaining)
-        steps.append(tuple(zip(remaining, (float(v) for v in values))))
-        best = min(range(len(remaining)), key=lambda i: (values[i], remaining[i]))
-        order.append(remaining.pop(best))
-    return Ordering(tuple(order)), tuple(steps)
+    for m in range(p):
+        block = w[m:, remaining]
+        rss = np.einsum("ij,ij->j", block, block)
+        steps.append(tuple(zip(remaining, rss.tolist())))
+        i = int(np.argmin(rss)) if order is None else remaining.index(order[m])
+        j = remaining.pop(i)
+        if rss[i] == 0.0:
+            raise DegenerateDesignError(
+                f"factorization step {m}: variable {j} has zero residual given the"
+                f" {m} variables placed before it"
+            )
+        v = block[:, i]
+        alpha = -math.copysign(math.sqrt(rss[i]), v[0])
+        v[0] -= alpha
+        w[m, j] = alpha
+        w[m + 1:, j] = 0.0
+        if remaining:
+            rest = w[m:, remaining]
+            w[m:, remaining] = rest - np.outer(v, (v @ rest) * (2.0 / (v @ v)))
+        placed.append(j)
+    return tuple(placed), w[:p, placed], steps
+
+
+def _pair_correlations(order, r: np.ndarray, mode: ParentTestMode):
+    """Yield (earlier, later, given, r) for every ordered pair of ``order``.
+
+    ``r`` is the factor of :func:`_factor` in that order, so R^T R is the Gram
+    matrix. Marginal mode normalizes R^T R. Conditional mode conditions on the
+    other predecessors of ``later`` and reads the precision of each leading
+    block off T = (R^T)^-1: r(e, m | rest) = -sign(T[m,m]) T[m,e] / |T[:m+1, e]|.
+    """
+    p = len(order)
+    corr = np.zeros((p, p))
+    rows, cols = np.tril_indices(p, -1)
+    if mode == "marginal":
+        gram = r.T @ r
+        scale = np.sqrt(np.diag(gram))
+        corr[rows, cols] = gram[rows, cols] / (scale[rows] * scale[cols])
+    else:
+        # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
+        t = np.linalg.inv(r).T
+        norms = np.sqrt(np.cumsum(t * t, axis=0))
+        corr[rows, cols] = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
+    for m in range(1, p):
+        for e in range(m):
+            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
+            yield order[e], order[m], given, float(min(1.0, max(-1.0, corr[m, e])))
+
+
+def _dag(p: int, log: list[TestRecord]):
+    edges = frozenset((rec.earlier, rec.later) for rec in log if rec.dependent)
+    return Dag(p, edges), tuple(log)
 
 
 def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     """Greedy minimal-conditional-variance ordering of the dataset's columns.
 
-    Returns (ordering, step diagnostics). Requires n > p + 1 so that every
-    regression along the way, and the final parent tests, are estimable.
+    Returns (ordering, step diagnostics): at step m, every unplaced node with
+    its residual variance RSS / (n - m - 1) given the m placed nodes. Requires
+    n > p + 1 so that every regression along the way, and the final parent
+    tests, are estimable.
     """
     del cfg  # ordering has no tunables; accepted for symmetry with the other steps
     if data.n <= data.p + 1:
         raise InsufficientSamplesError(
             f"ordering needs n > p + 1 (n={data.n}, p={data.p})"
         )
-    centered = data.data - data.data.mean(axis=0)
-    gram = centered.T @ centered
-
-    def cond_vars(selected, remaining):
-        return conditional_variances_from_gram(gram, data.n, selected, remaining)
-
-    return _greedy_ordering(cond_vars, data.p)
-
-
-def _select_parents(pi: Ordering, decide):
-    """Run the per-position tests; `decide(later, earlier, given)` -> TestRecord."""
-    p = len(pi)
-    edges: set[tuple[int, int]] = set()
-    log: list[TestRecord] = []
-    for m in range(1, p):
-        later = pi[m]
-        predecessors = [pi[i] for i in range(m)]
-        for earlier in predecessors:
-            given = tuple(q for q in predecessors if q != earlier)
-            rec = decide(later, earlier, given)
-            log.append(rec)
-            if rec.dependent:
-                edges.add((earlier, later))
-    return Dag(p, frozenset(edges)), tuple(log)
+    order, _, steps = _factor(data.data - data.data.mean(axis=0))
+    variances = tuple(
+        tuple((j, rss / (data.n - m - 1)) for j, rss in step)
+        for m, step in enumerate(steps)
+    )
+    return Ordering(order), variances
 
 
 def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None):
     """Parent sets along ``pi`` by Fisher z tests at cfg.alpha.
 
     Conditional mode tests each candidate given the remaining predecessors;
-    marginal mode tests the pairwise correlation. Every decision is logged,
-    so the log is a complete audit of the returned edge set.
+    marginal mode tests the pairwise correlation. Every r comes from one QR
+    of the centered data in the order ``pi``, which needs n > p + 1 in both
+    modes. Every decision is logged, so the log is a complete audit of the
+    returned edge set.
     """
     cfg = cfg or LearnConfig()
     if len(pi) != data.p:
         raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
-    largest = data.p - 2 if cfg.parent_test_mode == "conditional" else 0
-    if data.n <= largest + 3:
+    if data.n <= data.p + 1:
         raise InsufficientSamplesError(
-            f"Fisher z with conditioning sets up to {largest} needs n > {largest + 3},"
-            f" got n={data.n}"
+            f"parent tests need n > p + 1 (n={data.n}, p={data.p})"
         )
-    centered = data.data - data.data.mean(axis=0)
-    gram = centered.T @ centered
-
-    def decide(later, earlier, given):
-        if cfg.parent_test_mode == "marginal":
-            given = ()
-        # residual-vector route: equal to the covariance Schur complement in
-        # exact arithmetic, but tolerant of wildly scaled columns
-        r = residual_partial_correlation(centered, gram, later, earlier, given)
-        out = fisher_z_test(r, data.n, len(given), cfg.alpha)
-        return TestRecord(earlier, later, given, r, out.statistic, out.threshold,
-                          out.dependent)
-
-    return _select_parents(pi, decide)
+    order, r, _ = _factor(data.data - data.data.mean(axis=0), pi.order)
+    log = []
+    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
+        out = fisher_z_test(rho, data.n, len(given), cfg.alpha)
+        log.append(TestRecord(earlier, later, given, rho, out.statistic, out.threshold,
+                              out.dependent))
+    return _dag(data.p, log)
 
 
 def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
@@ -166,9 +200,11 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
     """Exact-arithmetic analogue of :func:`learn` on a population covariance.
 
-    Conditional variances come from Schur complements and independence is
+    With cov = L L^T, the columns of L^T have cov as their Gram matrix, so one
+    greedy QR of L^T gives the ordering, whose step variances are the
+    conditional variances, and every partial correlation. Independence is
     |partial correlation| <= cfg.oracle_tolerance; on the covariance of an
-    identifiable model this returns the generating graph exactly.
+    identifiable model this returns the generating graph exactly. Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
     cov = np.asarray(cov, dtype=float)
@@ -176,24 +212,14 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
         raise ValidationError(f"covariance must be square, got shape {cov.shape}")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
         raise NumericalDegeneracyError("covariance is not symmetric")
-    _cholesky(cov, jitter=False)  # SPD gate
-    p = cov.shape[0]
-
-    def cond_vars(selected, remaining):
-        return schur_variances(cov, selected, remaining)
-
-    ordering, steps = _greedy_ordering(cond_vars, p)
-
-    def decide(later, earlier, given):
-        if cfg.parent_test_mode == "marginal":
-            given = ()
-        r = partial_correlation(cov, later, earlier, given)
-        dependent = abs(r) > cfg.oracle_tolerance
-        return TestRecord(earlier, later, given, r, abs(r), cfg.oracle_tolerance,
-                          dependent)
-
-    dag, log = _select_parents(ordering, decide)
-    return LearnResult(ordering, dag, steps, log)
+    low = _cholesky(cov, jitter=False)  # SPD gate
+    order, r, steps = _factor(low.T)
+    log = []
+    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
+        log.append(TestRecord(earlier, later, given, rho, abs(rho), cfg.oracle_tolerance,
+                              abs(rho) > cfg.oracle_tolerance))
+    dag, log = _dag(cov.shape[0], log)
+    return LearnResult(Ordering(order), dag, tuple(steps), log)
 
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:

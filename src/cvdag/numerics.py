@@ -1,9 +1,12 @@
 """Dense linear-algebra and statistical primitives.
 
-Covariance, residual conditional variance, partial correlation via Schur
-complements, and the Fisher z independence decision. Everything operates on
-plain float64 numpy arrays; reductions go through numpy's pairwise-summing
-kernels for reproducibility.
+Covariance, conditional variance and partial correlation by Schur
+complements, and the Fisher z independence decision. The learner computes its
+conditional variances and partial correlations from one pivoted QR instead
+(see ``learner._factor``); the Schur-complement routines here are the public
+references for single queries, and the tests check the learner against them.
+Everything operates on plain float64 numpy arrays; reductions go through
+numpy's pairwise-summing kernels for reproducibility.
 """
 
 from __future__ import annotations
@@ -137,23 +140,6 @@ def conditional_variance(data: Dataset, j: int, given) -> float:
     return float(rss[0] / (data.n - len(given) - 1))
 
 
-def conditional_variances_from_gram(
-    gram: np.ndarray, n: int, given, targets
-) -> np.ndarray:
-    """Batch form of :func:`conditional_variance` on a precomputed centered Gram.
-
-    Used by the ordering search: one factorization of the conditioning block
-    prices every remaining candidate at a step.
-    """
-    given = tuple(given)
-    if n <= len(given) + 1:
-        raise InsufficientSamplesError(
-            f"n={n} rows cannot support conditioning on {len(given)} columns"
-        )
-    rss = schur_variances(gram, given, targets, jitter=True, error=DegenerateDesignError)
-    return rss / (n - len(given) - 1)
-
-
 def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     """Partial correlation of variables j and k given ``given``, from a covariance.
 
@@ -179,33 +165,6 @@ def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
         )
     r = block[0, 1] / math.sqrt(denom)
     return float(min(1.0, max(-1.0, r)))
-
-
-def residual_partial_correlation(
-    centered: np.ndarray, gram: np.ndarray, j: int, k: int, given
-) -> float:
-    """Sample partial correlation as the correlation of regression residuals.
-
-    Identical to :func:`partial_correlation` on the sample covariance in exact
-    arithmetic, but bounded in [-1, 1] by construction and stable when the
-    conditioning columns span many orders of magnitude. ``centered`` holds the
-    mean-centered data and ``gram`` its Gram matrix.
-    """
-    given = tuple(given)
-    cols = [j, k]
-    if not given:
-        resid = centered[:, cols]
-    else:
-        s = list(given)
-        low = _cholesky(gram[np.ix_(s, s)], jitter=True, error=DegenerateDesignError)
-        half = np.linalg.solve(low, gram[np.ix_(s, cols)])
-        coef = np.linalg.solve(low.T, half)
-        resid = centered[:, cols] - centered[:, s] @ coef
-    norms = np.einsum("ij,ij->j", resid, resid)
-    if np.any(norms <= 0.0):
-        return 0.0
-    r = float(resid[:, 0] @ resid[:, 1] / math.sqrt(norms[0] * norms[1]))
-    return min(1.0, max(-1.0, r))
 
 
 def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecision:

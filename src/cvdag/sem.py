@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .graphs import Dag, Ordering, descendants, is_consistent, topological_order
 from .numerics import Dataset, _cholesky, schur_variances
 
@@ -138,7 +138,8 @@ def check_identifiability(
     default; every later node with scope="later") must satisfy
     sigma_j^2 < Var(X_k | predecessors of j). Each right-hand side is verified
     internally against its law-of-total-variance form
-    sigma_k^2 + Var(E(X_k | parents) | predecessors) computed from B directly.
+    sigma_k^2 + Var(E(X_k | parents) | predecessors) computed from B directly;
+    a disagreement beyond float64 rounding raises NumericalDegeneracyError.
     """
     if pi is None:
         pi = topological_order(m.dag)
@@ -162,9 +163,10 @@ def check_identifiability(
             # rounding scales with the marginal variance the Schur complement
             # cancels down from, not with the conditional value itself
             if abs(rhs - rhs_alt) > _LTV_RTOL * max(1.0, cov[k, k]):
-                raise RuntimeError(
-                    f"law-of-total-variance self-check failed at (j={j}, k={k}): "
-                    f"{rhs!r} vs {rhs_alt!r}"
+                raise NumericalDegeneracyError(
+                    f"identifiability check: law-of-total-variance self-check failed at"
+                    f" (j={j}, k={k}): Schur complement {rhs!r} vs structural form"
+                    f" {rhs_alt!r}"
                 )
             margins.append(Margin(j=j, k=k, lhs=float(m.sigma2[j]), rhs=rhs))
     worst = min((g.slack for g in margins), default=math.inf)

@@ -88,6 +88,14 @@ class TestRunExperiment:
         assert all(math.isnan(c.hamming_dag) for c in report.cells)
         assert all(math.isnan(row.mean_hd) for row in report.aggregates)
 
+    def test_model_check_failure_is_flagged_not_raised(self):
+        # this draw's identifiability self-check fails in float64
+        cfg = bench.ExperimentConfig(protocol="homogeneous", p=40, n_grid=(100,),
+                                     replications=1, seed=1)
+        (cell,) = bench.run_experiment(cfg).cells
+        assert cell.failed and "self-check" in cell.error
+        assert math.isnan(cell.hamming_dag)
+
     def test_metrics_match_direct_recomputation(self):
         report = bench.run_experiment(TINY)
         truth = nonfaithful_chain().dag

@@ -6,7 +6,7 @@ import pytest
 from cvdag.cli import main
 from cvdag.datasets import read_dataset
 from cvdag.graphs import read_cpdag, read_dag, write_graph, Dag
-from cvdag.sem import nonfaithful_chain, write_sem, GaussianSem
+from cvdag.sem import nonfaithful_chain, random_sem, write_sem, GaussianSem
 
 
 def run(*argv):
@@ -140,6 +140,13 @@ class TestCheck:
 
     def test_later_scope_flag(self, chain_sem, tmp_path):
         assert run("check", chain_sem, "--scope", "later", "-o", tmp_path) == 0
+
+    @pytest.mark.parametrize("command", [("check",), ("simulate", "--n", 50, "--sem")])
+    def test_failed_self_check_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "dense.sem"
+        write_sem(random_sem(40, "homogeneous", seed=11), path)
+        assert run(*command, path, "-o", tmp_path) == 2
+        assert "self-check failed at (j=1, k=4)" in capsys.readouterr().err
 
 
 class TestCpdag:

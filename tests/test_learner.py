@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvdag.errors import InsufficientSamplesError, NumericalDegeneracyError, ValidationError
-from cvdag.graphs import Dag, hamming_dag
+from cvdag.errors import (
+    DegenerateDesignError,
+    InsufficientSamplesError,
+    NumericalDegeneracyError,
+    ValidationError,
+)
+from cvdag.graphs import Dag, hamming_dag, is_consistent
 from cvdag.learner import (
     LearnConfig,
+    LearnResult,
+    _factor,
     estimate_ordering,
     estimate_parents,
     learn,
     learn_from_covariance,
     ordering_is_greedy_minimal,
 )
-from cvdag.numerics import Dataset
+from cvdag.numerics import Dataset, conditional_variance, partial_correlation, sample_covariance
 from cvdag.sem import (
     GaussianSem,
     derive_seed,
@@ -245,3 +254,80 @@ class TestLearn:
         )
         assert violations <= 1
         assert worst_increase <= 0.1
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_dense_heterogeneous_p80(self, s):
+        # column variances span ~1e20 here; a ridge scaled to the Gram trace
+        # swamps the small residual variances, a QR of the data does not
+        m = random_sem(80, "heterogeneous", derive_seed(909, s))
+        result = learn(sample(m, 2000, derive_seed(909, s, 1)))
+        assert is_consistent(result.ordering, m.dag)
+        assert hamming_dag(m.dag, result.dag) <= 0.02 * len(m.dag.edges)
+
+    def test_zero_residual_names_step_and_variable(self):
+        # a constant column centers to exactly zero and wins the first step
+        data = dataset(np.column_stack([np.arange(12.0), np.full(12, 7.0)]))
+        with pytest.raises(DegenerateDesignError, match="step 0: variable 1"):
+            learn(data)
+
+
+# small seeded draws for checking the one-factorization learner against the
+# Schur-complement references in numerics
+SMALL_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 6),
+    protocol=st.sampled_from(["homogeneous", "heterogeneous"]),
+)
+MODES = ["conditional", "marginal"]
+
+
+class TestAgainstReferences:
+    @given(**SMALL_DRAWS)
+    @settings(max_examples=25, deadline=None)
+    def test_step_variances_match_conditional_variance(self, seed, p, protocol):
+        data = sample(random_sem(p, protocol, seed), 60, seed)
+        ordering, steps = estimate_ordering(data)
+        for m, step in enumerate(steps):
+            prefix = ordering.order[:m]
+            for j, value in step:
+                assert value == pytest.approx(
+                    conditional_variance(data, j, prefix), rel=1e-10
+                )
+
+    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @settings(max_examples=25, deadline=None)
+    def test_test_log_matches_partial_correlation(self, mode, seed, p, protocol):
+        data = sample(random_sem(p, protocol, seed), 60, seed)
+        cov = sample_covariance(data)
+        result = learn(data, LearnConfig(parent_test_mode=mode))
+        for rec in result.test_log:
+            want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
+            assert rec.r == pytest.approx(want, abs=1e-9)
+
+    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_r_matches_partial_correlation(self, mode, seed, p, protocol):
+        cov = population_covariance(random_sem(p, protocol, seed))
+        result = learn_from_covariance(cov, LearnConfig(parent_test_mode=mode))
+        for rec in result.test_log:
+            want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
+            assert rec.r == pytest.approx(want, abs=1e-9)
+
+    @given(**SMALL_DRAWS)
+    @settings(max_examples=25, deadline=None)
+    def test_given_order_reproduces_the_greedy_factor(self, seed, p, protocol):
+        x = sample(random_sem(p, protocol, seed), 60, seed).data
+        order, greedy, steps = _factor(x)
+        again = _factor(x, order)
+        assert again[0] == order and again[2] == steps
+        assert np.array_equal(again[1], greedy)
+        assert np.array_equal(greedy, np.triu(greedy))
+
+    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @settings(max_examples=25, deadline=None)
+    def test_learn_is_the_composition_of_its_stages(self, mode, seed, p, protocol):
+        data = sample(random_sem(p, protocol, seed), 60, seed)
+        cfg = LearnConfig(parent_test_mode=mode)
+        ordering, steps = estimate_ordering(data, cfg)
+        dag, log = estimate_parents(data, ordering, cfg)
+        assert learn(data, cfg) == LearnResult(ordering, dag, steps, log)

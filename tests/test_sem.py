@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvdag.errors import DataFormatError, ValidationError
+from cvdag.errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from cvdag.graphs import Ordering, topological_order
 from cvdag.sem import (
     GaussianSem,
@@ -208,6 +208,14 @@ class TestCheckIdentifiability:
         for seed in range(25):
             protocol = "homogeneous" if seed % 2 == 0 else "heterogeneous"
             check_identifiability(random_sem(10, protocol, seed=seed))
+
+    def test_failed_self_check_is_a_typed_error(self):
+        # the dense p=40 covariance is too ill-conditioned for the Schur form
+        # to agree with the structural form within the self-check's tolerance
+        with pytest.raises(NumericalDegeneracyError) as err:
+            check_identifiability(random_sem(40, "homogeneous", seed=11))
+        assert "(j=1, k=4): Schur complement 18.3176" in str(err.value)
+        assert "structural form 18.3176" in str(err.value)
 
 
 class TestBivariateThresholds:
