@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from cvdag.graphs import (
     vstructures,
     write_graph,
 )
+from cvdag.sem import random_sem
 
 CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
 COLLIDER = Dag(3, frozenset({(0, 2), (1, 2)}))
@@ -69,6 +71,26 @@ def cpdag_by_enumeration(g: Dag) -> Cpdag:
     return Cpdag(g.p, frozenset(directed), frozenset(undirected))
 
 
+def assert_equivalence_class_invariants(g: Dag) -> int:
+    """Check dag_to_cpdag(g) against facts that need no enumeration; return
+    the number of covered edges checked.
+
+    Reversing a covered edge x->y, pa(y) = pa(x) | {x}, gives an equivalent
+    DAG (Chickering 1995), so the edge is undirected in the CPDAG and the
+    reversed DAG has the identical CPDAG.
+    """
+    cp = dag_to_cpdag(g)
+    assert cp.skeleton() == g.skeleton()
+    assert cp.directed <= g.edges
+    for a, c, b in vstructures(g):
+        assert {(a, c), (b, c)} <= cp.directed
+    covered = [(x, y) for x, y in sorted(g.edges) if g.parents(y) == g.parents(x) | {x}]
+    for x, y in covered:
+        assert (min(x, y), max(x, y)) in cp.undirected
+        assert dag_to_cpdag(Dag(g.p, g.edges - {(x, y)} | {(y, x)})) == cp
+    return len(covered)
+
+
 class TestDagBasics:
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError):
@@ -85,6 +107,13 @@ class TestDagBasics:
     def test_parents_children(self):
         assert COLLIDER.parents(2) == {0, 1}
         assert COLLIDER.children(0) == {2}
+        assert type(COLLIDER.parents(0)) is frozenset
+
+    def test_equality_sees_only_p_and_edges(self):
+        a = Dag(3, frozenset({(0, 2), (1, 2)}))
+        b = Dag(3, [(1, 2), (0, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(Dag)] == ["p", "edges"]
 
 
 class TestTopologicalOrder:
@@ -192,6 +221,20 @@ class TestDagToCpdag:
                 continue
             if vstructures(other) == vs:
                 assert dag_to_cpdag(other) == cp
+
+    @given(st.integers(0, 10_000), st.integers(6, 40), st.floats(0.05, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_class_invariants_random(self, seed, p, prob):
+        assert_equivalence_class_invariants(random_dag(np.random.default_rng(seed), p, prob))
+
+    def test_class_invariants_generated_p80(self):
+        # dense generated DAGs have few covered edges (none at all in some)
+        covered = sum(
+            assert_equivalence_class_invariants(random_sem(80, protocol, seed).dag)
+            for protocol in ("homogeneous", "heterogeneous")
+            for seed in range(3)
+        )
+        assert covered > 0
 
 
 class TestHammingDag:
