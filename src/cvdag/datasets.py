@@ -22,9 +22,18 @@ def _split(line: str, delimiter: str | None) -> list[str]:
     return line.split()
 
 
+def _require_finite(rows, linenos: list[int], where: str) -> None:
+    """Raise for the first row of ``rows`` that holds a NaN or an infinity."""
+    bad = ~np.isfinite(np.asarray(rows, dtype=float)).all(axis=-1)
+    if bad.any():
+        raise DataFormatError(
+            f"{where}:{linenos[int(np.argmax(bad))]}: missing/non-finite value;"
+            " rows are not imputed"
+        )
+
+
 def parse_dataset(text: str, where: str = "<string>") -> Dataset:
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
+    stripped = [(i + 1, s) for i, ln in enumerate(text.splitlines()) if (s := ln.strip())]
     if not stripped:
         raise DataFormatError(f"{where}: empty file, expected a header row")
     head_no, head = stripped[0]
@@ -32,25 +41,27 @@ def parse_dataset(text: str, where: str = "<string>") -> Dataset:
     names = _split(head, delimiter)
     if any(not n for n in names):
         raise DataFormatError(f"{where}:{head_no}: empty column name in header")
+    linenos = [lineno for lineno, _ in stripped[1:]]
     rows = []
+    # float() ignores the whitespace around a field, so fields are not stripped;
+    # a fault is reported only after the rows above it pass the finiteness check
     for lineno, line in stripped[1:]:
-        fields = _split(line, delimiter)
+        fields = line.split(delimiter)
         if len(fields) != len(names):
+            _require_finite(rows, linenos, where)
             raise DataFormatError(
                 f"{where}:{lineno}: expected {len(names)} fields, got {len(fields)}"
             )
         try:
-            row = [float(f) for f in fields]
+            rows.append(list(map(float, fields)))
         except ValueError:
+            _require_finite(rows, linenos, where)
             raise DataFormatError(f"{where}:{lineno}: non-numeric value in {line!r}") from None
-        if not all(np.isfinite(row)):
-            raise DataFormatError(
-                f"{where}:{lineno}: missing/non-finite value; rows are not imputed"
-            )
-        rows.append(row)
     if not rows:
         raise ValidationError(f"{where}: no data rows below the header")
-    return Dataset(tuple(names), np.array(rows, dtype=float))
+    data = np.array(rows, dtype=float)
+    _require_finite(data, linenos, where)
+    return Dataset(tuple(names), data)
 
 
 def read_dataset(path) -> Dataset:

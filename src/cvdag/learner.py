@@ -79,12 +79,19 @@ def _factor(x: np.ndarray, order=None):
     None the column with the smallest RSS is placed next, ties to the lower
     index; otherwise ``order[m]`` is. Both run the same arithmetic, so a given
     order reproduces the greedy R bit for bit. Needs at least as many rows as
-    columns; costs O(n p^2).
+    columns.
+
+    Tall input is first reduced to its p x p triangle by one unpivoted LAPACK
+    QR. That keeps the Gram matrix, so every RSS and every R entry is the same
+    up to rounding, and the pivot loop runs on p rows instead of n. The cost
+    is O(n p^2) in LAPACK plus O(p^3) in the loop. Square input, such as the
+    L^T of :func:`learn_from_covariance`, goes to the loop as it is.
 
     Returns (order, R with its columns in that order, and per step the
     ((node, RSS), ...) of every unplaced node).
     """
-    w = np.array(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w = np.linalg.qr(x, mode="r") if x.shape[0] > x.shape[1] else np.array(x)
     p = w.shape[1]
     remaining = list(range(p))
     placed: list[int] = []
@@ -143,6 +150,30 @@ def _dag(p: int, log: list[TestRecord]):
     return Dag(p, edges), tuple(log)
 
 
+def _centered(data: Dataset, stage: str) -> np.ndarray:
+    """The column-centered data, once n > p + 1 (``stage`` opens the error)."""
+    if data.n <= data.p + 1:
+        raise InsufficientSamplesError(f"{stage} n > p + 1 (n={data.n}, p={data.p})")
+    return data.data - data.data.mean(axis=0)
+
+
+def _variances(steps, n: int):
+    """Step RSS over its residual degrees of freedom, n - m - 1 at step m."""
+    return tuple(
+        tuple((j, rss / (n - m - 1)) for j, rss in step) for m, step in enumerate(steps)
+    )
+
+
+def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
+    """(DAG, log) of one Fisher z test per ordered pair of the factor ``r``."""
+    log = []
+    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
+        out = fisher_z_test(rho, data.n, len(given), cfg.alpha)
+        log.append(TestRecord(earlier, later, given, rho, out.statistic, out.threshold,
+                              out.dependent))
+    return _dag(data.p, log)
+
+
 def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     """Greedy minimal-conditional-variance ordering of the dataset's columns.
 
@@ -152,16 +183,8 @@ def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     tests, are estimable.
     """
     del cfg  # ordering has no tunables; accepted for symmetry with the other steps
-    if data.n <= data.p + 1:
-        raise InsufficientSamplesError(
-            f"ordering needs n > p + 1 (n={data.n}, p={data.p})"
-        )
-    order, _, steps = _factor(data.data - data.data.mean(axis=0))
-    variances = tuple(
-        tuple((j, rss / (data.n - m - 1)) for j, rss in step)
-        for m, step in enumerate(steps)
-    )
-    return Ordering(order), variances
+    order, _, steps = _factor(_centered(data, "ordering needs"))
+    return Ordering(order), _variances(steps, data.n)
 
 
 def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None):
@@ -176,25 +199,21 @@ def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None
     cfg = cfg or LearnConfig()
     if len(pi) != data.p:
         raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
-    if data.n <= data.p + 1:
-        raise InsufficientSamplesError(
-            f"parent tests need n > p + 1 (n={data.n}, p={data.p})"
-        )
-    order, r, _ = _factor(data.data - data.data.mean(axis=0), pi.order)
-    log = []
-    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
-        out = fisher_z_test(rho, data.n, len(given), cfg.alpha)
-        log.append(TestRecord(earlier, later, given, rho, out.statistic, out.threshold,
-                              out.dependent))
-    return _dag(data.p, log)
+    order, r, _ = _factor(_centered(data, "parent tests need"), pi.order)
+    return _fisher_parents(data, order, r, cfg)
 
 
 def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
-    """Full pipeline: ordering, then parents; the result is acyclic by construction."""
+    """Full pipeline: ordering, then parents; the result is acyclic by construction.
+
+    One greedy factor gives both: since a given order reproduces the greedy R
+    bit for bit, this equals :func:`estimate_parents` along the ordering of
+    :func:`estimate_ordering`.
+    """
     cfg = cfg or LearnConfig()
-    ordering, steps = estimate_ordering(data, cfg)
-    dag, log = estimate_parents(data, ordering, cfg)
-    return LearnResult(ordering, dag, steps, log)
+    order, r, steps = _factor(_centered(data, "ordering needs"))
+    dag, log = _fisher_parents(data, order, r, cfg)
+    return LearnResult(Ordering(order), dag, _variances(steps, data.n), log)
 
 
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:

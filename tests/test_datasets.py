@@ -31,6 +31,26 @@ class TestParsing:
         with pytest.raises(DataFormatError):
             parse_dataset("a,b\n1,nan\n")
 
+    def test_non_finite_names_line_counting_blank_lines(self):
+        with pytest.raises(DataFormatError, match=":4"):
+            parse_dataset("a,b\n1,2\n\n3,inf\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,nan\n1,2\n1,2,3\n", ":2: missing"),
+        ("a,b\n1,2\n1,2,3\n-inf,2\n", ":3: expected 2 fields"),
+        ("a,b\ninf,1\nx,2\n", ":2: missing"),
+        ("a,b\n1,2\ny,2\n1,nan\n", ":3: non-numeric"),
+    ])
+    def test_first_fault_is_reported(self, text, line):
+        with pytest.raises(DataFormatError, match=line):
+            parse_dataset(text)
+
+    def test_spaces_around_comma_fields(self):
+        spaced = parse_dataset("a , b\n 1.5 ,\t-2e3 \n3 , 4\n")
+        plain = parse_dataset("a,b\n1.5,-2e3\n3,4\n")
+        assert spaced.names == plain.names == ("a", "b")
+        assert np.array_equal(spaced.data, plain.data)
+
     def test_header_only_rejected(self):
         with pytest.raises(ValidationError):
             parse_dataset("a,b\n")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvdag import learner as learner_module
 from cvdag.errors import (
     DegenerateDesignError,
     InsufficientSamplesError,
@@ -209,6 +210,21 @@ class TestLearn:
         result = learn(data)
         assert is_consistent(result.ordering, result.dag)
 
+    @pytest.mark.parametrize("mode", ["conditional", "marginal"])
+    def test_learn_factors_once(self, monkeypatch, mode):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _factor(*args, **kwargs)
+
+        monkeypatch.setattr(learner_module, "_factor", counting)
+        data = sample(random_sem(8, "heterogeneous", seed=5), 300, seed=6)
+        learn(data, LearnConfig(parent_test_mode=mode))
+        assert len(calls) == 1
+        learn(data)
+        assert len(calls) == 2
+
     def test_single_column_dataset(self):
         data = dataset(np.random.default_rng(1).normal(size=(10, 1)))
         result = learn(data)
@@ -302,6 +318,32 @@ class TestAgainstReferences:
         result = learn(data, LearnConfig(parent_test_mode=mode))
         for rec in result.test_log:
             want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
+            assert rec.r == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_moderate_p_matches_references(self, seed):
+        # n >> p, so the factor pivots on the p x p triangle of a LAPACK QR.
+        # The marginal variances here grow along the causal order, and the Schur
+        # complements of the Gram-based references in numerics lose up to ~5e-5
+        # to cancellation, so both checks regress the centered data instead
+        data = sample(random_sem(30, "homogeneous", seed), 1000, seed)
+        x = data.data - data.data.mean(axis=0)
+
+        def residuals(targets, given):
+            given = list(given)
+            coef = np.linalg.lstsq(x[:, given], x[:, targets], rcond=None)[0]
+            return x[:, targets] - x[:, given] @ coef
+
+        ordering, steps = estimate_ordering(data)
+        for m, step in enumerate(steps):
+            for j, value in step:
+                res = residuals([j], ordering.order[:m])[:, 0]
+                assert value == pytest.approx(res @ res / (data.n - m - 1), rel=1e-8)
+        result = learn(data)
+        assert len(result.test_log) == 30 * 29 // 2
+        for rec in result.test_log:
+            res = residuals([rec.later, rec.earlier], rec.given)
+            want = res[:, 0] @ res[:, 1] / np.sqrt((res * res).sum(axis=0).prod())
             assert rec.r == pytest.approx(want, abs=1e-9)
 
     @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
