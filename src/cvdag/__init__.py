@@ -2,7 +2,7 @@
 ordering, with identifiability checkers, random model generators, and a
 benchmark harness."""
 
-from .bench import ExperimentConfig, ExperimentReport, emit_report, measure_runtime, run_experiment
+from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
 from .datasets import load_marks, read_dataset, write_dataset
 from .errors import (
     DataFormatError,
@@ -31,7 +31,6 @@ from .learner import LearnConfig, LearnResult, estimate_ordering, estimate_paren
 from .numerics import (
     Dataset,
     IndependenceDecision,
-    cholesky_solve,
     conditional_variance,
     fisher_z_test,
     partial_correlation,

@@ -158,24 +158,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return ExperimentReport(cfg, tuple(cells), aggregate(cfg, cells))
 
 
-def measure_runtime(p_grid, n_grid, seed: int, replications: int = 3):
-    """Mean wall-clock seconds of `learn` per (p, n) over homogeneous draws."""
-    if replications < 1:
-        raise ValidationError("replications must be >= 1")
-    rows = []
-    for p in p_grid:
-        for n in n_grid:
-            times = []
-            for rep in range(replications):
-                model = random_sem(p, "homogeneous", derive_seed(seed, p, n, rep, 0))
-                data = sample(model, n, derive_seed(seed, p, n, rep, 1))
-                start = time.perf_counter()
-                learn(data)
-                times.append(time.perf_counter() - start)
-            rows.append((p, n, sum(times) / len(times)))
-    return rows
-
-
 # --- report files ------------------------------------------------------------
 
 CELL_HEADER = "protocol,p,n,rep,hamming_dag,hamming_cpdag,seconds,identifiable,failed"

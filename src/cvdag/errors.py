@@ -32,7 +32,7 @@ class NumericalDegeneracyError(ToolkitError):
 
 
 class DegenerateDesignError(NumericalDegeneracyError):
-    """Design columns are collinear: a residual vanished, even after any ridge."""
+    """A design column has no variation, or a residual vanished."""
 
 
 class ReportIOError(ToolkitError):

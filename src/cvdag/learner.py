@@ -231,7 +231,7 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
         raise ValidationError(f"covariance must be square, got shape {cov.shape}")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
         raise NumericalDegeneracyError("covariance is not symmetric")
-    low = _cholesky(cov, jitter=False)  # SPD gate
+    low = _cholesky(cov)  # SPD gate
     order, r, steps = _factor(low.T)
     log = []
     for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):

@@ -1,12 +1,13 @@
 """Dense linear-algebra and statistical primitives.
 
-Covariance, conditional variance and partial correlation by Schur
-complements, and the Fisher z independence decision. The learner computes its
-conditional variances and partial correlations from one pivoted QR instead
-(see ``learner._factor``); the Schur-complement routines here are the public
-references for single queries, and the tests check the learner against them.
-Everything operates on plain float64 numpy arrays; reductions go through
-numpy's pairwise-summing kernels for reproducibility.
+Sample covariance, conditional variance by least squares on the centered
+data, partial correlation from one Cholesky factor of a covariance block, and
+the Fisher z independence decision. The learner computes its conditional
+variances and partial correlations from one pivoted QR instead (see
+``learner._factor``); the routines here are the public references for single
+queries, and the tests check the learner against them. Everything operates on
+plain float64 numpy arrays; reductions go through numpy's pairwise-summing
+kernels for reproducibility.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-
-# Ridge added (once) to a Gram matrix that fails Cholesky: 1e-10 * trace/dim.
-GRAM_JITTER = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -74,43 +71,12 @@ class IndependenceDecision:
         return not self.dependent
 
 
-def _cholesky(a: np.ndarray, *, jitter: bool, error=NumericalDegeneracyError):
-    """Lower Cholesky factor of a symmetric matrix, with one optional ridge retry."""
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        if not jitter or a.shape[0] == 0:
-            raise error("matrix is not positive definite") from None
-    ridge = GRAM_JITTER * np.trace(a) / a.shape[0]
-    try:
-        return np.linalg.cholesky(a + ridge * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        raise error("matrix is not positive definite even after jitter") from None
-
-
-def schur_variances(
-    mat: np.ndarray,
-    given: tuple[int, ...] | list[int],
-    targets,
-    *,
-    jitter: bool = False,
-    error=NumericalDegeneracyError,
-) -> np.ndarray:
-    """Diagonal of the Schur complement of ``mat`` over ``given`` at ``targets``.
-
-    For a covariance this is Var(X_t | X_given) per target; for a Gram matrix of
-    centered columns it is the residual sum of squares of each target column
-    regressed on the ``given`` columns. One factorization serves all targets.
-    """
-    targets = np.asarray(list(targets), dtype=int)
-    base = mat[targets, targets]
-    if len(given) == 0:
-        return base.copy()
-    s = list(given)
-    low = _cholesky(mat[np.ix_(s, s)], jitter=jitter, error=error)
-    w = np.linalg.solve(low, mat[np.ix_(s, targets)])
-    out = base - np.einsum("ij,ij->j", w, w)
-    return np.maximum(out, 0.0)
+        raise NumericalDegeneracyError("matrix is not positive definite") from None
 
 
 def sample_covariance(data: Dataset) -> np.ndarray:
@@ -125,8 +91,10 @@ def sample_covariance(data: Dataset) -> np.ndarray:
 def conditional_variance(data: Dataset, j: int, given) -> float:
     """Residual variance of column j regressed on centered columns ``given``.
 
-    Columns are centered (implicit intercept) and the denominator is
-    n - |given| - 1; an empty conditioning set yields the sample variance.
+    Columns are centered (implicit intercept), the fit is by least squares,
+    and the denominator is n - |given| - 1; an empty conditioning set yields
+    the sample variance. Collinear conditioning columns are fine, since the
+    residual is the projection's; a constant one raises DegenerateDesignError.
     """
     given = tuple(given)
     _check_condition_args(data.p, j, given)
@@ -135,36 +103,31 @@ def conditional_variance(data: Dataset, j: int, given) -> float:
             f"n={data.n} rows cannot support conditioning on {len(given)} columns"
         )
     centered = data.data - data.data.mean(axis=0)
-    gram = centered.T @ centered
-    rss = schur_variances(gram, given, [j], jitter=True, error=DegenerateDesignError)
-    return float(rss[0] / (data.n - len(given) - 1))
+    design, resid = centered[:, list(given)], centered[:, j]
+    flat = ~design.any(axis=0)
+    if flat.any():
+        raise DegenerateDesignError(
+            f"conditioning column {given[int(np.argmax(flat))]} is constant"
+        )
+    resid = resid - design @ np.linalg.lstsq(design, resid, rcond=None)[0]
+    return float(resid @ resid / (data.n - len(given) - 1))
 
 
 def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     """Partial correlation of variables j and k given ``given``, from a covariance.
 
-    Computed as the normalized off-diagonal of the 2x2 Schur complement; works
-    for sample and population covariances alike.
+    Read off the trailing 2 x 2 block of the Cholesky factor of the block
+    ordered as [given..., j, k]; works for sample and population covariances
+    alike.
     """
     given = tuple(given)
     if j == k:
         raise ValidationError("partial correlation needs two distinct variables")
     _check_condition_args(cov.shape[0], j, given)
     _check_condition_args(cov.shape[0], k, given)
-    idx = [j, k]
-    block = cov[np.ix_(idx, idx)]
-    if given:
-        s = list(given)
-        low = _cholesky(cov[np.ix_(s, s)], jitter=False)
-        w = np.linalg.solve(low, cov[np.ix_(s, idx)])
-        block = block - w.T @ w
-    denom = block[0, 0] * block[1, 1]
-    if denom <= 0.0:
-        raise NumericalDegeneracyError(
-            "conditional variance vanished; submatrix not positive definite"
-        )
-    r = block[0, 1] / math.sqrt(denom)
-    return float(min(1.0, max(-1.0, r)))
+    idx = list(given) + [j, k]
+    low = _cholesky(cov[np.ix_(idx, idx)])
+    return float(low[-1, -2] / math.hypot(low[-1, -2], low[-1, -1]))
 
 
 def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecision:
@@ -187,19 +150,6 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
     r = min(1.0 - 1e-12, max(-(1.0 - 1e-12), r))
     statistic = math.sqrt(n - s - 3) * abs(math.atanh(r))
     return IndependenceDecision(statistic > threshold, statistic, threshold)
-
-
-def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, abs(a).max())):
-        raise NumericalDegeneracyError("matrix is not symmetric")
-    low = _cholesky(a, jitter=False)
-    y = np.linalg.solve(low, b)
-    return np.linalg.solve(low.T, y)
 
 
 def _check_condition_args(p: int, j: int, given: tuple[int, ...]):

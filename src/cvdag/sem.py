@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .graphs import Dag, Ordering, descendants, is_consistent, topological_order
-from .numerics import Dataset, _cholesky, schur_variances
+from .numerics import Dataset, _cholesky
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 
@@ -105,10 +105,33 @@ class IdentifiabilityReport:
     worst_margin: float
 
 
+def _total_effects(m: GaussianSem) -> np.ndarray:
+    """A = (I - B)^-1: entry A[k, i] is the total effect of noise i on X_k.
+
+    Built by forward substitution in topological order, row k = e_k + B[k] A,
+    so each entry sums the path products into k and structural zeros stay
+    exact. Raises NumericalDegeneracyError naming the first (k, i), in that
+    order, whose variance contribution sigma_i A[k, i]^2 is not finite.
+    """
+    a = np.zeros((m.p, m.p))
+    order = topological_order(m.dag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in order:
+            a[k] = m.B[k] @ a
+            a[k, k] = 1.0
+        bad = ~np.isfinite(a * a * m.sigma2)
+    if bad.any():
+        k = next(k for k in order if bad[k].any())
+        i = int(np.argmax(bad[k]))
+        raise NumericalDegeneracyError(
+            f"total effects: sigma_i A[k, i]^2 overflows float64 at (k={k}, i={i})"
+        )
+    return a
+
+
 def population_covariance(m: GaussianSem) -> np.ndarray:
     """Exact covariance (I - B)^-1 Sigma_eps (I - B)^-T of the model."""
-    eye = np.eye(m.p)
-    a = np.linalg.solve(eye - m.B, eye)  # (I - B)^-1, exists by acyclicity
+    a = _total_effects(m)
     cov = (a * m.sigma2) @ a.T
     return (cov + cov.T) / 2.0
 
@@ -120,11 +143,19 @@ def population_precision(m: GaussianSem) -> np.ndarray:
 
 
 def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
-    """Var(X_k | X_given) from a covariance, by Schur complement."""
+    """Var(X_k | X_given) from a covariance: the squared last diagonal entry of
+    the Cholesky factor of the block ordered as [given..., k].
+    """
     given = tuple(given)
     if k in given:
         raise ValidationError(f"variable {k} cannot appear in its conditioning set")
-    return float(schur_variances(cov, given, [k])[0])
+    idx = list(given) + [k]
+    return float(_cholesky(cov[np.ix_(idx, idx)])[-1, -1] ** 2)
+
+
+def _suffix_sums(w: np.ndarray) -> np.ndarray:
+    """out[:, q] = w[:, q:].sum(axis=1), summed from the last column back."""
+    return np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
 
 
 def check_identifiability(
@@ -136,55 +167,45 @@ def check_identifiability(
 
     For each position with node j, every compared node k (descendants of j by
     default; every later node with scope="later") must satisfy
-    sigma_j^2 < Var(X_k | predecessors of j). Each right-hand side is verified
-    internally against its law-of-total-variance form
-    sigma_k^2 + Var(E(X_k | parents) | predecessors) computed from B directly;
-    a disagreement beyond float64 rounding raises NumericalDegeneracyError.
+    sigma_j^2 < Var(X_k | predecessors of j). Every prefix of an ordering
+    consistent with the graph is ancestral, so conditioning on it is
+    conditioning on its noise terms, and Var(X_k | prefix) is the sum of
+    sigma_i^2 A[k, i]^2 over the noise terms i outside it (A the total
+    effects). Each right-hand side is verified internally against its
+    law-of-total-variance form sigma_k^2 + Var(E(X_k | parents) | prefix), the
+    same sum over the rows of B A; a disagreement beyond float64 rounding
+    raises NumericalDegeneracyError.
     """
     if pi is None:
         pi = topological_order(m.dag)
     if not is_consistent(pi, m.dag):
         raise ValidationError("ordering is not consistent with the model's graph")
-    cov = population_covariance(m)
+    a = _total_effects(m)
+    cols = list(pi)
+    s2 = m.sigma2[cols]
+    # cond[k][pos] = Var(X_k | X_pi[:pos]); positive terms, so nothing cancels
+    cond = _suffix_sums(a[:, cols] ** 2 * s2).tolist()
+    ltv = (m.sigma2[:, None] + _suffix_sums((m.B @ a)[:, cols] ** 2 * s2)).tolist()
     margins: list[Margin] = []
     for pos, j in enumerate(pi):
-        prefix = tuple(pi[i] for i in range(pos))
         if scope == "later":
             targets = [pi[i] for i in range(pos + 1, m.p)]
         else:
             targets = sorted(descendants(m.dag, j))
-        if not targets:
-            continue
-        cond = _conditional_covariance(cov, prefix)
         for k in targets:
-            rhs = float(cond[k, k])
-            w = m.B[k]
-            rhs_alt = float(m.sigma2[k] + w @ cond @ w)
-            # rounding scales with the marginal variance the Schur complement
-            # cancels down from, not with the conditional value itself
-            if abs(rhs - rhs_alt) > _LTV_RTOL * max(1.0, cov[k, k]):
+            rhs, rhs_alt = cond[k][pos], ltv[k][pos]
+            # both sides sum positive terms, so rounding scales with the value
+            # itself; "not <=" also catches a NaN
+            if not abs(rhs - rhs_alt) <= _LTV_RTOL * max(1.0, rhs):
                 raise NumericalDegeneracyError(
                     f"identifiability check: law-of-total-variance self-check failed at"
-                    f" (j={j}, k={k}): Schur complement {rhs!r} vs structural form"
+                    f" (j={j}, k={k}): total-effect sum {rhs!r} vs structural form"
                     f" {rhs_alt!r}"
                 )
             margins.append(Margin(j=j, k=k, lhs=float(m.sigma2[j]), rhs=rhs))
     worst = min((g.slack for g in margins), default=math.inf)
     satisfied = all(g.lhs < g.rhs for g in margins)
     return IdentifiabilityReport(satisfied, tuple(margins), worst)
-
-
-def _conditional_covariance(cov: np.ndarray, given: tuple[int, ...]) -> np.ndarray:
-    """Full conditional covariance of X given X_given (given rows/cols zero)."""
-    if not given:
-        return cov
-    s = list(given)
-    low = _cholesky(cov[np.ix_(s, s)], jitter=False)
-    w = np.linalg.solve(low, cov[s, :])
-    cond = cov - w.T @ w
-    cond[s, :] = 0.0
-    cond[:, s] = 0.0
-    return (cond + cond.T) / 2.0
 
 
 def bivariate_weight_threshold(r: float) -> float:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import cvdag.sem as sem
 from cvdag.cli import main
 from cvdag.datasets import read_dataset
 from cvdag.graphs import read_cpdag, read_dag, write_graph, Dag
-from cvdag.sem import nonfaithful_chain, random_sem, write_sem, GaussianSem
+from cvdag.sem import nonfaithful_chain, write_sem, GaussianSem
 
 
 def run(*argv):
@@ -34,6 +35,10 @@ class TestSimulate:
                    "--n", 50, "-o", tmp_path) == 0
         out = capsys.readouterr().out
         assert "identifiability: satisfied" in out
+
+    def test_dense_p80_model_runs(self, tmp_path):
+        assert run("simulate", "--protocol", "heterogeneous", "--p", 80,
+                   "--n", 100, "-o", tmp_path) == 0
 
     def test_zero_rows_rejected(self, tmp_path):
         assert run("simulate", "--protocol", "nonfaithful", "--n", 0,
@@ -142,11 +147,30 @@ class TestCheck:
         assert run("check", chain_sem, "--scope", "later", "-o", tmp_path) == 0
 
     @pytest.mark.parametrize("command", [("check",), ("simulate", "--n", 50, "--sem")])
-    def test_failed_self_check_exits_two(self, command, tmp_path, capsys):
-        path = tmp_path / "dense.sem"
-        write_sem(random_sem(40, "homogeneous", seed=11), path)
+    def test_failed_self_check_exits_two(self, command, tmp_path, capsys, monkeypatch):
+        # a total effect that the structural form B A never reads, corrupted
+        exact = sem._total_effects
+
+        def corrupted(m):
+            a = exact(m)
+            a[2, 0] *= 1.0 + 1e-6
+            return a
+
+        monkeypatch.setattr(sem, "_total_effects", corrupted)
+        path = tmp_path / "chain.sem"
+        write_sem(nonfaithful_chain(), path)
         assert run(*command, path, "-o", tmp_path) == 2
-        assert "self-check failed at (j=1, k=4)" in capsys.readouterr().err
+        assert "self-check failed at (j=0, k=2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("check",), ("simulate", "--n", 50, "--sem")])
+    def test_overflowing_total_effects_exit_two(self, command, tmp_path, capsys):
+        b = np.zeros((3, 3))
+        b[1, 0] = b[2, 1] = 1e200
+        path = tmp_path / "huge.sem"
+        write_sem(GaussianSem(B=b, sigma2=np.ones(3)), path)
+        assert run(*command, path, "-o", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "total effects: " in err and "at (k=1, i=0)" in err
 
 
 class TestCpdag:

@@ -288,7 +288,7 @@ class TestLearn:
 
 
 # small seeded draws for checking the one-factorization learner against the
-# Schur-complement references in numerics
+# single-query references in numerics
 SMALL_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     p=st.integers(2, 6),
@@ -323,9 +323,9 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_moderate_p_matches_references(self, seed):
         # n >> p, so the factor pivots on the p x p triangle of a LAPACK QR.
-        # The marginal variances here grow along the causal order, and the Schur
-        # complements of the Gram-based references in numerics lose up to ~5e-5
-        # to cancellation, so both checks regress the centered data instead
+        # The marginal variances here grow along the causal order, which a
+        # reference must survive without cancellation: both regress the
+        # centered data rather than factor a Gram or covariance matrix
         data = sample(random_sem(30, "homogeneous", seed), 1000, seed)
         x = data.data - data.data.mean(axis=0)
 
@@ -336,9 +336,9 @@ class TestAgainstReferences:
 
         ordering, steps = estimate_ordering(data)
         for m, step in enumerate(steps):
+            prefix = ordering.order[:m]
             for j, value in step:
-                res = residuals([j], ordering.order[:m])[:, 0]
-                assert value == pytest.approx(res @ res / (data.n - m - 1), rel=1e-8)
+                assert value == pytest.approx(conditional_variance(data, j, prefix), rel=1e-8)
         result = learn(data)
         assert len(result.test_log) == 30 * 29 // 2
         for rec in result.test_log:

@@ -13,7 +13,6 @@ from cvdag.errors import (
 )
 from cvdag.numerics import (
     Dataset,
-    cholesky_solve,
     conditional_variance,
     fisher_z_test,
     partial_correlation,
@@ -148,8 +147,9 @@ class TestConditionalVariance:
         with pytest.raises(InsufficientSamplesError):
             conditional_variance(data, 0, [1, 2])
 
-    def test_duplicated_design_column_survives_via_jitter(self):
-        # the documented ridge fallback resolves exact collinearity deterministically
+    def test_duplicated_design_column_gives_the_projection_residual(self):
+        # least squares projects onto the span of the columns, so an exact
+        # duplicate changes only the degrees of freedom
         xs = np.random.default_rng(0).normal(size=8)
         ys = np.random.default_rng(1).normal(size=8)
         data = dataset(np.column_stack([xs, xs, ys]))
@@ -158,7 +158,7 @@ class TestConditionalVariance:
         assert got == pytest.approx(want * 6 / 5, rel=1e-6)  # df 5 vs 6
 
     def test_zero_design_column_degenerate(self):
-        # constant column centers to zero; the zero-trace Gram defeats the jitter
+        # a constant column centers to zero and has nothing to regress on
         data = dataset(np.column_stack([np.full(8, 2.0),
                                         np.random.default_rng(1).normal(size=8)]))
         with pytest.raises(DegenerateDesignError):
@@ -274,32 +274,6 @@ class TestFisherZ:
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             fisher_z_test(0.3, 50, 0, 1.5)
-
-
-class TestCholeskySolve:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(cholesky_solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        got = cholesky_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert np.allclose(got, [1.0, 2.0])
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(5, 5))
-        spd = a @ a.T + 5 * np.eye(5)
-        b = rng.normal(size=5)
-        x = cholesky_solve(spd, b)
-        assert np.linalg.norm(spd @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_non_spd_rejected(self):
-        with pytest.raises(NumericalDegeneracyError):
-            cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(NumericalDegeneracyError):
-            cholesky_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 class TestDataset:

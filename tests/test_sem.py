@@ -1,16 +1,19 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvdag.sem as sem
 from cvdag.errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from cvdag.graphs import Ordering, topological_order
 from cvdag.sem import (
     GaussianSem,
     _propagate,
+    _total_effects,
     bivariate_weight_threshold,
     bivariate_weight_threshold_conservative,
     check_identifiability,
@@ -55,6 +58,43 @@ class TestModelValidation:
     def test_dag_edges_follow_support(self):
         m = nonfaithful_chain()
         assert m.dag.edges == {(0, 1), (0, 2), (1, 2)}
+
+
+def exact_total_effects(m):
+    """(I - B)^-1 by forward substitution in exact rational arithmetic."""
+    b = [[Fraction(w) for w in row] for row in m.B.tolist()]
+    a = [[Fraction(0)] * m.p for _ in range(m.p)]
+    for k in topological_order(m.dag):
+        row = [Fraction(int(i == k)) for i in range(m.p)]
+        for i, w in enumerate(b[k]):
+            if w:
+                row = [x + w * y for x, y in zip(row, a[i])]
+        a[k] = row
+    return a
+
+
+class TestTotalEffects:
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_matches_exact_rational_reference_at_p60(self, protocol):
+        m = random_sem(60, protocol, derive_seed(1901, 60, 0))
+        got = _total_effects(m)
+        exact = exact_total_effects(m)
+        assert np.array_equal(got == 0.0, np.array([[x == 0 for x in r] for r in exact]))
+        want = np.array([[float(x) for x in r] for r in exact])
+        # Forward substitution is accurate componentwise relative to the
+        # summed magnitudes of the path products, (I - |B|)^-1, up to about
+        # p^2 eps (8e-13 at p=60). That sum equals |A| wherever no paths of
+        # opposite sign cancel; where they do, |A| itself can be far smaller.
+        paths = exact_total_effects(GaussianSem(B=np.abs(m.B), sigma2=m.sigma2))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.array(paths, dtype=float))
+
+    def test_overflow_is_a_typed_error_naming_the_entry(self):
+        # weights of 1e200 along a chain: A[1, 0]^2 and A[2, 0] overflow float64
+        m = pure_chain(1e200, 1e200, 1.0, 1.0, 1.0)
+        for call in (population_covariance, check_identifiability):
+            with pytest.raises(NumericalDegeneracyError,
+                               match=r"^total effects: .* at \(k=1, i=0\)$"):
+                call(m)
 
 
 class TestPopulationCovariance:
@@ -209,13 +249,45 @@ class TestCheckIdentifiability:
             protocol = "homogeneous" if seed % 2 == 0 else "heterogeneous"
             check_identifiability(random_sem(10, protocol, seed=seed))
 
-    def test_failed_self_check_is_a_typed_error(self):
-        # the dense p=40 covariance is too ill-conditioned for the Schur form
-        # to agree with the structural form within the self-check's tolerance
+    def test_failed_self_check_is_a_typed_error(self, monkeypatch):
+        # corrupt a total effect that the structural form B A never reads: the
+        # path 0 -> 1 -> 2 enters (B A)[2, 0] through A[1, 0], not A[2, 0]
+        exact = sem._total_effects
+
+        def corrupted(m):
+            a = exact(m)
+            a[2, 0] *= 1.0 + 1e-6
+            return a
+
+        monkeypatch.setattr(sem, "_total_effects", corrupted)
         with pytest.raises(NumericalDegeneracyError) as err:
-            check_identifiability(random_sem(40, "homogeneous", seed=11))
-        assert "(j=1, k=4): Schur complement 18.3176" in str(err.value)
-        assert "structural form 18.3176" in str(err.value)
+            check_identifiability(pure_chain(0.5, 0.5, 1.0, 1.0, 1.0))
+        assert str(err.value).endswith(
+            "self-check failed at (j=0, k=2): total-effect sum 1.3125001250000625"
+            " vs structural form 1.3125"
+        )
+
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_report_at_p80(self, protocol):
+        m = random_sem(80, protocol, derive_seed(1901, 80, 0))
+        report = check_identifiability(m, scope="later")
+        assert len(report.margins) == 80 * 79 // 2
+
+    def test_exact_tie_is_exact(self):
+        # 0 -> 2 and unit noise: Var(X2 | X0) is sigma_2^2 = 1 with no rounding,
+        # so the later-scope margin (1, 2) is an exact tie, not satisfied
+        b = np.zeros((3, 3))
+        b[2, 0] = 1.3
+        report = check_identifiability(GaussianSem(B=b, sigma2=np.ones(3)), scope="later")
+        rhs = {(g.j, g.k): g.rhs for g in report.margins}
+        assert rhs[(1, 2)] == 1.0
+        assert not report.satisfied
+
+    def test_homogeneous_later_scope_tie_is_not_satisfied(self):
+        m = random_sem(10, "homogeneous", derive_seed(1901, 10, 6))
+        report = check_identifiability(m, scope="later")
+        assert not report.satisfied
+        assert report.worst_margin == 0.0
 
 
 class TestBivariateThresholds:
