@@ -102,6 +102,20 @@ class Cpdag:
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", undirected)
 
+    @classmethod
+    def _trusted(cls, p: int, directed: frozenset[tuple[int, int]],
+                 undirected: frozenset[tuple[int, int]]) -> Cpdag:
+        """A Cpdag from int edges already known valid, undirected ones as (low, high).
+
+        Skips the re-validation of ``__post_init__``; for graphs derived from
+        a valid Dag, such as the output of :func:`dag_to_cpdag`.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "p", p)
+        object.__setattr__(c, "directed", directed)
+        object.__setattr__(c, "undirected", undirected)
+        return c
+
     def skeleton(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(a, b), max(a, b)) for a, b in self.directed) | self.undirected
 
@@ -139,6 +153,28 @@ def descendants(g: Dag, j: int) -> frozenset[int]:
             seen.add(k)
             stack.extend(g._children[k])
     return frozenset(seen)
+
+
+def descendant_sets(g: Dag) -> tuple[tuple[int, ...], ...]:
+    """``sorted(descendants(g, j))`` for every node j, from one pass over the graph.
+
+    In reverse topological order, the descendants of j are the union over its
+    children c of {c} and the descendants of c, held as int bitsets. Cost
+    O(|E|) bitset unions plus the size of the output.
+    """
+    bits = [0] * g.p
+    for j in reversed(g._topo):
+        for c in g._children[j]:
+            bits[j] |= bits[c] | (1 << c)
+    out = []
+    for b in bits:
+        nodes = []
+        while b:
+            low = b & -b
+            nodes.append(low.bit_length() - 1)
+            b ^= low
+        out.append(tuple(nodes))
+    return tuple(out)
 
 
 def is_consistent(ordering: Ordering, g: Dag) -> bool:
@@ -190,8 +226,9 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
         else:
             compelled[y] = pa_y
         directed += [(z, y) for z in compelled[y]]
-        undirected += [(z, y) for z in pa_y - compelled[y]]
-    return Cpdag(g.p, frozenset(directed), frozenset(undirected))
+        undirected += [(min(z, y), max(z, y)) for z in pa_y - compelled[y]]
+    # edges of a valid Dag, so the Cpdag needs no re-validation
+    return Cpdag._trusted(g.p, frozenset(directed), frozenset(undirected))
 
 
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:

@@ -4,13 +4,19 @@ parent selection by partial-correlation tests along the ordering.
 A population-oracle twin (`learn_from_covariance`) runs the same search in
 exact arithmetic on a covariance matrix, deciding independence by thresholding
 |partial correlation| instead of a finite-sample test.
+
+Both read every r off one factorization as arrays and decide all pairs in one
+pass over them. The decisions are kept as a columnar `TestLog`: O(p^2) arrays
+plus the ordering, from which each record's conditioning set is derived when
+the record is read, so no per-pair object is stored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from statistics import NormalDist
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -21,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset, _cholesky, fisher_z_test
+from .numerics import Dataset, _cholesky
 
 ParentTestMode = Literal["conditional", "marginal"]
 
@@ -61,6 +67,65 @@ class TestRecord:
     dependent: bool
 
 
+@dataclass(frozen=True, eq=False)
+class TestLog:
+    """Every independence decision of one parent step, stored as columns.
+
+    Row i is the i-th pair of positions (m, e), e < m, of ``order`` in
+    row-major order of the strict lower triangle: (1, 0), (2, 0), (2, 1),
+    (3, 0), ... The arrays hold the pair's nodes ``earlier`` = order[e] and
+    ``later`` = order[m], its ``r``, ``statistic`` and ``dependent``; one
+    ``threshold`` serves every row. Storage is O(p^2): the conditioning set
+    order[:e] + order[e+1:m] (empty in marginal mode) is derived when a record
+    is read. Length, indexing, iteration and equality work on
+    :class:`TestRecord` values, so the log compares equal to the tuple of its
+    records.
+    """
+
+    order: tuple[int, ...]
+    mode: ParentTestMode
+    threshold: float
+    earlier: np.ndarray
+    later: np.ndarray
+    r: np.ndarray
+    statistic: np.ndarray
+    dependent: np.ndarray
+
+    def __post_init__(self):
+        for name in ("earlier", "later", "r", "statistic", "dependent"):
+            getattr(self, name).flags.writeable = False
+
+    def _given(self, i: int) -> tuple[int, ...]:
+        if self.mode == "marginal":
+            return ()
+        # row i opens row m of the triangle once m (m - 1) / 2 <= i
+        m = (1 + math.isqrt(8 * i + 1)) // 2
+        e = i - m * (m - 1) // 2
+        return self.order[:e] + self.order[e + 1:m]
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        k = range(len(self))[i]  # raises IndexError out of range
+        return TestRecord(int(self.earlier[k]), int(self.later[k]), self._given(k),
+                          float(self.r[k]), float(self.statistic[k]), self.threshold,
+                          bool(self.dependent[k]))
+
+    def __iter__(self) -> Iterator[TestRecord]:
+        columns = (self.earlier.tolist(), self.later.tolist(), self.r.tolist(),
+                   self.statistic.tolist(), self.dependent.tolist())
+        for i, (e, m, r, stat, dep) in enumerate(zip(*columns)):
+            yield TestRecord(e, m, self._given(i), r, stat, self.threshold, dep)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TestLog, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class LearnResult:
     ordering: Ordering
@@ -68,7 +133,7 @@ class LearnResult:
     # step_variances[m] lists (candidate, conditional variance) for every node
     # still unplaced when position m was decided
     step_variances: tuple[tuple[tuple[int, float], ...], ...]
-    test_log: tuple[TestRecord, ...] = field(repr=False)
+    test_log: TestLog = field(repr=False)
 
 
 def _factor(x: np.ndarray, order=None):
@@ -119,35 +184,38 @@ def _factor(x: np.ndarray, order=None):
     return tuple(placed), w[:p, placed], steps
 
 
-def _pair_correlations(order, r: np.ndarray, mode: ParentTestMode):
-    """Yield (earlier, later, given, r) for every ordered pair of ``order``.
+def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
+    """(m, e, r) over the strict lower triangle, positions e < m of the order.
 
-    ``r`` is the factor of :func:`_factor` in that order, so R^T R is the Gram
-    matrix. Marginal mode normalizes R^T R. Conditional mode conditions on the
-    other predecessors of ``later`` and reads the precision of each leading
-    block off T = (R^T)^-1: r(e, m | rest) = -sign(T[m,m]) T[m,e] / |T[:m+1, e]|.
+    ``r`` is the factor of :func:`_factor` in some order, so R^T R is the Gram
+    matrix. The three arrays run in :class:`TestLog` row order, p (p - 1) / 2
+    long, with r clipped to [-1, 1]. Marginal mode normalizes R^T R.
+    Conditional mode conditions on the other predecessors of ``later`` and
+    reads the precision of each leading block off T = (R^T)^-1:
+    r(e, m | rest) = -sign(T[m,m]) T[m,e] / |T[:m+1, e]|.
     """
-    p = len(order)
-    corr = np.zeros((p, p))
-    rows, cols = np.tril_indices(p, -1)
+    rows, cols = np.tril_indices(r.shape[0], -1)
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))
-        corr[rows, cols] = gram[rows, cols] / (scale[rows] * scale[cols])
+        corr = gram[rows, cols] / (scale[rows] * scale[cols])
     else:
         # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
         t = np.linalg.inv(r).T
         norms = np.sqrt(np.cumsum(t * t, axis=0))
-        corr[rows, cols] = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
-    for m in range(1, p):
-        for e in range(m):
-            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
-            yield order[e], order[m], given, float(min(1.0, max(-1.0, corr[m, e])))
+        corr = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
+    return rows, cols, np.clip(corr, -1.0, 1.0)
 
 
-def _dag(p: int, log: list[TestRecord]):
-    edges = frozenset((rec.earlier, rec.later) for rec in log if rec.dependent)
-    return Dag(p, edges), tuple(log)
+def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
+    """(DAG, log) of the pairs whose statistic exceeds ``threshold``."""
+    rows, cols, rho = pairs
+    nodes = np.asarray(order, dtype=np.intp)
+    dependent = statistic > threshold
+    log = TestLog(tuple(order), mode, threshold, nodes[cols], nodes[rows], rho,
+                  statistic, dependent)
+    edges = zip(log.earlier[dependent].tolist(), log.later[dependent].tolist())
+    return Dag(len(order), frozenset(edges)), log
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
@@ -165,13 +233,23 @@ def _variances(steps, n: int):
 
 
 def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
-    """(DAG, log) of one Fisher z test per ordered pair of the factor ``r``."""
-    log = []
-    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
-        out = fisher_z_test(rho, data.n, len(given), cfg.alpha)
-        log.append(TestRecord(earlier, later, given, rho, out.statistic, out.threshold,
-                              out.dependent))
-    return _dag(data.p, log)
+    """(DAG, log) of one Fisher z test per ordered pair of the factor ``r``.
+
+    The arithmetic of :func:`numerics.fisher_z_test` over all pairs at once:
+    sqrt(n - s - 3) |atanh(r)| with s = m - 1 conditioning nodes at position m
+    (0 in marginal mode), +inf where |r| >= 1. atanh is ``math.atanh``, since
+    ``np.arctanh`` differs from it in the last bit on some inputs.
+    """
+    mode = cfg.parent_test_mode
+    pairs = _pair_correlations(r, mode)
+    rows, _, rho = pairs
+    s = rows - 1 if mode == "conditional" else 0
+    # guard atanh against r rounded to within 1e-12 of +-1
+    clipped = np.clip(rho, -(1.0 - 1e-12), 1.0 - 1e-12)
+    z = np.fromiter(map(math.atanh, clipped.tolist()), float, len(clipped))
+    statistic = np.where(np.abs(rho) >= 1.0, math.inf, np.sqrt(data.n - s - 3.0) * np.abs(z))
+    threshold = NormalDist().inv_cdf(1.0 - cfg.alpha / 2.0)
+    return _decide(order, mode, pairs, statistic, threshold)
 
 
 def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
@@ -231,13 +309,17 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
         raise ValidationError(f"covariance must be square, got shape {cov.shape}")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
         raise NumericalDegeneracyError("covariance is not symmetric")
-    low = _cholesky(cov)  # SPD gate
+    try:
+        low = _cholesky(cov)
+    except NumericalDegeneracyError as exc:
+        raise NumericalDegeneracyError(
+            f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has no"
+            f" Cholesky factor ({exc})"
+        ) from None
     order, r, steps = _factor(low.T)
-    log = []
-    for earlier, later, given, rho in _pair_correlations(order, r, cfg.parent_test_mode):
-        log.append(TestRecord(earlier, later, given, rho, abs(rho), cfg.oracle_tolerance,
-                              abs(rho) > cfg.oracle_tolerance))
-    dag, log = _dag(cov.shape[0], log)
+    pairs = _pair_correlations(r, cfg.parent_test_mode)
+    statistic = np.abs(pairs[2])  # |r|, against the tolerance
+    dag, log = _decide(order, cfg.parent_test_mode, pairs, statistic, cfg.oracle_tolerance)
     return LearnResult(Ordering(order), dag, tuple(steps), log)
 
 

@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
-from .graphs import Dag, Ordering, descendants, is_consistent, topological_order
+from .graphs import Dag, Ordering, descendant_sets, is_consistent, topological_order
 from .numerics import Dataset, _cholesky
 
 Protocol = Literal["homogeneous", "heterogeneous"]
@@ -186,12 +186,13 @@ def check_identifiability(
     # cond[k][pos] = Var(X_k | X_pi[:pos]); positive terms, so nothing cancels
     cond = _suffix_sums(a[:, cols] ** 2 * s2).tolist()
     ltv = (m.sigma2[:, None] + _suffix_sums((m.B @ a)[:, cols] ** 2 * s2)).tolist()
+    desc = None if scope == "later" else descendant_sets(m.dag)
     margins: list[Margin] = []
     for pos, j in enumerate(pi):
         if scope == "later":
             targets = [pi[i] for i in range(pos + 1, m.p)]
         else:
-            targets = sorted(descendants(m.dag, j))
+            targets = desc[j]
         for k in targets:
             rhs, rhs_alt = cond[k][pos], ltv[k][pos]
             # both sides sum positive terms, so rounding scales with the value

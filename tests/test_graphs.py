@@ -12,6 +12,7 @@ from cvdag.graphs import (
     Dag,
     Ordering,
     dag_to_cpdag,
+    descendant_sets,
     descendants,
     format_graph,
     hamming_cpdag,
@@ -156,6 +157,20 @@ class TestDescendants:
             for k in descendants(g, j):
                 assert descendants(g, k) <= descendants(g, j)
 
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_sets_match_walks(self, seed, p, prob):
+        g = random_dag(np.random.default_rng(seed), p, prob)
+        assert descendant_sets(g) == tuple(tuple(sorted(descendants(g, j))) for j in range(p))
+
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_one_pass_sets_match_walks_generated_p80(self, protocol):
+        for seed in range(3):
+            g = random_sem(80, protocol, seed).dag
+            assert descendant_sets(g) == tuple(
+                tuple(sorted(descendants(g, j))) for j in range(80)
+            )
+
 
 class TestIsConsistent:
     def test_chain_forward(self):
@@ -235,6 +250,18 @@ class TestDagToCpdag:
             for seed in range(3)
         )
         assert covered > 0
+
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_construction_equals_validated(self, seed, p, prob):
+        cp = dag_to_cpdag(random_dag(np.random.default_rng(seed), p, prob))
+        assert cp == Cpdag(cp.p, cp.directed, cp.undirected)
+
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_trusted_construction_equals_validated_generated_p80(self, protocol):
+        for seed in range(3):
+            cp = dag_to_cpdag(random_sem(80, protocol, seed).dag)
+            assert cp == Cpdag(cp.p, cp.directed, cp.undirected)
 
 
 class TestHammingDag:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,13 @@ from cvdag.learner import (
     learn_from_covariance,
     ordering_is_greedy_minimal,
 )
-from cvdag.numerics import Dataset, conditional_variance, partial_correlation, sample_covariance
+from cvdag.numerics import (
+    Dataset,
+    conditional_variance,
+    fisher_z_test,
+    partial_correlation,
+    sample_covariance,
+)
 from cvdag.sem import (
     GaussianSem,
     derive_seed,
@@ -114,6 +122,11 @@ class TestOracle:
 
     def test_non_spd_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
+            learn_from_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_non_spd_error_names_the_stage(self):
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"^learn_from_covariance: SPD gate: .*not positive definite"):
             learn_from_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_asymmetric_rejected(self):
@@ -280,6 +293,19 @@ class TestLearn:
         assert is_consistent(result.ordering, m.dag)
         assert hamming_dag(m.dag, result.dag) <= 0.02 * len(m.dag.edges)
 
+    def test_p320_log_stores_no_per_pair_conditioning_sets(self):
+        # 51040 conditional tests; a tuple per test of its p - 2 predecessors
+        # on average would hold about 10.9 M ints, some 110 MB at the peak
+        data = sample(random_sem(320, "homogeneous", 320), 2000, 321)
+        tracemalloc.start()
+        try:
+            result = learn(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.test_log) == 320 * 319 // 2
+        assert peak < 40e6
+
     def test_zero_residual_names_step_and_variable(self):
         # a constant column centers to exactly zero and wins the first step
         data = dataset(np.column_stack([np.arange(12.0), np.full(12, 7.0)]))
@@ -319,6 +345,40 @@ class TestAgainstReferences:
         for rec in result.test_log:
             want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
             assert rec.r == pytest.approx(want, abs=1e-9)
+
+    @given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
+           protocol=st.sampled_from(["homogeneous", "heterogeneous"]),
+           alpha=st.sampled_from([0.01, 0.05, 0.2]))
+    @settings(max_examples=40, deadline=None)
+    def test_test_log_matches_scalar_fisher_z(self, mode, seed, p, protocol, alpha):
+        data = sample(random_sem(p, protocol, seed), 40, seed)
+        result = learn(data, LearnConfig(alpha=alpha, parent_test_mode=mode))
+        order = result.ordering.order
+        pairs = [(e, m) for m in range(1, p) for e in range(m)]
+        assert len(result.test_log) == len(pairs)
+        for (e, m), rec in zip(pairs, result.test_log):
+            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
+            out = fisher_z_test(rec.r, data.n, len(given), alpha)
+            want = learner_module.TestRecord(order[e], order[m], given, rec.r, out.statistic,
+                                             out.threshold, out.dependent)
+            assert rec == want
+        assert list(result.test_log) == [result.test_log[i] for i in range(len(pairs))]
+
+    @given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
+           protocol=st.sampled_from(["homogeneous", "heterogeneous"]))
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_log_matches_scalar_threshold(self, mode, seed, p, protocol):
+        cfg = LearnConfig(parent_test_mode=mode)
+        result = learn_from_covariance(population_covariance(random_sem(p, protocol, seed)), cfg)
+        order = result.ordering.order
+        pairs = [(e, m) for m in range(1, p) for e in range(m)]
+        assert len(result.test_log) == len(pairs)
+        for (e, m), rec in zip(pairs, result.test_log):
+            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
+            tol = cfg.oracle_tolerance
+            want = learner_module.TestRecord(order[e], order[m], given, rec.r, abs(rec.r), tol,
+                                             abs(rec.r) > tol)
+            assert rec == want
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_moderate_p_matches_references(self, seed):
