@@ -180,9 +180,8 @@ def _summarize_check(report, verbose: int):
           f"(checked {len(report.margins)} inequalities, "
           f"worst margin {report.worst_margin:.6g})")
     if verbose:
-        for m in report.margins:
-            print(f"margin: j={m.j} k={m.k} lhs={m.lhs:.6g} rhs={m.rhs:.6g} "
-                  f"slack={m.slack:.6g}")
+        for j, k, lhs, rhs in report.margins.tolist():
+            print(f"margin: j={j} k={k} lhs={lhs:.6g} rhs={rhs:.6g} slack={rhs - lhs:.6g}")
 
 
 def cmd_simulate(args) -> int:
@@ -216,8 +215,8 @@ def cmd_check(args) -> int:
     out = _outdir(args)
     target = out / f"{Path(args.sem).stem}.margins.csv"
     lines = ["j,k,lhs,rhs,slack"]
-    for m in report.margins:
-        lines.append(f"{m.j},{m.k},{m.lhs:.17g},{m.rhs:.17g},{m.slack:.17g}")
+    for j, k, lhs, rhs in report.margins.tolist():
+        lines.append(f"{j},{k},{lhs:.17g},{rhs:.17g},{rhs - lhs:.17g}")
     target.write_text("\n".join(lines) + "\n")
     return 0 if report.satisfied else 1
 

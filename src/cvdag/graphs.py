@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataFormatError, ValidationError
 
 
@@ -155,26 +157,18 @@ def descendants(g: Dag, j: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def descendant_sets(g: Dag) -> tuple[tuple[int, ...], ...]:
-    """``sorted(descendants(g, j))`` for every node j, from one pass over the graph.
-
-    In reverse topological order, the descendants of j are the union over its
-    children c of {c} and the descendants of c, held as int bitsets. Cost
-    O(|E|) bitset unions plus the size of the output.
+def descendant_mask(g: Dag) -> np.ndarray:
+    """Boolean p x p matrix whose row j marks ``descendants(g, j)``: one pass in
+    reverse topological order unions {c} and row c over the children c of j,
+    on int bitsets that are unpacked into the matrix at the end.
     """
     bits = [0] * g.p
     for j in reversed(g._topo):
         for c in g._children[j]:
             bits[j] |= bits[c] | (1 << c)
-    out = []
-    for b in bits:
-        nodes = []
-        while b:
-            low = b & -b
-            nodes.append(low.bit_length() - 1)
-            b ^= low
-        out.append(tuple(nodes))
-    return tuple(out)
+    width = (g.p + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+    return np.unpackbits(raw.reshape(g.p, width), axis=1, count=g.p, bitorder="little").view(bool)
 
 
 def is_consistent(ordering: Ordering, g: Dag) -> bool:

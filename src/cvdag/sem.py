@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
-from .graphs import Dag, Ordering, descendant_sets, is_consistent, topological_order
+from .graphs import Dag, Ordering, descendant_mask, is_consistent, topological_order
 from .numerics import Dataset, _cholesky
 
 Protocol = Literal["homogeneous", "heterogeneous"]
@@ -25,6 +25,8 @@ Protocol = Literal["homogeneous", "heterogeneous"]
 # weighted graphs push covariance magnitudes up geometrically with p, so the
 # comparison must scale with the values it compares.
 _LTV_RTOL = 1e-9
+
+_MARGIN_FIELDS = np.dtype([("j", np.intp), ("k", np.intp), ("lhs", float), ("rhs", float)])
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
@@ -84,24 +86,13 @@ class GaussianSem:
         return self._dag
 
 
-@dataclass(frozen=True)
-class Margin:
-    """One checked inequality: needs lhs < rhs strictly."""
-
-    j: int
-    k: int
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
+    """``margins``: read-only record array, one row (j, k, lhs, rhs) per checked
+    inequality lhs < rhs; ``worst_margin``: min rhs - lhs, inf if no rows."""
+
     satisfied: bool
-    margins: tuple[Margin, ...]
+    margins: np.recarray
     worst_margin: float
 
 
@@ -173,40 +164,43 @@ def check_identifiability(
     sigma_i^2 A[k, i]^2 over the noise terms i outside it (A the total
     effects). Each right-hand side is verified internally against its
     law-of-total-variance form sigma_k^2 + Var(E(X_k | parents) | prefix), the
-    same sum over the rows of B A; a disagreement beyond float64 rounding
-    raises NumericalDegeneracyError.
+    same sum over the rows of B A; a disagreement beyond float64 rounding, or
+    a NaN, raises NumericalDegeneracyError naming the first failing row. Rows
+    run over j in pi order, then k in pi order ("later") or by node index.
     """
     if pi is None:
         pi = topological_order(m.dag)
     if not is_consistent(pi, m.dag):
         raise ValidationError("ordering is not consistent with the model's graph")
     a = _total_effects(m)
-    cols = list(pi)
+    cols = np.asarray(list(pi))
     s2 = m.sigma2[cols]
-    # cond[k][pos] = Var(X_k | X_pi[:pos]); positive terms, so nothing cancels
-    cond = _suffix_sums(a[:, cols] ** 2 * s2).tolist()
-    ltv = (m.sigma2[:, None] + _suffix_sums((m.B @ a)[:, cols] ** 2 * s2)).tolist()
-    desc = None if scope == "later" else descendant_sets(m.dag)
-    margins: list[Margin] = []
-    for pos, j in enumerate(pi):
-        if scope == "later":
-            targets = [pi[i] for i in range(pos + 1, m.p)]
-        else:
-            targets = desc[j]
-        for k in targets:
-            rhs, rhs_alt = cond[k][pos], ltv[k][pos]
-            # both sides sum positive terms, so rounding scales with the value
-            # itself; "not <=" also catches a NaN
-            if not abs(rhs - rhs_alt) <= _LTV_RTOL * max(1.0, rhs):
-                raise NumericalDegeneracyError(
-                    f"identifiability check: law-of-total-variance self-check failed at"
-                    f" (j={j}, k={k}): total-effect sum {rhs!r} vs structural form"
-                    f" {rhs_alt!r}"
-                )
-            margins.append(Margin(j=j, k=k, lhs=float(m.sigma2[j]), rhs=rhs))
-    worst = min((g.slack for g in margins), default=math.inf)
-    satisfied = all(g.lhs < g.rhs for g in margins)
-    return IdentifiabilityReport(satisfied, tuple(margins), worst)
+    # cond[k, pos] = Var(X_k | X_pi[:pos]); positive terms, so nothing cancels
+    cond = _suffix_sums(a[:, cols] ** 2 * s2)
+    ltv = m.sigma2[:, None] + _suffix_sums((m.B @ a)[:, cols] ** 2 * s2)
+    # every (pos, k) pair at once; row-major order is the row order above
+    if scope == "later":
+        pos, q = np.triu_indices(m.p, 1)
+        k = cols[q]
+    else:
+        pos, k = np.nonzero(descendant_mask(m.dag)[cols])
+    j = cols[pos]
+    rhs, rhs_alt = cond[k, pos], ltv[k, pos]
+    # both sides sum positive terms, so rounding scales with the value itself;
+    # "not <=" also catches a NaN
+    bad = ~(np.abs(rhs - rhs_alt) <= _LTV_RTOL * np.maximum(1.0, rhs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalDegeneracyError(
+            f"identifiability check: law-of-total-variance self-check failed at (j={j[i]},"
+            f" k={k[i]}): total-effect sum {float(rhs[i])!r} vs structural form"
+            f" {float(rhs_alt[i])!r}"
+        )
+    lhs = m.sigma2[j]
+    margins = np.rec.fromarrays([j, k, lhs, rhs], dtype=_MARGIN_FIELDS)
+    margins.flags.writeable = False
+    worst = float((rhs - lhs).min()) if rhs.size else math.inf
+    return IdentifiabilityReport(bool(np.all(lhs < rhs)), margins, worst)
 
 
 def bivariate_weight_threshold(r: float) -> float:

@@ -128,6 +128,12 @@ class TestCheck:
         assert margins[0] == "j,k,lhs,rhs,slack"
         assert len(margins) == 4
 
+    def test_edgeless_model_writes_header_only(self, tmp_path):
+        path = tmp_path / "edgeless.sem"
+        write_sem(GaussianSem(B=np.zeros((4, 4)), sigma2=np.ones(4)), path)
+        assert run("check", path, "-o", tmp_path) == 0
+        assert (tmp_path / "edgeless.margins.csv").read_text() == "j,k,lhs,rhs,slack\n"
+
     def test_unidentifiable_exits_nonzero(self, tmp_path):
         m = GaussianSem(B=np.array([[0.0, 0.0], [0.2, 0.0]]),
                         sigma2=np.array([1.0, 0.1]))

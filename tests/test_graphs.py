@@ -12,7 +12,7 @@ from cvdag.graphs import (
     Dag,
     Ordering,
     dag_to_cpdag,
-    descendant_sets,
+    descendant_mask,
     descendants,
     format_graph,
     hamming_cpdag,
@@ -159,17 +159,20 @@ class TestDescendants:
 
     @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 0.6))
     @settings(max_examples=60, deadline=None)
-    def test_one_pass_sets_match_walks(self, seed, p, prob):
+    def test_one_pass_mask_matches_walks(self, seed, p, prob):
         g = random_dag(np.random.default_rng(seed), p, prob)
-        assert descendant_sets(g) == tuple(tuple(sorted(descendants(g, j))) for j in range(p))
+        mask = descendant_mask(g)
+        assert mask.dtype == bool and mask.shape == (p, p)
+        for j in range(p):
+            assert set(np.flatnonzero(mask[j]).tolist()) == descendants(g, j)
 
     @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
-    def test_one_pass_sets_match_walks_generated_p80(self, protocol):
+    def test_one_pass_mask_matches_walks_generated_p80(self, protocol):
         for seed in range(3):
             g = random_sem(80, protocol, seed).dag
-            assert descendant_sets(g) == tuple(
-                tuple(sorted(descendants(g, j))) for j in range(80)
-            )
+            mask = descendant_mask(g)
+            for j in range(80):
+                assert set(np.flatnonzero(mask[j]).tolist()) == descendants(g, j)
 
 
 class TestIsConsistent:

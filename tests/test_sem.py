@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import cvdag.sem as sem
 from cvdag.errors import DataFormatError, NumericalDegeneracyError, ValidationError
-from cvdag.graphs import Ordering, topological_order
+from cvdag.graphs import Ordering, descendants, topological_order
 from cvdag.sem import (
     GaussianSem,
     _propagate,
@@ -266,6 +267,67 @@ class TestCheckIdentifiability:
             "self-check failed at (j=0, k=2): total-effect sum 1.3125001250000625"
             " vs structural form 1.3125"
         )
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    def test_nan_total_effect_fails_self_check_without_warning(self, scope, monkeypatch):
+        # 0 * NaN is NaN, so B A carries the NaN into every row at noise 0, and
+        # the first row (0, 1) already compares a finite sum against a NaN
+        exact = sem._total_effects
+
+        def with_nan(m):
+            a = exact(m)
+            a[2, 0] = np.nan
+            return a
+
+        monkeypatch.setattr(sem, "_total_effects", with_nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDegeneracyError) as err:
+                check_identifiability(pure_chain(0.5, 0.5, 1.0, 1.0, 1.0), scope=scope)
+        assert str(err.value).endswith(
+            "self-check failed at (j=0, k=1): total-effect sum 1.25 vs structural form nan"
+        )
+
+    def test_edgeless_model_has_an_empty_report(self):
+        report = check_identifiability(GaussianSem(B=np.zeros((4, 4)), sigma2=np.ones(4)))
+        assert len(report.margins) == 0
+        assert report.satisfied
+        assert report.worst_margin == math.inf
+
+    @staticmethod
+    def _assert_rows_follow_loop_order(m, scope):
+        pi = topological_order(m.dag)
+        report = check_identifiability(m, pi, scope=scope)
+        expected = [
+            (j, k)
+            for pos, j in enumerate(pi)
+            for k in (pi[pos + 1:] if scope == "later" else sorted(descendants(m.dag, j)))
+        ]
+        margins = report.margins
+        assert list(zip(margins.j.tolist(), margins.k.tolist())) == expected
+        assert np.array_equal(margins.lhs, m.sigma2[margins.j])
+        assert not margins.flags.writeable
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    @given(st.integers(0, 10_000), st.integers(2, 15), st.floats(0.0, 0.6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_follow_loop_order(self, scope, seed, p, prob):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(p)
+        b = np.zeros((p, p))
+        for later in range(1, p):
+            for earlier in range(later):
+                if rng.random() < prob:
+                    b[perm[later], perm[earlier]] = rng.choice([-1, 1]) * rng.uniform(0.5, 1.5)
+        m = GaussianSem(B=b, sigma2=rng.uniform(1.0, 3.0, size=p))
+        self._assert_rows_follow_loop_order(m, scope)
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_rows_follow_loop_order_generated_p80(self, protocol, scope):
+        for rep in range(2):
+            m = random_sem(80, protocol, derive_seed(1901, 80, rep))
+            self._assert_rows_follow_loop_order(m, scope)
 
     @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
     def test_report_at_p80(self, protocol):
