@@ -3,6 +3,14 @@
 Files carry a mandatory header row of variable names; the delimiter (comma or
 whitespace) is auto-detected from that header. Values are written with 17
 significant digits so a write/read round-trip is lossless.
+
+Parsing has two paths. Well-formed text is read by numpy's C reader
+(``np.loadtxt`` over the lines below the header), which converts with the same
+correctly rounded routine as ``float()``. Text it refuses, or whose result
+lacks rows, has the wrong width or holds a non-finite value, goes to a line
+scan with ``float()``, the reference. The scan accepts what ``float()`` accepts
+(digit underscores, non-ASCII digits) and names the line of the first fault,
+so accepted syntax and error messages do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -33,6 +41,27 @@ def _require_finite(rows, linenos: list[int], where: str) -> None:
 
 
 def parse_dataset(text: str, where: str = "<string>") -> Dataset:
+    lines = text.splitlines()
+    h = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    body = lines[h + 1:]
+    # np.loadtxt warns on a body without data; the scan raises for it instead
+    if any(ln.strip() for ln in body):
+        head = lines[h].strip()
+        delimiter = "," if "," in head else None
+        names = _split(head, delimiter)
+        try:
+            # a list of lines, not a StringIO copy; comments=None keeps "#" an error
+            data = np.loadtxt(body, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if all(names) and len(data) and data.shape[1] == len(names) and np.isfinite(data).all():
+                return Dataset(tuple(names), data)
+    return _scan_dataset(text, where)
+
+
+def _scan_dataset(text: str, where: str) -> Dataset:
+    """Line-by-line ``float()`` parse: the reference, and the path for refused text."""
     stripped = [(i + 1, s) for i, ln in enumerate(text.splitlines()) if (s := ln.strip())]
     if not stripped:
         raise DataFormatError(f"{where}: empty file, expected a header row")
@@ -69,9 +98,9 @@ def read_dataset(path) -> Dataset:
 
 
 def format_dataset(ds: Dataset) -> str:
+    row = ",".join(["%.17g"] * ds.p)
     lines = [",".join(ds.names)]
-    for row in ds.data:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines.extend(row % tuple(values) for values in ds.data.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -170,7 +170,7 @@ def check_identifiability(
     """
     if pi is None:
         pi = topological_order(m.dag)
-    if not is_consistent(pi, m.dag):
+    elif not is_consistent(pi, m.dag):
         raise ValidationError("ordering is not consistent with the model's graph")
     a = _total_effects(m)
     cols = np.asarray(list(pi))

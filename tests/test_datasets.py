@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvdag import datasets
 from cvdag.datasets import format_dataset, load_marks, parse_dataset, read_dataset, write_dataset
-from cvdag.errors import DataFormatError, ValidationError
+from cvdag.errors import DataFormatError, ToolkitError, ValidationError
 from cvdag.numerics import Dataset, sample_covariance
 
 
@@ -58,6 +63,102 @@ class TestParsing:
     def test_empty_file_rejected(self):
         with pytest.raises(DataFormatError):
             parse_dataset("")
+
+
+# field syntax float() or np.loadtxt treat specially, next to plain numbers
+_ODD_FIELDS = ["1_0", "#1", '"1"', "0x1", "nan", "inf", "-Infinity", "1e500", "5e-324",
+               "\u0663", "\u0661.5", "", " ", "x", " 2.5 ", "+.5", "-0", "1e5", "1,2", "1 2"]
+
+
+@st.composite
+def _dataset_texts(draw):
+    """Texts mixing well-formed tables with the syntax either parser may refuse."""
+    p = draw(st.integers(1, 4))
+    comma = draw(st.booleans())
+    clean = draw(st.booleans())
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+    field = number if clean else number | st.sampled_from(_ODD_FIELDS)
+    pad = st.sampled_from(["", " ", "\t"]) if comma else st.sampled_from([" ", "\t", "  ", "\u00a0"])
+    names = [f"v{i}" for i in range(p)]
+    if not clean and draw(st.booleans()):
+        names[draw(st.integers(0, p - 1))] = ""
+    lines = draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=2))
+    lines.append(("," if comma else " ").join(names))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "arity"]))
+        if kind == "blank" or kind == "space":
+            lines.append("" if kind == "blank" else " \t ")
+            continue
+        width = draw(st.integers(1, p + 1)) if kind == "arity" and not clean else p
+        fields = draw(st.lists(field, min_size=width, max_size=width))
+        delimiter = "," if comma else draw(pad)
+        lines.append(draw(pad) + (draw(pad) + delimiter).join(fields) + draw(pad))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(parse, text):
+    try:
+        ds = parse(text)
+    except ToolkitError as e:
+        return type(e), str(e)
+    return ds.names, ds.data.shape, ds.data.tobytes()
+
+
+def _assert_parse_equals_scan(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(parse_dataset, text)
+    assert got == _outcome(lambda t: datasets._scan_dataset(t, "<string>"), text)
+
+
+class TestParserEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(_dataset_texts())
+    def test_parse_equals_line_scan(self, text):
+        _assert_parse_equals_scan(text)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1_0,2\n", "a b\n1 2\n \t\n3 4\n", "a,b\n1,2\n  \n3,4\n", "a,b\n#1,2\n",
+        "a,b\n\u0663,2\n", "a,b\n", "a,b\n\n \n", "\n a b \r\n 1 2\r\n", "a,,b\n1,2,3\n",
+    ])
+    def test_named_syntax_equals_line_scan(self, text):
+        _assert_parse_equals_scan(text)
+
+    @pytest.mark.parametrize("delimiter", [",", " "])
+    def test_well_formed_text_skips_the_scan(self, monkeypatch, delimiter):
+        rng = np.random.default_rng(1)
+        text = format_dataset(Dataset(tuple(f"x{i}" for i in range(80)),
+                                      rng.normal(size=(200, 80)))).replace(",", delimiter)
+        want = datasets._scan_dataset(text, "<string>")
+        monkeypatch.setattr(datasets, "_scan_dataset", None)
+        got = parse_dataset(text)
+        assert got.names == want.names
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def _format_reference(ds):
+    lines = [",".join(ds.names)]
+    lines.extend(",".join(f"{v:.17g}" for v in row) for row in ds.data)
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("values", [
+        [[-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0]],
+        [[2.0, -7.0, 1e16, 0.0], [123456789.0, -1e-300, 2.0 ** 53, 0.1]],
+    ])
+    def test_special_values_match_reference(self, values):
+        ds = Dataset(tuple("abcd"), np.array(values))
+        assert format_dataset(ds) == _format_reference(ds)
+
+    @pytest.mark.parametrize("p", [1, 200])
+    def test_table_matches_reference(self, p):
+        rng = np.random.default_rng(p)
+        data = rng.normal(size=(50, p)) * 10.0 ** rng.integers(-300, 300, size=(50, p))
+        data[::7] = np.round(data[::7])
+        ds = Dataset(tuple(f"v{i}" for i in range(p)), data)
+        assert format_dataset(ds) == _format_reference(ds)
 
 
 class TestRoundTrip:
