@@ -10,6 +10,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -229,8 +230,7 @@ def cmd_bench(args) -> int:
         raise DataFormatError(f"{args.config}: invalid JSON: {exc}") from None
     if not isinstance(body, dict):
         raise DataFormatError(f"{args.config}: expected a JSON object")
-    allowed = {"protocol", "p", "n_grid", "replications", "seed", "alpha",
-               "parent_test_mode"}
+    allowed = {f.name for f in dataclasses.fields(bench_mod.ExperimentConfig)}
     unknown = sorted(set(body) - allowed)
     if unknown:
         raise ValidationError(f"{args.config}: unknown config keys: {', '.join(unknown)}")

@@ -48,8 +48,10 @@ class LearnConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.oracle_tolerance <= 0.0:
-            raise ValidationError("oracle_tolerance must be positive")
+        if not 0.0 < self.oracle_tolerance < math.inf:
+            raise ValidationError(
+                f"oracle_tolerance must be positive and finite, got {self.oracle_tolerance}"
+            )
         if self.parent_test_mode not in ("conditional", "marginal"):
             raise ValidationError(f"unknown parent_test_mode {self.parent_test_mode!r}")
 

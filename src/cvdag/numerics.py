@@ -143,6 +143,8 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
         raise InsufficientSamplesError(
             f"Fisher z needs n > s + 3 (n={n}, conditioning size s={s})"
         )
+    if math.isnan(r):
+        raise ValidationError("correlation r is NaN")
     threshold = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     if abs(r) >= 1.0:
         return IndependenceDecision(True, math.inf, threshold)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .graphs import Dag, Ordering, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _cholesky
+from .numerics import Dataset, _check_condition_args, _cholesky
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 
@@ -51,25 +51,26 @@ class GaussianSem:
 
     def __post_init__(self):
         b = np.array(self.B, dtype=float)  # copy: the instance owns its arrays
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValidationError(f"B must be square, got shape {b.shape}")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
+            raise ValidationError(f"B must be square with p >= 1, got shape {b.shape}")
         p = b.shape[0]
         s2 = np.array(self.sigma2, dtype=float).reshape(-1)
         if s2.shape != (p,):
             raise ValidationError(f"sigma2 must have length {p}")
-        if not np.all(s2 > 0.0):
-            raise ValidationError("error variances must be strictly positive")
         b0 = self.intercepts
         b0 = np.zeros(p) if b0 is None else np.array(b0, dtype=float).reshape(-1)
         if b0.shape != (p,):
             raise ValidationError(f"intercepts must have length {p}")
+        for name, arr in (("B", b), ("sigma2", s2), ("intercepts", b0)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be finite")
+        if not np.all(s2 > 0.0):
+            raise ValidationError("error variances must be strictly positive")
         if np.any(np.diag(b) != 0.0):
             raise ValidationError("diagonal of B must be zero")
         # edge k -> j whenever B[j, k] != 0; Dag construction rejects cycles
-        edges = frozenset(
-            (int(k), int(j)) for j in range(p) for k in range(p) if b[j, k] != 0.0
-        )
-        dag = Dag(p, edges)
+        children, parents = np.nonzero(b)
+        dag = Dag(p, frozenset(zip(parents.tolist(), children.tolist())))
         for arr in (b, s2, b0):
             arr.flags.writeable = False
         object.__setattr__(self, "B", b)
@@ -138,8 +139,7 @@ def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
     the Cholesky factor of the block ordered as [given..., k].
     """
     given = tuple(given)
-    if k in given:
-        raise ValidationError(f"variable {k} cannot appear in its conditioning set")
+    _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [k]
     return float(_cholesky(cov[np.ix_(idx, idx)])[-1, -1] ** 2)
 
@@ -257,16 +257,12 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
         raise ValidationError(f"unknown protocol {protocol!r}")
     rng = seeded_rng(seed)
     perm = rng.permutation(p)
-    betas = rng.uniform(-2.0, 2.0, size=p * (p - 1) // 2)
-    window = WEIGHT_WINDOWS[protocol]
+    # (later, earlier) position pairs in row-major order, the order of the draws
+    later, earlier = np.tril_indices(p, -1)
+    betas = rng.uniform(-2.0, 2.0, size=later.size)
+    keep = np.abs(betas) >= WEIGHT_WINDOWS[protocol]
     b = np.zeros((p, p))
-    idx = 0
-    for later in range(1, p):
-        for earlier in range(later):
-            beta = betas[idx]
-            idx += 1
-            if abs(beta) >= window:
-                b[perm[later], perm[earlier]] = beta
+    b[perm[later[keep]], perm[earlier[keep]]] = betas[keep]
     if protocol == "homogeneous":
         sigma2 = np.ones(p)
     else:
@@ -319,6 +315,8 @@ def read_sem(path) -> GaussianSem:
             if kind == "p":
                 (p,) = rest
                 p = int(p)
+                if p < 1:
+                    raise DataFormatError(f"{where}:{lineno}: p must be >= 1, got {p}")
             elif kind == "sigma2":
                 sigma2 = np.array([float(v) for v in rest])
             elif kind == "intercept":

@@ -55,6 +55,20 @@ class TestSimulate:
         bad.write_text("p 2\nsigma2 1 x\n")
         assert run("simulate", "--sem", bad, "--n", 10, "-o", tmp_path) == 1
 
+    @pytest.mark.parametrize("command", [("check",), ("simulate", "--n", 50, "--sem")])
+    @pytest.mark.parametrize("text", [
+        "p 2\nsigma2 1 1\nedge 0 1 nan\n",
+        "p 2\nsigma2 1 inf\n",
+        "p -1\nsigma2 1\n",
+        "p 0\nsigma2\n",
+    ])
+    def test_invalid_sem_values_are_format_errors(self, command, text, tmp_path, capsys):
+        # once reported as float64 overflow (exit 2), a traceback or an IndexError
+        bad = tmp_path / "bad.sem"
+        bad.write_text(text)
+        assert run(*command, bad, "-o", tmp_path) == 1
+        assert f"cvdag: error: {bad}" in capsys.readouterr().err
+
     def test_missing_sem_file_is_io_error(self, tmp_path):
         assert run("simulate", "--sem", tmp_path / "nope.sem", "--n", 10,
                    "-o", tmp_path) == 3

@@ -74,6 +74,12 @@ class TestLearnConfig:
         with pytest.raises(ValidationError):
             LearnConfig(parent_test_mode="sideways")
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_bad_oracle_tolerance(self, tol):
+        # a NaN tolerance used to pass and make every pair independent
+        with pytest.raises(ValidationError, match="oracle_tolerance"):
+            LearnConfig(oracle_tolerance=tol)
+
 
 class TestOracle:
     def test_bivariate_ordering(self):

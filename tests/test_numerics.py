@@ -275,6 +275,11 @@ class TestFisherZ:
         with pytest.raises(ValidationError):
             fisher_z_test(0.3, 50, 0, 1.5)
 
+    def test_nan_correlation_rejected(self):
+        # the clamp would turn NaN into -(1 - 1e-12), a confident "dependent"
+        with pytest.raises(ValidationError, match="NaN"):
+            fisher_z_test(float("nan"), 100, 0, 0.05)
+
 
 class TestDataset:
     def test_bad_name_count(self):

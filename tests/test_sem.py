@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cvdag.sem as sem
 from cvdag.errors import DataFormatError, NumericalDegeneracyError, ValidationError
-from cvdag.graphs import Ordering, descendants, topological_order
+from cvdag.graphs import Dag, Ordering, descendants, topological_order
 from cvdag.sem import (
     GaussianSem,
     _propagate,
@@ -59,6 +59,31 @@ class TestModelValidation:
     def test_dag_edges_follow_support(self):
         m = nonfaithful_chain()
         assert m.dag.edges == {(0, 1), (0, 2), (1, 2)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["B", "sigma2", "intercepts"])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        args = {"B": np.zeros((2, 2)), "sigma2": np.ones(2), "intercepts": np.zeros(2)}
+        args[name].flat[1] = bad
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            GaussianSem(**args)
+
+    def test_empty_model_rejected(self):
+        with pytest.raises(ValidationError, match="p >= 1"):
+            GaussianSem(B=np.zeros((0, 0)), sigma2=np.zeros(0))
+
+    @pytest.mark.parametrize("text, where", [
+        ("p 2\nsigma2 1 1\nedge 0 1 nan\n", "B must be finite"),
+        ("p 2\nsigma2 1 inf\n", "sigma2 must be finite"),
+        ("p 2\nsigma2 1 1\nintercept 0 -inf\n", "intercepts must be finite"),
+        ("p 0\nsigma2\n", "bad.sem:1: p must be >= 1"),
+        ("sigma2 1\np -1\n", "bad.sem:2: p must be >= 1"),
+    ])
+    def test_read_sem_rejects_invalid_values(self, tmp_path, text, where):
+        path = tmp_path / "bad.sem"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=where):
+            read_sem(path)
 
 
 def exact_total_effects(m):
@@ -171,6 +196,19 @@ class TestPopulationConditionalVariance:
 
     def test_empty_set_is_marginal(self):
         assert population_conditional_variance(CHAIN_COV, 2, []) == pytest.approx(12.0)
+
+    def test_negative_index_rejected(self):
+        # used to wrap around and return Var(X_2)
+        with pytest.raises(ValidationError, match="out of range"):
+            population_conditional_variance(CHAIN_COV, -1, [])
+
+    def test_index_past_end_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            population_conditional_variance(CHAIN_COV, 3, [0])
+
+    def test_repeated_conditioning_index_rejected(self):
+        with pytest.raises(ValidationError, match="duplicates"):
+            population_conditional_variance(CHAIN_COV, 2, [0, 0])
 
 
 class TestCheckIdentifiability:
@@ -482,6 +520,41 @@ class TestRandomSem:
     def test_too_few_nodes(self):
         with pytest.raises(ValidationError):
             random_sem(1, "homogeneous", seed=0)
+
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("p, seeds", [(p, range(10)) for p in range(2, 31)]
+                             + [(p, range(3)) for p in (40, 60, 80)])
+    def test_matches_per_pair_reference(self, p, seeds, protocol):
+        for seed in seeds:
+            m = random_sem(p, protocol, seed)
+            b, sigma2 = reference_random_sem(p, protocol, seed)
+            assert m.B.tobytes() == b.tobytes()
+            assert m.sigma2.tobytes() == sigma2.tobytes()
+            ref = Dag(p, frozenset(
+                (k, j) for j in range(p) for k in range(p) if b[j, k] != 0.0))
+            assert m.dag == ref
+            assert topological_order(m.dag) == topological_order(ref)
+
+
+def reference_random_sem(p, protocol, seed):
+    """random_sem's draws placed one pair at a time: (B, sigma2)."""
+    rng = seeded_rng(seed)
+    perm = rng.permutation(p)
+    betas = rng.uniform(-2.0, 2.0, size=p * (p - 1) // 2)
+    window = sem.WEIGHT_WINDOWS[protocol]
+    b = np.zeros((p, p))
+    idx = 0
+    for later in range(1, p):
+        for earlier in range(later):
+            beta = betas[idx]
+            idx += 1
+            if abs(beta) >= window:
+                b[perm[later], perm[earlier]] = beta
+    if protocol == "homogeneous":
+        sigma2 = np.ones(p)
+    else:
+        sigma2 = rng.uniform(1.0, 3.0, size=p)
+    return b, sigma2
 
 
 class TestNonfaithfulChain:
