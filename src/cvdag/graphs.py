@@ -11,46 +11,75 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
 
 
+class _Index(NamedTuple):
+    """Adjacency of a Dag: Kahn topological order (None if cyclic), and the
+    parents and children of each node as tuples."""
+
+    topo: tuple[int, ...] | None
+    parents: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph; acyclicity is verified at construction."""
+    """Directed acyclic graph; the constructor verifies the edges are in range,
+    free of self-loops and acyclic."""
 
     p: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
-        parents: list[list[int]] = [[] for _ in range(self.p)]
-        children: list[list[int]] = [[] for _ in range(self.p)]
         for a, b in self.edges:
             if a == b:
                 raise ValidationError(f"self-loop at node {a}")
             if not (0 <= a < self.p and 0 <= b < self.p):
                 raise ValidationError(f"edge ({a},{b}) out of range for p={self.p}")
+        if self._index.topo is None:
+            raise ValidationError("edge set contains a directed cycle")
+
+    @classmethod
+    def _trusted(cls, p: int, edges: frozenset[tuple[int, int]]) -> Dag:
+        """A Dag from int edges already known to be in range and acyclic.
+
+        Skips the validation of ``__post_init__``; for graphs whose edges all
+        point forward along an ordering, such as a learned graph.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "p", p)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @cached_property
+    def _index(self) -> _Index:
+        # built on first use, so a trusted Dag that is only compared or
+        # counted never pays for it; not a dataclass field, so equality and
+        # hashing still see only (p, edges); tuples: a frozenset per node
+        # would nearly triple a 10-node Dag's memory
+        parents: list[list[int]] = [[] for _ in range(self.p)]
+        children: list[list[int]] = [[] for _ in range(self.p)]
+        for a, b in self.edges:
             parents[b].append(a)
             children[a].append(b)
         # Kahn's algorithm doubles as the acyclicity check
         order = _kahn(parents, children)
-        if order is None:
-            raise ValidationError("edge set contains a directed cycle")
-        # not dataclass fields, so equality and hashing still see only (p, edges);
-        # tuples: a frozenset per node would nearly triple a 10-node Dag's memory
-        object.__setattr__(self, "_topo", tuple(order))
-        object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
-        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        return _Index(None if order is None else tuple(order),
+                      tuple(map(tuple, parents)), tuple(map(tuple, children)))
 
     def parents(self, j: int) -> frozenset[int]:
-        return frozenset(self._parents[j])
+        return frozenset(self._index.parents[j])
 
     def children(self, j: int) -> frozenset[int]:
-        return frozenset(self._children[j])
+        return frozenset(self._index.children[j])
 
     def skeleton(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
@@ -140,20 +169,21 @@ def _kahn(parents, children) -> list[int] | None:
 
 def topological_order(g: Dag) -> Ordering:
     """Parents-before-children ordering, ties broken by smallest node index."""
-    return Ordering(g._topo)
+    return Ordering(g._index.topo)
 
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
     """All nodes reachable from j by directed paths, excluding j itself."""
     if not 0 <= j < g.p:
         raise ValidationError(f"node {j} out of range for p={g.p}")
+    children = g._index.children
     seen: set[int] = set()
-    stack = list(g._children[j])
+    stack = list(children[j])
     while stack:
         k = stack.pop()
         if k not in seen:
             seen.add(k)
-            stack.extend(g._children[k])
+            stack.extend(children[k])
     return frozenset(seen)
 
 
@@ -162,9 +192,10 @@ def descendant_mask(g: Dag) -> np.ndarray:
     reverse topological order unions {c} and row c over the children c of j,
     on int bitsets that are unpacked into the matrix at the end.
     """
+    topo, _, children = g._index
     bits = [0] * g.p
-    for j in reversed(g._topo):
-        for c in g._children[j]:
+    for j in reversed(topo):
+        for c in children[j]:
             bits[j] |= bits[c] | (1 << c)
     width = (g.p + 7) // 8
     raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
@@ -184,7 +215,7 @@ def vstructures(g: Dag) -> frozenset[tuple[int, int, int]]:
     return frozenset(
         (a, c, b)
         for c in range(g.p)
-        for a, b in itertools.combinations(sorted(g._parents[c]), 2)
+        for a, b in itertools.combinations(sorted(g._index.parents[c]), 2)
         if (a, b) not in g.edges and (b, a) not in g.edges
     )
 
@@ -204,13 +235,13 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     in-degree). No orientation rules (Meek, UAI 1995) are needed.
     """
     pos = [0] * g.p
-    for i, j in enumerate(g._topo):
+    for i, j in enumerate(g._index.topo):
         pos[j] = i
-    pa = list(map(frozenset, g._parents))
+    pa = list(map(frozenset, g._index.parents))
     compelled: list[frozenset[int]] = [frozenset()] * g.p
     directed: list[tuple[int, int]] = []
     undirected: list[tuple[int, int]] = []
-    for y in g._topo:
+    for y in g._index.topo:
         pa_y = pa[y]
         if not pa_y:
             continue

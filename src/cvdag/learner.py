@@ -1,9 +1,12 @@
 """Two-step structure learning: greedy conditional-variance ordering, then
 parent selection by partial-correlation tests along the ordering.
 
-A population-oracle twin (`learn_from_covariance`) runs the same search in
-exact arithmetic on a covariance matrix, deciding independence by thresholding
-|partial correlation| instead of a finite-sample test.
+A population-oracle twin (`learn_from_covariance`) runs the same search on a
+covariance matrix, deciding independence by thresholding |partial correlation|
+instead of a finite-sample test. It computes in float64, not in exact
+arithmetic: on ill-conditioned covariances the rounded |r| of a non-edge can
+exceed the tolerance, and the returned graph then has extra edges without any
+error being raised.
 
 Both read every r off one factorization as arrays and decide all pairs in one
 pass over them. The decisions are kept as a columnar `TestLog`: O(p^2) arrays
@@ -154,36 +157,45 @@ def _factor(x: np.ndarray, order=None):
     is O(n p^2) in LAPACK plus O(p^3) in the loop. Square input, such as the
     L^T of :func:`learn_from_covariance`, goes to the loop as it is.
 
+    The loop works in place on one column-major copy of the triangle. Columns
+    :m hold the placed nodes in placed order and columns m: the unplaced ones
+    in node order: step m rotates the chosen column to position m, shifting
+    the columns between up by one, so the argmin still breaks ties to the
+    lower node (a swap would not). Column-major matters for the last bit:
+    einsum and the reflector's matrix-vector product round differently on a
+    row-major block.
+
     Returns (order, R with its columns in that order, and per step the
-    ((node, RSS), ...) of every unplaced node).
+    unplaced nodes as a list in node order with their RSS as an array).
     """
     x = np.asarray(x, dtype=float)
-    w = np.linalg.qr(x, mode="r") if x.shape[0] > x.shape[1] else np.array(x)
+    w = np.array(np.linalg.qr(x, mode="r") if x.shape[0] > x.shape[1] else x, order="F")
     p = w.shape[1]
-    remaining = list(range(p))
-    placed: list[int] = []
+    nodes = list(range(p))  # the node in each column of w
     steps = []
     for m in range(p):
-        block = w[m:, remaining]
-        rss = np.einsum("ij,ij->j", block, block)
-        steps.append(tuple(zip(remaining, rss.tolist())))
-        i = int(np.argmin(rss)) if order is None else remaining.index(order[m])
-        j = remaining.pop(i)
+        rss = np.einsum("ij,ij->j", w[m:, m:], w[m:, m:])
+        steps.append((nodes[m:], rss))
+        i = int(np.argmin(rss)) if order is None else nodes.index(order[m], m) - m
+        j = nodes[m + i]
         if rss[i] == 0.0:
             raise DegenerateDesignError(
                 f"factorization step {m}: variable {j} has zero residual given the"
                 f" {m} variables placed before it"
             )
-        v = block[:, i]
+        if i:
+            nodes.insert(m, nodes.pop(m + i))
+            col = w[:, m + i].copy()
+            w[:, m + 1:m + i + 1] = w[:, m:m + i]
+            w[:, m] = col
+        v = w[m:, m].copy()
         alpha = -math.copysign(math.sqrt(rss[i]), v[0])
         v[0] -= alpha
-        w[m, j] = alpha
-        w[m + 1:, j] = 0.0
-        if remaining:
-            rest = w[m:, remaining]
-            w[m:, remaining] = rest - np.outer(v, (v @ rest) * (2.0 / (v @ v)))
-        placed.append(j)
-    return tuple(placed), w[:p, placed], steps
+        w[m, m] = alpha
+        w[m + 1:, m] = 0.0
+        rest = w[m:, m + 1:]
+        rest -= np.outer(v, (v @ rest) * (2.0 / (v @ v)))
+    return tuple(nodes), w, steps
 
 
 def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
@@ -217,7 +229,8 @@ def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
     log = TestLog(tuple(order), mode, threshold, nodes[cols], nodes[rows], rho,
                   statistic, dependent)
     edges = zip(log.earlier[dependent].tolist(), log.later[dependent].tolist())
-    return Dag(len(order), frozenset(edges)), log
+    # every edge points forward along the ordering, so the graph is acyclic
+    return Dag._trusted(len(order), frozenset(edges)), log
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
@@ -227,10 +240,15 @@ def _centered(data: Dataset, stage: str) -> np.ndarray:
     return data.data - data.data.mean(axis=0)
 
 
-def _variances(steps, n: int):
-    """Step RSS over its residual degrees of freedom, n - m - 1 at step m."""
+def _step_tuples(steps, n: int | None = None):
+    """Per step, ((node, value), ...) of the unplaced nodes of :func:`_factor`.
+
+    The value is the step's RSS, or with ``n`` its residual variance: RSS over
+    the n - m - 1 residual degrees of freedom at step m.
+    """
     return tuple(
-        tuple((j, rss / (n - m - 1)) for j, rss in step) for m, step in enumerate(steps)
+        tuple(zip(nodes, (rss if n is None else rss / (n - m - 1)).tolist()))
+        for m, (nodes, rss) in enumerate(steps)
     )
 
 
@@ -264,7 +282,7 @@ def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     """
     del cfg  # ordering has no tunables; accepted for symmetry with the other steps
     order, _, steps = _factor(_centered(data, "ordering needs"))
-    return Ordering(order), _variances(steps, data.n)
+    return Ordering(order), _step_tuples(steps, data.n)
 
 
 def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None):
@@ -293,17 +311,22 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
     cfg = cfg or LearnConfig()
     order, r, steps = _factor(_centered(data, "ordering needs"))
     dag, log = _fisher_parents(data, order, r, cfg)
-    return LearnResult(Ordering(order), dag, _variances(steps, data.n), log)
+    return LearnResult(Ordering(order), dag, _step_tuples(steps, data.n), log)
 
 
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
-    """Exact-arithmetic analogue of :func:`learn` on a population covariance.
+    """Population analogue of :func:`learn` on a covariance matrix, in float64.
 
     With cov = L L^T, the columns of L^T have cov as their Gram matrix, so one
     greedy QR of L^T gives the ordering, whose step variances are the
-    conditional variances, and every partial correlation. Independence is
-    |partial correlation| <= cfg.oracle_tolerance; on the covariance of an
-    identifiable model this returns the generating graph exactly. Costs O(p^3).
+    conditional variances (raw RSS, no degrees of freedom), and every partial
+    correlation. Independence is |partial correlation| <= cfg.oracle_tolerance.
+    In exact arithmetic this returns the generating graph of an identifiable
+    model. In float64 it does so only while the rounding error of each r stays
+    below the tolerance: on ill-conditioned covariances it silently returns
+    extra edges (on random models of either protocol, on 10 of 120 at p=20
+    and on all 120 at p=40), and a covariance with no Cholesky factor raises.
+    Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
     cov = np.asarray(cov, dtype=float)
@@ -322,7 +345,7 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     pairs = _pair_correlations(r, cfg.parent_test_mode)
     statistic = np.abs(pairs[2])  # |r|, against the tolerance
     dag, log = _decide(order, cfg.parent_test_mode, pairs, statistic, cfg.oracle_tolerance)
-    return LearnResult(Ordering(order), dag, tuple(steps), log)
+    return LearnResult(Ordering(order), dag, _step_tuples(steps), log)
 
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:

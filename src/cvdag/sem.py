@@ -331,9 +331,16 @@ def read_sem(path) -> GaussianSem:
     if p is None or sigma2 is None:
         raise DataFormatError(f"{where}: missing required 'p' or 'sigma2' field")
     b = np.zeros((p, p))
+    first_line: dict[tuple[int, int], int] = {}
     for parent, child, beta, lineno in edges:
         if not (0 <= parent < p and 0 <= child < p):
             raise DataFormatError(f"{where}:{lineno}: edge ({parent},{child}) out of range")
+        if (parent, child) in first_line:
+            raise DataFormatError(
+                f"{where}:{lineno}: edge ({parent},{child}) repeats line"
+                f" {first_line[parent, child]}"
+            )
+        first_line[parent, child] = lineno
         b[child, parent] = beta
     try:
         return GaussianSem(B=b, sigma2=sigma2, intercepts=intercepts)

@@ -69,6 +69,14 @@ class TestSimulate:
         assert run(*command, bad, "-o", tmp_path) == 1
         assert f"cvdag: error: {bad}" in capsys.readouterr().err
 
+    def test_repeated_edge_is_format_error(self, tmp_path, capsys):
+        # the second weight used to overwrite the first without a word
+        bad = tmp_path / "twice.sem"
+        bad.write_text("p 3\nsigma2 1 1 1\nedge 0 1 0.5\nedge 1 2 1.0\nedge 0 1 2.0\n")
+        assert run("check", bad, "-o", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"cvdag: error: {bad}:5: edge (0,1) repeats line 3" in err
+
     def test_missing_sem_file_is_io_error(self, tmp_path):
         assert run("simulate", "--sem", tmp_path / "nope.sem", "--n", 10,
                    "-o", tmp_path) == 3

@@ -24,7 +24,8 @@ from cvdag.graphs import (
     vstructures,
     write_graph,
 )
-from cvdag.sem import random_sem
+from cvdag.learner import learn, learn_from_covariance
+from cvdag.sem import population_covariance, random_sem, sample
 
 CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
 COLLIDER = Dag(3, frozenset({(0, 2), (1, 2)}))
@@ -115,6 +116,46 @@ class TestDagBasics:
         b = Dag(3, [(1, 2), (0, 2)])
         assert a == b and hash(a) == hash(b)
         assert [f.name for f in dataclasses.fields(Dag)] == ["p", "edges"]
+
+
+class TestTrustedDag:
+    """Learned graphs skip validation; they must behave as validated ones."""
+
+    @staticmethod
+    def learned_graphs():
+        for seed, p, protocol in [(1, 6, "homogeneous"), (2, 12, "heterogeneous"),
+                                  (3, 30, "heterogeneous")]:
+            model = random_sem(p, protocol, seed)
+            yield learn(sample(model, 20 * p, seed)).dag
+            yield learn_from_covariance(population_covariance(model)).dag
+
+    def test_learned_graph_is_trusted_and_indexed_lazily(self):
+        g = learn(sample(random_sem(8, "homogeneous", 4), 200, 5)).dag
+        assert "_index" not in vars(g)
+        topological_order(g)
+        assert "_index" in vars(g)
+
+    def test_matches_validated_dag(self):
+        for trusted in self.learned_graphs():
+            assert trusted.edges
+            checked = Dag(trusted.p, trusted.edges)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert topological_order(trusted) == topological_order(checked)
+            for j in range(trusted.p):
+                assert trusted.parents(j) == checked.parents(j)
+                assert trusted.children(j) == checked.children(j)
+            assert np.array_equal(descendant_mask(trusted), descendant_mask(checked))
+            assert dag_to_cpdag(trusted) == dag_to_cpdag(checked)
+            assert format_graph(trusted) == format_graph(checked)
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(0, 1), (1, 2), (2, 0)}, "directed cycle"),
+        ({(0, 1), (1, 1)}, "self-loop at node 1"),
+        ({(0, 1), (2, 5)}, r"edge \(2,5\) out of range for p=3"),
+    ])
+    def test_public_constructor_still_validates(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            Dag(3, frozenset(edges))
 
 
 class TestTopologicalOrder:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from cvdag.learner import (
     LearnConfig,
     LearnResult,
     _factor,
+    _step_tuples,
     estimate_ordering,
     estimate_parents,
     learn,
@@ -427,7 +429,7 @@ class TestAgainstReferences:
         x = sample(random_sem(p, protocol, seed), 60, seed).data
         order, greedy, steps = _factor(x)
         again = _factor(x, order)
-        assert again[0] == order and again[2] == steps
+        assert again[0] == order and _step_tuples(again[2]) == _step_tuples(steps)
         assert np.array_equal(again[1], greedy)
         assert np.array_equal(greedy, np.triu(greedy))
 
@@ -439,3 +441,104 @@ class TestAgainstReferences:
         ordering, steps = estimate_ordering(data, cfg)
         dag, log = estimate_parents(data, ordering, cfg)
         assert learn(data, cfg) == LearnResult(ordering, dag, steps, log)
+
+
+def reference_factor(x, order=None):
+    """The pivot loop as it was before it ran in place: each step gathers the
+    unplaced columns by fancy indexing and scatters the update back."""
+    x = np.asarray(x, dtype=float)
+    w = np.linalg.qr(x, mode="r") if x.shape[0] > x.shape[1] else np.array(x)
+    p = w.shape[1]
+    remaining = list(range(p))
+    placed = []
+    steps = []
+    for m in range(p):
+        block = w[m:, remaining]
+        rss = np.einsum("ij,ij->j", block, block)
+        steps.append(tuple(zip(remaining, rss.tolist())))
+        i = int(np.argmin(rss)) if order is None else remaining.index(order[m])
+        j = remaining.pop(i)
+        if rss[i] == 0.0:
+            raise DegenerateDesignError(
+                f"factorization step {m}: variable {j} has zero residual given the"
+                f" {m} variables placed before it"
+            )
+        v = block[:, i]
+        alpha = -math.copysign(math.sqrt(rss[i]), v[0])
+        v[0] -= alpha
+        w[m, j] = alpha
+        w[m + 1:, j] = 0.0
+        if remaining:
+            rest = w[m:, remaining]
+            w[m:, remaining] = rest - np.outer(v, (v @ rest) * (2.0 / (v @ v)))
+        placed.append(j)
+    return tuple(placed), w[:p, placed], tuple(steps)
+
+
+def factor_inputs(p, protocol, seed):
+    """Centered tall data (n = 3p) and its square p x p triangle, whose Gram
+    matrix is the data's, as the L^T of learn_from_covariance is the
+    covariance's."""
+    data = sample(random_sem(p, protocol, seed), 3 * p, seed + 1).data
+    x = data - data.mean(axis=0)
+    return x, np.linalg.qr(x, mode="r")
+
+
+class TestFactorAgainstGatherLoop:
+    """The in-place pivot loop returns the same order, R and step RSS, bit for
+    bit, as the gather/scatter loop it replaced."""
+
+    @staticmethod
+    def assert_same(x, order=None):
+        want = reference_factor(x, order)
+        got = _factor(x, order)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert _step_tuples(got[2]) == want[2]
+        return got
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 40, 80])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tall_and_square(self, p, protocol, seed):
+        for x in factor_inputs(p, protocol, seed):
+            self.assert_same(x)
+
+    @pytest.mark.parametrize("p", [3, 10, 40])
+    def test_given_order(self, p):
+        x, lt = factor_inputs(p, "heterogeneous", 7)
+        order = tuple(np.random.default_rng(p).permutation(p).tolist())
+        for arg in (x, lt):
+            assert self.assert_same(arg, order)[0] == order
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # square input skips the LAPACK pre-reduction, so integer entries make
+        # every step-0 RSS an exact sum: column 4 is a row permutation of the
+        # smallest column 1, and column 6 an exact copy of it
+        rng = np.random.default_rng(11)
+        x = rng.integers(-20, 21, size=(7, 7)).astype(float)
+        x[:, 1] = rng.integers(-2, 3, size=7)
+        x[:, 4] = rng.permutation(x[:, 1])
+        x[:, 6] = x[:, 1]
+        rss = np.einsum("ij,ij->j", x, x)
+        assert rss[1] == rss[4] == rss[6] == rss.min()
+        distinct = x.copy()
+        distinct[:, 6] = rng.integers(-20, 21, size=7)
+        assert self.assert_same(distinct)[0][0] == 1
+        # with the copy, column 1 is placed first and leaves the copy nothing
+        with pytest.raises(DegenerateDesignError) as want:
+            reference_factor(x)
+        with pytest.raises(DegenerateDesignError) as got:
+            _factor(x)
+        assert str(got.value) == str(want.value)
+        assert "step 1: variable 6" in str(got.value)
+
+    def test_zero_residual_message_unchanged(self):
+        x, _ = factor_inputs(5, "homogeneous", 3)
+        x[:, 2] = 0.0
+        with pytest.raises(DegenerateDesignError) as want:
+            reference_factor(x, (0, 1, 2, 3, 4))
+        with pytest.raises(DegenerateDesignError) as got:
+            _factor(x, (0, 1, 2, 3, 4))
+        assert str(got.value) == str(want.value)
+        assert "step 2: variable 2" in str(got.value)
