@@ -9,6 +9,7 @@ seconds are the one field that cannot be bit-stable across reruns.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,7 @@ from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import LearnConfig, learn
 from .sem import (
     GaussianSem,
+    _is_int,
     check_identifiability,
     derive_seed,
     nonfaithful_chain,
@@ -48,23 +50,37 @@ class ExperimentConfig:
 
     def __post_init__(self):
         problems = []
-        if self.protocol not in ("homogeneous", "heterogeneous", "nonfaithful"):
+        if not isinstance(self.protocol, str):
+            problems.append(f"protocol must be a string, got {self.protocol!r}")
+        elif self.protocol not in ("homogeneous", "heterogeneous", "nonfaithful"):
             problems.append(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "nonfaithful" and self.p != 3:
+        if not _is_int(self.p):
+            problems.append(f"p must be an integer, got {self.p!r}")
+        elif self.protocol == "nonfaithful" and self.p != 3:
             problems.append("nonfaithful protocol uses the fixed 3-node model (p=3)")
         elif self.p < 2:
             problems.append(f"p must be >= 2, got {self.p}")
-        if not self.n_grid:
+        if not (isinstance(self.n_grid, (list, tuple)) and all(map(_is_int, self.n_grid))):
+            problems.append(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        elif not self.n_grid:
             problems.append("n_grid must be nonempty")
         elif list(self.n_grid) != sorted(set(self.n_grid)):
             problems.append(f"n_grid must be strictly increasing, got {self.n_grid}")
-        elif min(self.n_grid) <= self.p + 1:
+        elif _is_int(self.p) and min(self.n_grid) <= self.p + 1:
             problems.append(f"smallest n={min(self.n_grid)} too small for p={self.p}")
-        if self.replications < 1:
+        if not _is_int(self.replications):
+            problems.append(f"replications must be an integer, got {self.replications!r}")
+        elif self.replications < 1:
             problems.append(f"replications must be >= 1, got {self.replications}")
-        if not 0.0 < self.alpha < 1.0:
+        if not (_is_int(self.seed) and self.seed >= 0):
+            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.alpha, numbers.Real):
+            problems.append(f"alpha must be a real number, got {self.alpha!r}")
+        elif not 0.0 < self.alpha < 1.0:
             problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.parent_test_mode not in ("conditional", "marginal"):
+        if not isinstance(self.parent_test_mode, str):
+            problems.append(f"parent_test_mode must be a string, got {self.parent_test_mode!r}")
+        elif self.parent_test_mode not in ("conditional", "marginal"):
             problems.append(f"unknown parent_test_mode {self.parent_test_mode!r}")
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
@@ -148,12 +164,11 @@ def aggregate(cfg: ExperimentConfig, cells) -> tuple[AggregateRow, ...]:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run every (replication, n) cell; learner failures are recorded, not raised."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     tasks = [(rep, i) for rep in range(cfg.replications) for i in range(len(cfg.n_grid))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda t: _run_cell(cfg, *t), tasks))
-    else:
-        cells = [_run_cell(cfg, rep, i) for rep, i in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cells = list(pool.map(lambda t: _run_cell(cfg, *t), tasks))
     cells.sort(key=lambda c: (c.n, c.rep))
     return ExperimentReport(cfg, tuple(cells), aggregate(cfg, cells))
 
@@ -248,23 +263,29 @@ def render_chart_svg(rep: ExperimentReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_report(rep: ExperimentReport, outdir) -> list[Path]:
-    """Write cell table, aggregate table, and chart; byte-identical per report."""
+def write_files(outdir, files: dict[str, str]) -> list[Path]:
+    """Create ``outdir`` and write each named text into it, in order.
+
+    Any ``OSError`` becomes :class:`ReportIOError`, the CLI's exit code 3.
+    """
     outdir = Path(outdir)
-    files = {
-        outdir / "cells.csv": format_cell_table(rep),
-        outdir / "aggregate.csv": format_aggregate_table(rep),
-        outdir / "hamming_vs_n.svg": render_chart_svg(rep),
-    }
-    written = []
+    paths = [outdir / name for name in files]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for path, text in files.items():
+        for path, text in zip(paths, files.values()):
             path.write_text(text)
-            written.append(path)
     except OSError as exc:
-        raise ReportIOError(f"cannot write report under {outdir}: {exc}") from exc
-    return written
+        raise ReportIOError(f"cannot write under {outdir}: {exc}") from exc
+    return paths
+
+
+def emit_report(rep: ExperimentReport, outdir) -> list[Path]:
+    """Write cell table, aggregate table, and chart; byte-identical per report."""
+    return write_files(outdir, {
+        "cells.csv": format_cell_table(rep),
+        "aggregate.csv": format_aggregate_table(rep),
+        "hamming_vs_n.svg": render_chart_svg(rep),
+    })
 
 
 def strip_timing(rep: ExperimentReport) -> ExperimentReport:

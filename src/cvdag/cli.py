@@ -2,7 +2,8 @@
 
 Subcommands: learn, simulate, bench, check, cpdag. Exit codes are a stable
 scripting contract: 0 success, 1 validation/parse error (or an unsatisfied
-identifiability check), 2 numerical degeneracy, 3 I/O failure. The default
+identifiability check), 2 numerical degeneracy, 3 I/O failure: any file
+that cannot be read or written, output directories included. The default
 output directory comes from $CVDAG_OUTDIR, falling back to the working
 directory.
 """
@@ -17,18 +18,18 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .datasets import load_marks, parse_dataset, write_dataset
+from .datasets import format_dataset, load_marks, parse_dataset
 from .errors import DataFormatError, ReportIOError, ToolkitError, ValidationError
-from .graphs import dag_to_cpdag, read_dag, write_graph
+from .graphs import dag_to_cpdag, format_graph, read_dag
 from .learner import LearnConfig, LearnResult, learn
 from .sem import (
     check_identifiability,
     derive_seed,
+    format_sem,
     nonfaithful_chain,
     random_sem,
     read_sem,
     sample,
-    write_sem,
 )
 
 PROTOCOLS = ("homogeneous", "heterogeneous", "nonfaithful")
@@ -49,20 +50,12 @@ def _default_outdir() -> str:
     return os.environ.get("CVDAG_OUTDIR", ".")
 
 
-def _read_text(path: Path) -> str:
+def _read(path: Path, reader=Path.read_text):
+    """``reader(path)``, with a failed read reported as :class:`ReportIOError`."""
     try:
-        return path.read_text()
+        return reader(path)
     except OSError as exc:
         raise ReportIOError(f"cannot read {path}: {exc}") from exc
-
-
-def _outdir(args) -> Path:
-    out = Path(args.output)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ReportIOError(f"cannot create output directory {out}: {exc}") from exc
-    return out
 
 
 def build_parser() -> _Parser:
@@ -121,20 +114,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_dataset(arg: str):
-    if arg == "marks":
-        return load_marks()
-    path = Path(arg)
-    return parse_dataset(_read_text(path), where=str(path))
-
-
-def _load_sem(path_str: str):
-    try:
-        return read_sem(path_str)
-    except OSError as exc:
-        raise ReportIOError(f"cannot read {path_str}: {exc}") from exc
-
-
 def _print_result(ds, result: LearnResult, verbose: int):
     names = ds.names
     print("ordering:", " ".join(names[j] for j in result.ordering))
@@ -151,26 +130,21 @@ def _print_result(ds, result: LearnResult, verbose: int):
                   f"r={rec.r:.4f} z={rec.statistic:.3f} -> {verdict}")
 
 
-def _write_learn_outputs(out: Path, stem: str, ds, result: LearnResult):
-    write_graph(result.dag, out / f"{stem}.graph")
-    (out / f"{stem}.order").write_text(
-        " ".join(str(j) for j in result.ordering) + "\n"
-    )
+def cmd_learn(args) -> int:
+    path = Path(args.input)
+    ds = load_marks() if args.input == "marks" else parse_dataset(_read(path), where=str(path))
+    cfg = LearnConfig(alpha=args.alpha, parent_test_mode=args.parent_test)
+    result = learn(ds, cfg)
     lines = ["earlier,later,given,r,statistic,threshold,dependent"]
     for rec in result.test_log:
         given = ";".join(str(g) for g in rec.given)
         lines.append(f"{rec.earlier},{rec.later},{given},{rec.r:.17g},"
                      f"{rec.statistic:.17g},{rec.threshold:.17g},{int(rec.dependent)}")
-    (out / f"{stem}.tests.csv").write_text("\n".join(lines) + "\n")
-
-
-def cmd_learn(args) -> int:
-    ds = _load_dataset(args.input)
-    cfg = LearnConfig(alpha=args.alpha, parent_test_mode=args.parent_test)
-    result = learn(ds, cfg)
-    out = _outdir(args)
-    stem = "marks" if args.input == "marks" else Path(args.input).stem
-    _write_learn_outputs(out, stem, ds, result)
+    bench_mod.write_files(args.output, {
+        f"{path.stem}.graph": format_graph(result.dag),
+        f"{path.stem}.order": " ".join(str(j) for j in result.ordering) + "\n",
+        f"{path.stem}.tests.csv": "\n".join(lines) + "\n",
+    })
     _print_result(ds, result, args.verbose)
     return 0
 
@@ -189,7 +163,7 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     if args.sem:
-        model = _load_sem(args.sem)
+        model = _read(Path(args.sem), read_sem)
         stem = Path(args.sem).stem
     else:
         if args.protocol == "nonfaithful":
@@ -200,30 +174,27 @@ def cmd_simulate(args) -> int:
     report = check_identifiability(model)
     _summarize_check(report, args.verbose)
     data = sample(model, args.n, derive_seed(args.seed, 1))
-    out = _outdir(args)
-    target = out / f"{stem}_n{args.n}_seed{args.seed}.csv"
-    write_dataset(data, target)
+    files = {f"{stem}_n{args.n}_seed{args.seed}.csv": format_dataset(data)}
     if args.save_sem:
-        write_sem(model, out / f"{stem}_seed{args.seed}.sem")
-    print(f"wrote {target}")
+        files[f"{stem}_seed{args.seed}.sem"] = format_sem(model)
+    written = bench_mod.write_files(args.output, files)
+    print(f"wrote {written[0]}")
     return 0
 
 
 def cmd_check(args) -> int:
-    model = _load_sem(args.sem)
-    report = check_identifiability(model, scope=args.scope)
+    path = Path(args.sem)
+    report = check_identifiability(_read(path, read_sem), scope=args.scope)
     _summarize_check(report, args.verbose)
-    out = _outdir(args)
-    target = out / f"{Path(args.sem).stem}.margins.csv"
     lines = ["j,k,lhs,rhs,slack"]
     for j, k, lhs, rhs in report.margins.tolist():
         lines.append(f"{j},{k},{lhs:.17g},{rhs:.17g},{rhs - lhs:.17g}")
-    target.write_text("\n".join(lines) + "\n")
+    bench_mod.write_files(args.output, {f"{path.stem}.margins.csv": "\n".join(lines) + "\n"})
     return 0 if report.satisfied else 1
 
 
 def cmd_bench(args) -> int:
-    raw = _read_text(Path(args.config))
+    raw = _read(Path(args.config))
     try:
         body = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -234,8 +205,6 @@ def cmd_bench(args) -> int:
     unknown = sorted(set(body) - allowed)
     if unknown:
         raise ValidationError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    if "n_grid" in body:
-        body["n_grid"] = tuple(body["n_grid"])
     if body.get("protocol") == "nonfaithful":
         body.setdefault("p", 3)
     if args.replications is not None:
@@ -244,8 +213,7 @@ def cmd_bench(args) -> int:
         body["seed"] = args.seed
     cfg = bench_mod.ExperimentConfig(**body)
     report = bench_mod.run_experiment(cfg, workers=args.workers)
-    out = _outdir(args)
-    written = bench_mod.emit_report(report, out)
+    written = bench_mod.emit_report(report, args.output)
     print(bench_mod.format_aggregate_table(report), end="")
     for path in written:
         print(f"wrote {path}")
@@ -254,14 +222,8 @@ def cmd_bench(args) -> int:
 
 def cmd_cpdag(args) -> int:
     path = Path(args.graph)
-    try:
-        dag = read_dag(path)
-    except OSError as exc:
-        raise ReportIOError(f"cannot read {path}: {exc}") from exc
-    cp = dag_to_cpdag(dag)
-    out = _outdir(args)
-    target = out / f"{path.stem}.cpdag"
-    write_graph(cp, target)
+    cp = dag_to_cpdag(_read(path, read_dag))
+    (target,) = bench_mod.write_files(args.output, {f"{path.stem}.cpdag": format_graph(cp)})
     print(f"wrote {target}")
     return 0
 

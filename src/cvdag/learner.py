@@ -194,7 +194,7 @@ def _factor(x: np.ndarray, order=None):
         w[m, m] = alpha
         w[m + 1:, m] = 0.0
         rest = w[m:, m + 1:]
-        rest -= np.outer(v, (v @ rest) * (2.0 / (v @ v)))
+        rest -= v[:, None] * ((v @ rest) * (2.0 / (v @ v)))
     return tuple(nodes), w, steps
 
 

@@ -9,6 +9,7 @@ B[j, k] is the weight of edge k -> j and its nonzero pattern must be acyclic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -29,16 +30,26 @@ _LTV_RTOL = 1e-9
 _MARGIN_FIELDS = np.dtype([("j", np.intp), ("k", np.intp), ("lhs", float), ("rhs", float)])
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    if not (_is_int(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     """PCG64 stream derived from (seed, key...). Same inputs, same stream,
     on every platform numpy supports; disjoint keys give independent streams.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Deterministic child seed for (seed, key...), e.g. one per replication."""
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True, eq=False)

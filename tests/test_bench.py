@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import cvdag.bench as bench
@@ -24,6 +25,22 @@ class TestConfigValidation:
         message = str(err.value)
         for fragment in ("protocol", "n_grid", "replications", "alpha"):
             assert fragment in message
+
+    def test_type_violations_reported_at_once(self):
+        with pytest.raises(ValidationError) as err:
+            bench.ExperimentConfig(protocol=3, p="10", n_grid=[100.5, 200],
+                                   replications=2.5, seed=-1, alpha="0.1",
+                                   parent_test_mode=None)
+        message = str(err.value)
+        for key in ("protocol", "p", "n_grid", "replications", "seed", "alpha",
+                    "parent_test_mode"):
+            assert f"{key} must" in message
+
+    def test_integer_likes_accepted(self):
+        cfg = bench.ExperimentConfig(p=np.int64(3), n_grid=[np.int64(10), 20],
+                                     replications=np.int32(1), seed=np.uint64(4),
+                                     alpha=np.float64(0.05))
+        assert cfg.n_grid == (10, 20) and type(cfg.n_grid[0]) is int
 
     def test_non_increasing_grid(self):
         with pytest.raises(ValidationError):
@@ -54,6 +71,11 @@ class TestRunExperiment:
         a = bench.run_experiment(TINY)
         b = bench.run_experiment(TINY, workers=4)
         assert bench.strip_timing(a) == bench.strip_timing(b)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            bench.run_experiment(TINY, workers=workers)
 
     def test_aggregates_recomputable_from_cells(self):
         report = bench.run_experiment(TINY)

@@ -44,6 +44,13 @@ class TestSimulate:
         assert run("simulate", "--protocol", "nonfaithful", "--n", 0,
                    "-o", tmp_path) == 1
 
+    @pytest.mark.parametrize("protocol", ["homogeneous", "nonfaithful"])
+    def test_negative_seed_rejected(self, protocol, tmp_path, capsys):
+        # once a bare ValueError from numpy's SeedSequence
+        assert run("simulate", "--protocol", protocol, "--n", 10, "--seed", -1,
+                   "-o", tmp_path) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_from_sem_file(self, chain_sem, tmp_path):
         assert run("simulate", "--sem", chain_sem, "--n", 30, "--seed", 2,
                    "-o", tmp_path) == 0
@@ -273,6 +280,36 @@ class TestBenchCommand:
         bad.write_text("{nope")
         assert run("bench", bad, "-o", tmp_path) == 1
 
+    @pytest.mark.parametrize("body, key", [
+        ({"n_grid": 5}, "n_grid"),
+        ({"n_grid": [100.5, 200]}, "n_grid"),
+        ({"p": "10"}, "p"),
+        ({"p": 10.5}, "p"),
+        ({"p": True}, "p"),
+        ({"alpha": "0.1"}, "alpha"),
+        ({"replications": 2.5}, "replications"),
+        ({"seed": -1}, "seed"),
+        ({"protocol": 3}, "protocol"),
+        ({"parent_test_mode": None}, "parent_test_mode"),
+    ])
+    def test_wrong_value_types_rejected(self, body, key, tmp_path, capsys):
+        # once TypeError or numpy AxisError tracebacks, or a silently truncated n
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(body))
+        assert run("bench", cfg, "-o", tmp_path / "out") == 1
+        assert f"invalid experiment config: {key} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        assert run("bench", self.config(tmp_path), "--seed", -3, "-o", tmp_path) == 1
+        assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers, tmp_path, capsys):
+        assert run("bench", self.config(tmp_path), "--workers", workers,
+                   "-o", tmp_path / "out") == 1
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
     def test_unknown_keys_listed(self, tmp_path, capsys):
         cfg = self.config(tmp_path, extra_knob=1)
         assert run("bench", cfg, "-o", tmp_path) == 1
@@ -297,6 +334,53 @@ class TestBenchCommand:
         assert time.perf_counter() - start < 600.0
         cells = (tmp_path / "dflt" / "cells.csv").read_text().splitlines()
         assert len(cells) == 1 + 20 * 4  # replications x n-grid cells
+
+
+# a command run on the inputs of TestFileErrors, and one file it writes
+WRITES = [
+    (("learn", "marks"), "marks.graph"),
+    (("learn", "marks"), "marks.tests.csv"),
+    (("simulate", "--protocol", "nonfaithful", "--n", 20), "nonfaithful_p3_n20_seed0.csv"),
+    (("simulate", "--protocol", "nonfaithful", "--n", 20, "--save-sem"),
+     "nonfaithful_p3_seed0.sem"),
+    (("check", "chain.sem"), "chain.margins.csv"),
+    (("cpdag", "chain.graph"), "chain.cpdag"),
+    (("bench", "config.json"), "hamming_vs_n.svg"),
+]
+
+
+class TestFileErrors:
+    """A file the CLI cannot read or write is exit 3 with one error line."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_sem(nonfaithful_chain(), "chain.sem")
+        write_graph(Dag(3, frozenset({(0, 1), (1, 2)})), "chain.graph")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"protocol": "nonfaithful", "n_grid": [50], "replications": 1}))
+
+    @pytest.mark.parametrize("argv, occupied", WRITES)
+    def test_output_path_taken_by_directory(self, argv, occupied, tmp_path, capsys):
+        # once a bare IsADirectoryError traceback and exit 1
+        (tmp_path / "out" / occupied).mkdir(parents=True)
+        assert run(*argv, "-o", "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cvdag: error: cannot write under out: ")
+        assert occupied in err
+
+    @pytest.mark.parametrize("argv", list(dict.fromkeys(argv for argv, _ in WRITES)))
+    def test_output_directory_is_a_file(self, argv, capsys):
+        assert run(*argv, "-o", "chain.sem") == 3
+        assert capsys.readouterr().err.startswith("cvdag: error: cannot write under chain.sem: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("learn", "."), ("simulate", "--n", 10, "--sem", "."), ("check", "."),
+        ("cpdag", "."), ("bench", "."),
+    ])
+    def test_input_path_is_a_directory(self, argv, capsys):
+        assert run(*argv, "-o", "out") == 3
+        assert capsys.readouterr().err.startswith("cvdag: error: cannot read .: ")
 
 
 class TestContract:

@@ -618,6 +618,20 @@ class TestSeedStreams:
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
         assert derive_seed(5) != derive_seed(6)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_is_validation_error(self, seed):
+        # a negative seed was a bare ValueError from numpy's SeedSequence
+        for draw in (lambda: derive_seed(seed, 0), lambda: seeded_rng(seed),
+                     lambda: random_sem(3, "homogeneous", seed),
+                     lambda: sample(nonfaithful_chain(), 5, seed)):
+            with pytest.raises(ValidationError) as err:
+                draw()
+            assert f"seed must be a non-negative integer, got {seed!r}" in str(err.value)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert derive_seed(np.int64(5), 1) == derive_seed(5, 1)
+        assert derive_seed(np.uint64(5), 1) == derive_seed(5, 1)
+
     def test_topological_order_of_generated_models(self):
         m = random_sem(10, "homogeneous", seed=77)
         pi = topological_order(m.dag)
