@@ -51,11 +51,16 @@ def _default_outdir() -> str:
 
 
 def _read(path: Path, reader=Path.read_text):
-    """``reader(path)``, with a failed read reported as :class:`ReportIOError`."""
+    """``reader(path)``, with a failed read reported as :class:`ReportIOError`
+    and undecodable text as :class:`DataFormatError`."""
     try:
         return reader(path)
     except OSError as exc:
         raise ReportIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not {exc.encoding} text at byte {exc.start} ({exc.reason})"
+        ) from None
 
 
 def build_parser() -> _Parser:

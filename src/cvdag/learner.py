@@ -11,13 +11,17 @@ error being raised.
 Both read every r off one factorization as arrays and decide all pairs in one
 pass over them. The decisions are kept as a columnar `TestLog`: O(p^2) arrays
 plus the ordering, from which each record's conditioning set is derived when
-the record is read, so no per-pair object is stored.
+the record is read, so no per-pair object is stored. The ordering's step
+diagnostics are kept the same way, as a `StepLog`: one array of the
+p (p + 1) / 2 step residual sums of squares plus the ordering, from which each
+step's unplaced nodes and residual variances are derived when the step is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Iterator, Literal
 
@@ -131,13 +135,64 @@ class TestLog:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+@dataclass(frozen=True, eq=False)
+class StepLog:
+    """Every step of the greedy ordering, stored as one column.
+
+    Step m lists each node not in order[:m], in node order, with its value:
+    its residual sum of squares (RSS) given order[:m], or, with ``n``, its
+    residual variance RSS / (n - m - 1). ``rss`` holds the p (p + 1) / 2 RSS
+    of all steps back to back, step m's in node order from offset
+    m p - m (m - 1) / 2. Storage is O(p^2): the nodes and the division are
+    derived when a step is read. Length, indexing, iteration and equality work
+    on ((node, value), ...) tuples, so the log compares equal to the tuple of
+    its steps.
+    """
+
+    order: tuple[int, ...]
+    rss: np.ndarray
+    n: int | None = None
+
+    def __post_init__(self):
+        self.rss.flags.writeable = False
+
+    def values(self, m: int) -> np.ndarray:
+        """Step m's values, an array in node order of its unplaced nodes."""
+        p = len(self.order)
+        m = range(p)[m]  # raises IndexError out of range
+        start = m * p - m * (m - 1) // 2
+        rss = self.rss[start:start + p - m]
+        return rss if self.n is None else rss / (self.n - m - 1)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        m = range(len(self))[i]  # raises IndexError out of range
+        nodes = sorted(set(range(len(self))).difference(self.order[:m]))
+        return tuple(zip(nodes, self.values(m).tolist()))
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, float], ...]]:
+        nodes = list(range(len(self)))
+        for m, j in enumerate(self.order):
+            yield tuple(zip(nodes, self.values(m).tolist()))
+            nodes.remove(j)
+
+    def __eq__(self, other):
+        if not isinstance(other, (StepLog, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class LearnResult:
     ordering: Ordering
     dag: Dag
     # step_variances[m] lists (candidate, conditional variance) for every node
     # still unplaced when position m was decided
-    step_variances: tuple[tuple[tuple[int, float], ...], ...]
+    step_variances: StepLog
     test_log: TestLog = field(repr=False)
 
 
@@ -165,23 +220,26 @@ def _factor(x: np.ndarray, order=None):
     einsum and the reflector's matrix-vector product round differently on a
     row-major block.
 
-    Returns (order, R with its columns in that order, and per step the
-    unplaced nodes as a list in node order with their RSS as an array).
+    Returns (order, R with its columns in that order, and the RSS of every
+    step back to back in one array, each step's unplaced nodes in node order:
+    the ``rss`` of :class:`StepLog`).
     """
     x = np.asarray(x, dtype=float)
     w = np.array(np.linalg.qr(x, mode="r") if x.shape[0] > x.shape[1] else x, order="F")
     p = w.shape[1]
     nodes = list(range(p))  # the node in each column of w
-    steps = []
+    steps = np.empty(p * (p + 1) // 2)
+    start = 0
     for m in range(p):
-        rss = np.einsum("ij,ij->j", w[m:, m:], w[m:, m:])
-        steps.append((nodes[m:], rss))
-        i = int(np.argmin(rss)) if order is None else nodes.index(order[m], m) - m
-        j = nodes[m + i]
-        if rss[i] == 0.0:
+        block = w[m:, m:]
+        rss = np.einsum("ij,ij->j", block, block, out=steps[start:start + p - m])
+        start += p - m
+        i = rss.argmin() if order is None else nodes.index(order[m], m) - m
+        least = rss.item(i)
+        if least == 0.0:
             raise DegenerateDesignError(
-                f"factorization step {m}: variable {j} has zero residual given the"
-                f" {m} variables placed before it"
+                f"factorization step {m}: variable {nodes[m + i]} has zero residual given"
+                f" the {m} variables placed before it"
             )
         if i:
             nodes.insert(m, nodes.pop(m + i))
@@ -189,13 +247,23 @@ def _factor(x: np.ndarray, order=None):
             w[:, m + 1:m + i + 1] = w[:, m:m + i]
             w[:, m] = col
         v = w[m:, m].copy()
-        alpha = -math.copysign(math.sqrt(rss[i]), v[0])
+        alpha = -math.copysign(math.sqrt(least), v.item(0))
         v[0] -= alpha
         w[m, m] = alpha
         w[m + 1:, m] = 0.0
         rest = w[m:, m + 1:]
-        rest -= v[:, None] * ((v @ rest) * (2.0 / (v @ v)))
+        scale = v @ rest
+        scale *= 2.0 / (v @ v)
+        rest -= v[:, None] * scale
     return tuple(nodes), w, steps
+
+
+@lru_cache(maxsize=16)
+def _lower_pairs(p: int):
+    """(rows, cols) of the strict lower triangle of a p x p matrix, read-only."""
+    rows, cols = np.tril_indices(p, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
@@ -208,7 +276,7 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     reads the precision of each leading block off T = (R^T)^-1:
     r(e, m | rest) = -sign(T[m,m]) T[m,e] / |T[:m+1, e]|.
     """
-    rows, cols = np.tril_indices(r.shape[0], -1)
+    rows, cols = _lower_pairs(r.shape[0])
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))
@@ -240,18 +308,6 @@ def _centered(data: Dataset, stage: str) -> np.ndarray:
     return data.data - data.data.mean(axis=0)
 
 
-def _step_tuples(steps, n: int | None = None):
-    """Per step, ((node, value), ...) of the unplaced nodes of :func:`_factor`.
-
-    The value is the step's RSS, or with ``n`` its residual variance: RSS over
-    the n - m - 1 residual degrees of freedom at step m.
-    """
-    return tuple(
-        tuple(zip(nodes, (rss if n is None else rss / (n - m - 1)).tolist()))
-        for m, (nodes, rss) in enumerate(steps)
-    )
-
-
 def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
     """(DAG, log) of one Fisher z test per ordered pair of the factor ``r``.
 
@@ -275,14 +331,15 @@ def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
 def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     """Greedy minimal-conditional-variance ordering of the dataset's columns.
 
-    Returns (ordering, step diagnostics): at step m, every unplaced node with
-    its residual variance RSS / (n - m - 1) given the m placed nodes. Requires
+    Returns (ordering, step diagnostics): a :class:`StepLog` whose step m is
+    every unplaced node with its residual variance RSS / (n - m - 1) given the
+    m placed nodes, read off the factor's RSS when the step is read. Requires
     n > p + 1 so that every regression along the way, and the final parent
     tests, are estimable.
     """
     del cfg  # ordering has no tunables; accepted for symmetry with the other steps
     order, _, steps = _factor(_centered(data, "ordering needs"))
-    return Ordering(order), _step_tuples(steps, data.n)
+    return Ordering(order), StepLog(order, steps, data.n)
 
 
 def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None):
@@ -311,7 +368,7 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
     cfg = cfg or LearnConfig()
     order, r, steps = _factor(_centered(data, "ordering needs"))
     dag, log = _fisher_parents(data, order, r, cfg)
-    return LearnResult(Ordering(order), dag, _step_tuples(steps, data.n), log)
+    return LearnResult(Ordering(order), dag, StepLog(order, steps, data.n), log)
 
 
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
@@ -345,13 +402,15 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     pairs = _pair_correlations(r, cfg.parent_test_mode)
     statistic = np.abs(pairs[2])  # |r|, against the tolerance
     dag, log = _decide(order, cfg.parent_test_mode, pairs, statistic, cfg.oracle_tolerance)
-    return LearnResult(Ordering(order), dag, _step_tuples(steps), log)
+    return LearnResult(Ordering(order), dag, StepLog(order, steps), log)
 
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:
     """Audit helper: the node picked at each step attains that step's minimum."""
-    for m, candidates in enumerate(result.step_variances):
-        by_node = dict(candidates)
-        if by_node[result.ordering[m]] > min(by_node.values()):
+    nodes = list(range(len(result.ordering)))  # the unplaced nodes, in node order
+    for m, j in enumerate(result.ordering):
+        values = result.step_variances.values(m)
+        if values[nodes.index(j)] > values.min():
             return False
+        nodes.remove(j)
     return True

@@ -382,6 +382,19 @@ class TestFileErrors:
         assert run(*argv, "-o", "out") == 3
         assert capsys.readouterr().err.startswith("cvdag: error: cannot read .: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("learn", "bin.csv"), ("simulate", "--n", 10, "--sem", "bin.csv"), ("check", "bin.csv"),
+        ("cpdag", "bin.csv"), ("bench", "bin.csv"),
+    ])
+    def test_input_that_is_not_text(self, argv, tmp_path, capsys):
+        # once a bare UnicodeDecodeError traceback; 0xff never occurs in UTF-8
+        (tmp_path / "bin.csv").write_bytes(b"a,b\n1,2\n\xff\x00\x01\n")
+        assert run(*argv, "-o", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cvdag: error: bin.csv: not ")
+        assert " text at byte 8 " in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestContract:
     def test_unknown_flag_is_validation_error(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,12 +14,12 @@ from cvdag.errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from cvdag.graphs import Dag, hamming_dag, is_consistent
+from cvdag.graphs import Dag, Ordering, hamming_dag, is_consistent
 from cvdag.learner import (
     LearnConfig,
     LearnResult,
+    StepLog,
     _factor,
-    _step_tuples,
     estimate_ordering,
     estimate_parents,
     learn,
@@ -30,6 +31,7 @@ from cvdag.numerics import (
     conditional_variance,
     fisher_z_test,
     partial_correlation,
+    _cholesky,
     sample_covariance,
 )
 from cvdag.sem import (
@@ -429,7 +431,7 @@ class TestAgainstReferences:
         x = sample(random_sem(p, protocol, seed), 60, seed).data
         order, greedy, steps = _factor(x)
         again = _factor(x, order)
-        assert again[0] == order and _step_tuples(again[2]) == _step_tuples(steps)
+        assert again[0] == order and StepLog(order, again[2]) == StepLog(order, steps)
         assert np.array_equal(again[1], greedy)
         assert np.array_equal(greedy, np.triu(greedy))
 
@@ -494,7 +496,7 @@ class TestFactorAgainstGatherLoop:
         got = _factor(x, order)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
-        assert _step_tuples(got[2]) == want[2]
+        assert StepLog(got[0], got[2]) == want[2]
         return got
 
     @pytest.mark.parametrize("p", [2, 3, 10, 40, 80])
@@ -542,3 +544,99 @@ class TestFactorAgainstGatherLoop:
             _factor(x, (0, 1, 2, 3, 4))
         assert str(got.value) == str(want.value)
         assert "step 2: variable 2" in str(got.value)
+
+
+def scaled(steps, n):
+    """``reference_factor``'s step tuples as residual variances RSS / (n - m - 1)."""
+    return tuple(tuple((j, value / (n - m - 1)) for j, value in step)
+                 for m, step in enumerate(steps))
+
+
+class TestStepLog:
+    """The columnar step record reads as the tuples the gather loop built."""
+
+    @pytest.mark.parametrize("p", [2, 10, 40])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_tall_input_equals_the_gather_loop(self, p, protocol):
+        data = sample(random_sem(p, protocol, p), 3 * p, p + 1)
+        want = reference_factor(data.data - data.data.mean(axis=0))
+        ordering, steps = estimate_ordering(data)
+        assert ordering.order == want[0] and steps.n == data.n
+        assert steps == scaled(want[2], data.n) and steps != want[2]
+        assert tuple(steps) == scaled(want[2], data.n)
+        assert learn(data).step_variances == steps
+
+    @pytest.mark.parametrize("p", [2, 10, 40])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_population_covariance_equals_the_gather_loop(self, p, protocol):
+        cov = population_covariance(random_sem(p, protocol, p))
+        want = reference_factor(_cholesky(cov).T)
+        steps = learn_from_covariance(cov).step_variances
+        assert steps.order == want[0] and steps.n is None
+        assert steps == want[2] and tuple(steps) == want[2]
+
+    def test_indexing_matches_the_tuple(self):
+        data = sample(random_sem(6, "heterogeneous", seed=3), 500, seed=4)
+        _, steps = estimate_ordering(data)
+        whole = tuple(steps)
+        assert len(steps) == len(whole) == 6
+        for i in range(-6, 6):
+            assert steps[i] == whole[i]
+            assert steps.values(i).tolist() == [value for _, value in whole[i]]
+        for cut in (slice(None), slice(1, 4), slice(-2, None), slice(None, None, -2),
+                    slice(4, 1, -1), slice(7, 9)):
+            assert steps[cut] == whole[cut]
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                steps[bad]
+            with pytest.raises(IndexError):
+                steps.values(bad)
+
+    def test_equality_in_both_directions(self):
+        data = sample(random_sem(5, "homogeneous", seed=8), 400, seed=9)
+        ordering, steps = estimate_ordering(data)
+        whole = tuple(steps)
+        again = estimate_ordering(data)[1]
+        assert steps == whole and whole == steps
+        assert steps == again and again == steps
+        assert not (steps != whole or whole != steps)
+        assert steps != whole[:-1] and whole[:-1] != steps
+        changed = whole[:-1] + (((whole[-1][0][0], whole[-1][0][1] + 1.0),),)
+        assert steps != changed and changed != steps
+        unscaled = StepLog(ordering.order, steps.rss)
+        assert steps != unscaled and unscaled != steps
+        assert steps != list(whole)
+
+    def test_audit_rejects_a_non_greedy_order(self):
+        data = sample(random_sem(6, "heterogeneous", seed=3), 500, seed=4)
+        greedy = learn(data)
+        assert ordering_is_greedy_minimal(greedy)
+        order = greedy.ordering.order[::-1]
+        dag, log = estimate_parents(data, Ordering(order))
+        again, _, rss = _factor(data.data - data.data.mean(axis=0), order)
+        assert again == order
+        result = LearnResult(Ordering(order), dag, StepLog(order, rss, data.n), log)
+        assert not ordering_is_greedy_minimal(result)
+        # with the greedy first pick kept, step 0 passes and a later step fails
+        first = greedy.ordering.order[0]
+        order = (first,) + tuple(j for j in order if j != first)
+        _, _, rss = _factor(data.data - data.data.mean(axis=0), order)
+        result = LearnResult(Ordering(order), dag, StepLog(order, rss, data.n), log)
+        assert not ordering_is_greedy_minimal(result)
+
+    def test_p320_steps_are_one_float_array(self):
+        # 51360 (node, value) tuples, the form before, held about 4.5 MB
+        data = sample(random_sem(320, "homogeneous", 320), 2000, 321)
+        tracemalloc.start()
+        try:
+            _, steps = estimate_ordering(data)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1e6
+        result = learn(data)
+        for log in (steps, result.step_variances):
+            assert [f.name for f in dataclasses.fields(log)] == ["order", "rss", "n"]
+            assert type(log.rss) is np.ndarray and log.rss.dtype == np.float64
+            assert log.rss.shape == (320 * 321 // 2,) and not log.rss.flags.writeable
+        assert np.array_equal(result.step_variances.rss, steps.rss)
