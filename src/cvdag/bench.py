@@ -1,9 +1,10 @@
 """Replicated generate/sample/learn/score experiment runs with report emission.
 
-Each (replication, sample size) cell draws its randomness from a stream
-derived from (seed, replication, cell), so reports are reproducible for a
-fixed config regardless of how many workers execute the cells. Wall-clock
-seconds are the one field that cannot be bit-stable across reruns.
+Each replication builds and checks its model once, and each of its
+(replication, sample size) cells draws its randomness from a stream derived
+from (seed, replication, cell), so reports are reproducible for a fixed config
+regardless of how many workers execute the replications. Wall-clock seconds
+are the one field that cannot be bit-stable across reruns.
 """
 
 from __future__ import annotations
@@ -122,16 +123,29 @@ def _protocol_sem(cfg: ExperimentConfig, rep: int) -> GaussianSem:
     return random_sem(cfg.p, cfg.protocol, derive_seed(cfg.seed, rep, 0))
 
 
-def _run_cell(cfg: ExperimentConfig, rep: int, n_index: int) -> Cell:
-    n = cfg.n_grid[n_index]
+def _run_replication(cfg: ExperimentConfig, rep: int) -> list[Cell]:
+    """The replication's cells, one per n, on one model checked once.
+
+    A failed check fails every cell with its error and its wall time.
+    """
     model = _protocol_sem(cfg, rep)
-    data = sample(model, n, derive_seed(cfg.seed, rep, 1 + n_index))
-    lcfg = LearnConfig(alpha=cfg.alpha, parent_test_mode=cfg.parent_test_mode)
-    identifiable = False
     start = time.perf_counter()
     try:
         identifiable = check_identifiability(model).satisfied
-        start = time.perf_counter()
+    except ToolkitError as exc:
+        seconds = time.perf_counter() - start
+        return [Cell(n, rep, math.nan, math.nan, seconds, False, failed=True, error=str(exc))
+                for n in cfg.n_grid]
+    return [_run_cell(cfg, model, identifiable, rep, i) for i in range(len(cfg.n_grid))]
+
+
+def _run_cell(cfg: ExperimentConfig, model: GaussianSem, identifiable: bool, rep: int,
+              n_index: int) -> Cell:
+    n = cfg.n_grid[n_index]
+    data = sample(model, n, derive_seed(cfg.seed, rep, 1 + n_index))
+    lcfg = LearnConfig(alpha=cfg.alpha, parent_test_mode=cfg.parent_test_mode)
+    start = time.perf_counter()
+    try:
         result = learn(data, lcfg)
     except ToolkitError as exc:
         return Cell(n, rep, math.nan, math.nan, time.perf_counter() - start,
@@ -166,9 +180,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run every (replication, n) cell; learner failures are recorded, not raised."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    tasks = [(rep, i) for rep in range(cfg.replications) for i in range(len(cfg.n_grid))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(pool.map(lambda t: _run_cell(cfg, *t), tasks))
+        runs = pool.map(lambda rep: _run_replication(cfg, rep), range(cfg.replications))
+        cells = [cell for run in runs for cell in run]
     cells.sort(key=lambda c: (c.n, c.rep))
     return ExperimentReport(cfg, tuple(cells), aggregate(cfg, cells))
 

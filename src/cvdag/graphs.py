@@ -75,6 +75,27 @@ class Dag:
         return _Index(None if order is None else tuple(order),
                       tuple(map(tuple, parents)), tuple(map(tuple, children)))
 
+    # like _index, built on first use and shared read-only
+    @cached_property
+    def _ordering(self) -> Ordering:
+        return Ordering(self._index.topo)
+
+    @cached_property
+    def _descendant_mask(self) -> np.ndarray:
+        # one pass in reverse topological order unions {c} and row c over the
+        # children c of j, on int bitsets unpacked into the matrix at the end
+        topo, _, children = self._index
+        bits = [0] * self.p
+        for j in reversed(topo):
+            for c in children[j]:
+                bits[j] |= bits[c] | (1 << c)
+        width = (self.p + 7) // 8
+        raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+        mask = np.unpackbits(raw.reshape(self.p, width), axis=1, count=self.p,
+                             bitorder="little").view(bool)
+        mask.flags.writeable = False
+        return mask
+
     def parents(self, j: int) -> frozenset[int]:
         return frozenset(self._index.parents[j])
 
@@ -168,8 +189,9 @@ def _kahn(parents, children) -> list[int] | None:
 
 
 def topological_order(g: Dag) -> Ordering:
-    """Parents-before-children ordering, ties broken by smallest node index."""
-    return Ordering(g._index.topo)
+    """Parents-before-children ordering, ties broken by smallest node index;
+    built once per graph."""
+    return g._ordering
 
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
@@ -188,18 +210,10 @@ def descendants(g: Dag, j: int) -> frozenset[int]:
 
 
 def descendant_mask(g: Dag) -> np.ndarray:
-    """Boolean p x p matrix whose row j marks ``descendants(g, j)``: one pass in
-    reverse topological order unions {c} and row c over the children c of j,
-    on int bitsets that are unpacked into the matrix at the end.
-    """
-    topo, _, children = g._index
-    bits = [0] * g.p
-    for j in reversed(topo):
-        for c in children[j]:
-            bits[j] |= bits[c] | (1 << c)
-    width = (g.p + 7) // 8
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
-    return np.unpackbits(raw.reshape(g.p, width), axis=1, count=g.p, bitorder="little").view(bool)
+    """Read-only boolean p x p matrix whose row j marks ``descendants(g, j)``;
+    built once per graph, in one pass over the nodes in reverse topological
+    order."""
+    return g._descendant_mask
 
 
 def is_consistent(ordering: Ordering, g: Dag) -> bool:

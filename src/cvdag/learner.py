@@ -383,13 +383,22 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     below the tolerance: on ill-conditioned covariances it silently returns
     extra edges (on random models of either protocol, on 10 of 120 at p=20
     and on all 120 at p=40), and a covariance with no Cholesky factor raises.
-    Costs O(p^3).
+    A non-square or non-finite covariance raises ValidationError, the latter
+    naming the first non-finite entry in row-major order; one whose entries
+    differ from their transpose by more than 1e-8 max(1, max |cov|) raises
+    NumericalDegeneracyError. Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
+    finite = np.isfinite(cov)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(
+            f"covariance must be finite: entry (i={i}, j={j}) is {float(cov[i, j])}"
+        )
+    if np.abs(cov - cov.T).max() > 1e-8 * max(1.0, np.abs(cov).max()):
         raise NumericalDegeneracyError("covariance is not symmetric")
     try:
         low = _cholesky(cov)

@@ -4,6 +4,11 @@ text serialization format.
 
 A model is X = B0 + B X + eps with independent eps_j ~ N(0, sigma2_j); entry
 B[j, k] is the weight of edge k -> j and its nonzero pattern must be acyclic.
+
+A model is immutable, so its derived algebra is computed once, on first use,
+and shared read-only: the total effects A = (I - B)^-1 serve
+`population_covariance` and `check_identifiability` under both scopes, and the
+graph's topological order and descendant mask serve the checks and `sample`.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Literal
 
@@ -97,6 +103,14 @@ class GaussianSem:
     def dag(self) -> Dag:
         return self._dag
 
+    @cached_property
+    def _effects(self) -> np.ndarray:
+        # _total_effects is looked up in the module on each build, so a patched
+        # one is what gets cached; nothing is cached when it raises
+        a = _total_effects(self)
+        a.flags.writeable = False
+        return a
+
 
 @dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
@@ -115,6 +129,7 @@ def _total_effects(m: GaussianSem) -> np.ndarray:
     so each entry sums the path products into k and structural zeros stay
     exact. Raises NumericalDegeneracyError naming the first (k, i), in that
     order, whose variance contribution sigma_i A[k, i]^2 is not finite.
+    Readers take it from ``GaussianSem._effects``, which builds it once per model.
     """
     a = np.zeros((m.p, m.p))
     order = topological_order(m.dag)
@@ -134,7 +149,7 @@ def _total_effects(m: GaussianSem) -> np.ndarray:
 
 def population_covariance(m: GaussianSem) -> np.ndarray:
     """Exact covariance (I - B)^-1 Sigma_eps (I - B)^-T of the model."""
-    a = _total_effects(m)
+    a = m._effects
     cov = (a * m.sigma2) @ a.T
     return (cov + cov.T) / 2.0
 
@@ -177,13 +192,16 @@ def check_identifiability(
     law-of-total-variance form sigma_k^2 + Var(E(X_k | parents) | prefix), the
     same sum over the rows of B A; a disagreement beyond float64 rounding, or
     a NaN, raises NumericalDegeneracyError naming the first failing row. Rows
-    run over j in pi order, then k in pi order ("later") or by node index.
+    run over j in pi order, then k in pi order ("later") or by node index. Any
+    other scope raises ValidationError.
     """
+    if scope not in ("descendants", "later"):
+        raise ValidationError(f"unknown scope {scope!r}: use 'descendants' or 'later'")
     if pi is None:
         pi = topological_order(m.dag)
     elif not is_consistent(pi, m.dag):
         raise ValidationError("ordering is not consistent with the model's graph")
-    a = _total_effects(m)
+    a = m._effects
     cols = np.asarray(list(pi))
     s2 = m.sigma2[cols]
     # cond[k, pos] = Var(X_k | X_pi[:pos]); positive terms, so nothing cancels

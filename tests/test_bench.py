@@ -121,6 +121,40 @@ class TestRunExperiment:
         assert cell.failed and "stand-in" in cell.error
         assert math.isnan(cell.hamming_dag)
 
+    def test_model_built_and_checked_once_per_replication(self, monkeypatch):
+        built, checked = [], []
+
+        def build(cfg, rep):
+            built.append(rep)
+            return sem_for(cfg, rep)
+
+        def check(model, *args, **kwargs):
+            checked.append(model)
+            return check_for(model, *args, **kwargs)
+
+        sem_for, check_for = bench._protocol_sem, bench.check_identifiability
+        monkeypatch.setattr(bench, "_protocol_sem", build)
+        monkeypatch.setattr(bench, "check_identifiability", check)
+        cfg = bench.ExperimentConfig(protocol="heterogeneous", p=5, n_grid=(50, 100, 200),
+                                     replications=3, seed=2)
+        report = bench.run_experiment(cfg, workers=2)
+        assert sorted(built) == [0, 1, 2]
+        assert len(checked) == 3
+        assert len(report.cells) == 9 and not any(c.failed for c in report.cells)
+
+    def test_failed_check_fails_every_cell_of_the_replication(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("identifiability check: stand-in failure")
+
+        monkeypatch.setattr(bench, "check_identifiability", degenerate)
+        cfg = bench.ExperimentConfig(protocol="homogeneous", p=4, n_grid=(50, 100, 200),
+                                     replications=2, seed=1)
+        cells = bench.run_experiment(cfg).cells
+        assert [(c.n, c.rep) for c in cells] == [(n, r) for n in cfg.n_grid for r in range(2)]
+        for c in cells:
+            assert c.failed and not c.identifiable and math.isnan(c.hamming_dag)
+            assert c.error == "identifiability check: stand-in failure"
+
     def test_metrics_match_direct_recomputation(self):
         report = bench.run_experiment(TINY)
         truth = nonfaithful_chain().dag

@@ -143,6 +143,31 @@ class TestOracle:
         with pytest.raises(NumericalDegeneracyError):
             learn_from_covariance(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad, where", [
+        ([[1.0, math.inf], [math.inf, 1.0]], (0, 1)),
+        ([[1.0, 0.0], [math.nan, 1.0]], (1, 0)),
+        ([[1.0, 0.0, 0.0], [0.0, -math.inf, math.nan], [0.0, math.nan, 1.0]], (1, 1)),
+    ])
+    def test_non_finite_rejected_naming_the_entry(self, bad, where):
+        cov = np.array(bad)
+        i, j = where
+        with pytest.raises(ValidationError,
+                           match=rf"^covariance must be finite: entry \(i={i}, j={j}\) is "):
+            learn_from_covariance(cov)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_symmetry_gate_boundary(self, scale):
+        # an asymmetry of exactly 1e-8 max(1, max |cov|) passes, one ulp more fails
+        tol = 1e-8 * max(1.0, scale)
+        for gap, ok in ((tol, True), (np.nextafter(tol, 1.0), False)):
+            cov = np.array([[scale, 0.0], [gap, scale]])
+            assert np.allclose(cov, cov.T, rtol=0.0, atol=tol) == ok
+            if ok:
+                learn_from_covariance(cov)
+            else:
+                with pytest.raises(NumericalDegeneracyError, match="not symmetric"):
+                    learn_from_covariance(cov)
+
 
 class TestEstimateOrdering:
     def test_chain_sample(self):

@@ -123,6 +123,85 @@ class TestTotalEffects:
                 call(m)
 
 
+
+def _reordered(m):
+    """A consistent ordering other than the default: the reverse of a
+    topological order of the reversed graph."""
+    flipped = Dag(m.p, frozenset((b, a) for a, b in m.dag.edges))
+    return Ordering(topological_order(flipped).order[::-1])
+
+
+def _derived_bytes(m, consumer, pi):
+    if consumer == "covariance":
+        return population_covariance(m).tobytes()
+    if consumer == "sample":
+        return sample(m, 30, 7).data.tobytes()
+    scope, given_pi = consumer
+    report = check_identifiability(m, pi if given_pi else None, scope=scope)
+    return report.margins.tobytes(), report.satisfied, report.worst_margin
+
+
+_CONSUMERS = ["covariance", ("descendants", False), ("later", False),
+              ("descendants", True), ("later", True), "sample"]
+
+
+class TestDerivedAlgebraPerModel:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("p", [2, 10, 40, 80])
+    def test_reused_model_gives_the_bytes_of_fresh_ones(self, p, protocol, reverse):
+        m = random_sem(p, protocol, derive_seed(1901, p, 3))
+        pi = _reordered(m)
+        consumers = _CONSUMERS[::-1] if reverse else _CONSUMERS
+        reused = [_derived_bytes(m, c, pi) for c in consumers]
+        fresh = [_derived_bytes(GaussianSem(B=m.B, sigma2=m.sigma2), c, pi)
+                 for c in consumers]
+        assert reused == fresh
+
+    def test_total_effects_built_once_per_model(self, monkeypatch):
+        built = []
+        exact = sem._total_effects
+
+        def counting(m):
+            built.append(m)
+            return exact(m)
+
+        monkeypatch.setattr(sem, "_total_effects", counting)
+        models = [random_sem(10, "heterogeneous", seed) for seed in range(2)]
+        for m in models:
+            for consumer in _CONSUMERS:
+                _derived_bytes(m, consumer, _reordered(m))
+        assert built == models
+
+    def test_overflow_raises_on_every_call(self, monkeypatch):
+        calls = []
+        exact = sem._total_effects
+
+        def counting(m):
+            calls.append(m)
+            return exact(m)
+
+        monkeypatch.setattr(sem, "_total_effects", counting)
+        m = pure_chain(1e200, 1e200, 1.0, 1.0, 1.0)
+        for call in (population_covariance, check_identifiability) * 2:
+            with pytest.raises(NumericalDegeneracyError,
+                               match=r"^total effects: .* at \(k=1, i=0\)$"):
+                call(m)
+        assert len(calls) == 4
+
+    def test_shared_arrays_are_read_only(self):
+        m = random_sem(10, "homogeneous", 4)
+        check_identifiability(m)
+        mask = sem.descendant_mask(m.dag)
+        for shared in (m._effects, mask):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = shared[0, 0]
+        assert topological_order(m.dag) is topological_order(m.dag)
+        assert sem.descendant_mask(m.dag) is mask
+        # the covariance is still the caller's own array
+        assert population_covariance(m).flags.writeable
+
 class TestPopulationCovariance:
     def test_empty_graph_identity(self):
         m = GaussianSem(B=np.zeros((2, 2)), sigma2=np.ones(2))
@@ -382,6 +461,11 @@ class TestCheckIdentifiability:
         rhs = {(g.j, g.k): g.rhs for g in report.margins}
         assert rhs[(1, 2)] == 1.0
         assert not report.satisfied
+
+    @pytest.mark.parametrize("scope", ["Later", "descendant", "", None])
+    def test_unknown_scope_rejected(self, scope):
+        with pytest.raises(ValidationError, match="unknown scope"):
+            check_identifiability(nonfaithful_chain(), scope=scope)
 
     def test_homogeneous_later_scope_tie_is_not_satisfied(self):
         m = random_sem(10, "homogeneous", derive_seed(1901, 10, 6))
