@@ -15,24 +15,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
 from .errors import ReportIOError, ToolkitError, ValidationError
 from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
-from .learner import LearnConfig, learn
+from .learner import PARENT_TEST_MODES, LearnConfig, learn
 from .sem import (
+    PROTOCOLS,
     GaussianSem,
     _is_int,
     check_identifiability,
     derive_seed,
-    nonfaithful_chain,
-    random_sem,
+    protocol_sem,
     sample,
 )
-
-BenchProtocol = Literal["homogeneous", "heterogeneous", "nonfaithful"]
 
 # Desk-scale defaults: minutes on one core, not the hours of a full-size run.
 DEFAULT_N_GRID = (100, 400, 700, 1000)
@@ -41,7 +38,7 @@ DEFAULT_REPLICATIONS = 20
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    protocol: BenchProtocol = "homogeneous"
+    protocol: str = "homogeneous"
     p: int = 10
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     replications: int = DEFAULT_REPLICATIONS
@@ -53,7 +50,7 @@ class ExperimentConfig:
         problems = []
         if not isinstance(self.protocol, str):
             problems.append(f"protocol must be a string, got {self.protocol!r}")
-        elif self.protocol not in ("homogeneous", "heterogeneous", "nonfaithful"):
+        elif self.protocol not in PROTOCOLS:
             problems.append(f"unknown protocol {self.protocol!r}")
         if not _is_int(self.p):
             problems.append(f"p must be an integer, got {self.p!r}")
@@ -81,7 +78,7 @@ class ExperimentConfig:
             problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
         if not isinstance(self.parent_test_mode, str):
             problems.append(f"parent_test_mode must be a string, got {self.parent_test_mode!r}")
-        elif self.parent_test_mode not in ("conditional", "marginal"):
+        elif self.parent_test_mode not in PARENT_TEST_MODES:
             problems.append(f"unknown parent_test_mode {self.parent_test_mode!r}")
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
@@ -117,18 +114,12 @@ class ExperimentReport:
     aggregates: tuple[AggregateRow, ...] = field(default=())
 
 
-def _protocol_sem(cfg: ExperimentConfig, rep: int) -> GaussianSem:
-    if cfg.protocol == "nonfaithful":
-        return nonfaithful_chain()
-    return random_sem(cfg.p, cfg.protocol, derive_seed(cfg.seed, rep, 0))
-
-
 def _run_replication(cfg: ExperimentConfig, rep: int) -> list[Cell]:
     """The replication's cells, one per n, on one model checked once.
 
     A failed check fails every cell with its error and its wall time.
     """
-    model = _protocol_sem(cfg, rep)
+    model = protocol_sem(cfg.protocol, cfg.p, derive_seed(cfg.seed, rep, 0))
     start = time.perf_counter()
     try:
         identifiable = check_identifiability(model).satisfied

@@ -21,18 +21,17 @@ from . import bench as bench_mod
 from .datasets import format_dataset, load_marks, parse_dataset
 from .errors import DataFormatError, ReportIOError, ToolkitError, ValidationError
 from .graphs import dag_to_cpdag, format_graph, read_dag
-from .learner import LearnConfig, LearnResult, learn
+from .learner import PARENT_TEST_MODES, LearnConfig, LearnResult, learn
 from .sem import (
+    PROTOCOLS,
+    SCOPES,
     check_identifiability,
     derive_seed,
     format_sem,
-    nonfaithful_chain,
-    random_sem,
+    protocol_sem,
     read_sem,
     sample,
 )
-
-PROTOCOLS = ("homogeneous", "heterogeneous", "nonfaithful")
 
 
 class _UsageError(ValidationError):
@@ -78,7 +77,7 @@ def build_parser() -> _Parser:
                                  "for the bundled examination-marks fixture")
     p.add_argument("--alpha", type=float, default=0.01,
                    help="significance level of the parent tests (default 0.01)")
-    p.add_argument("--parent-test", choices=("conditional", "marginal"),
+    p.add_argument("--parent-test", choices=PARENT_TEST_MODES,
                    default="conditional", dest="parent_test",
                    help="conditioning mode of the parent tests")
     add_common(p)
@@ -98,7 +97,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="check the identifiability condition of a model")
     p.add_argument("sem", help="model file")
-    p.add_argument("--scope", choices=("descendants", "later"), default="descendants",
+    p.add_argument("--scope", choices=SCOPES, default="descendants",
                    help="compare each node against its descendants (default) or "
                         "against every later node of the ordering")
     add_common(p)
@@ -171,10 +170,7 @@ def cmd_simulate(args) -> int:
         model = _read(Path(args.sem), read_sem)
         stem = Path(args.sem).stem
     else:
-        if args.protocol == "nonfaithful":
-            model = nonfaithful_chain()
-        else:
-            model = random_sem(args.p, args.protocol, derive_seed(args.seed, 0))
+        model = protocol_sem(args.protocol, args.p, derive_seed(args.seed, 0))
         stem = f"{args.protocol}_p{model.p}"
     report = check_identifiability(model)
     _summarize_check(report, args.verbose)

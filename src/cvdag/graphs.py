@@ -4,6 +4,8 @@ Nodes are integers 0..p-1. A directed edge is the ordered pair (parent, child);
 undirected edges are stored canonically as (low, high). A DAG is converted to
 its CPDAG by Chickering's edge labeling (UAI 1995) in one pass over the nodes
 in topological order, O(p + |E|·max in-degree); no orientation rules are run.
+The distance between two CPDAGs counts the node pairs whose marks differ,
+a mark being a directed edge or an undirected edge tagged "u".
 """
 
 from __future__ import annotations
@@ -13,11 +15,20 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
+
+
+def _check_edges(p: int, edges) -> None:
+    """Reject a self-loop or an edge with an end outside 0..p-1."""
+    for a, b in edges:
+        if a == b:
+            raise ValidationError(f"self-loop at node {a}")
+        if not (0 <= a < p and 0 <= b < p):
+            raise ValidationError(f"edge ({a},{b}) out of range for p={p}")
 
 
 class _Index(NamedTuple):
@@ -39,11 +50,7 @@ class Dag:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
-        for a, b in self.edges:
-            if a == b:
-                raise ValidationError(f"self-loop at node {a}")
-            if not (0 <= a < self.p and 0 <= b < self.p):
-                raise ValidationError(f"edge ({a},{b}) out of range for p={self.p}")
+        _check_edges(self.p, self.edges)
         if self._index.topo is None:
             raise ValidationError("edge set contains a directed cycle")
 
@@ -141,11 +148,7 @@ class Cpdag:
         undirected = frozenset(
             (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.undirected
         )
-        for a, b in directed | undirected:
-            if a == b:
-                raise ValidationError(f"self-loop at node {a}")
-            if not (0 <= a < self.p and 0 <= b < self.p):
-                raise ValidationError(f"edge ({a},{b}) out of range for p={self.p}")
+        _check_edges(self.p, directed | undirected)
         dir_pairs = {(min(a, b), max(a, b)) for a, b in directed}
         if dir_pairs & undirected:
             raise ValidationError("a pair appears both directed and undirected")
@@ -216,10 +219,13 @@ def descendant_mask(g: Dag) -> np.ndarray:
     return g._descendant_mask
 
 
-def is_consistent(ordering: Ordering, g: Dag) -> bool:
-    """True iff every edge points from earlier to later in the ordering."""
+def is_consistent(ordering: Sequence[int], g: Dag) -> bool:
+    """True iff every edge points from earlier to later in the ordering; after
+    the length check, one that is not a permutation raises ValidationError."""
     if len(ordering) != g.p:
         raise ValidationError(f"ordering of length {len(ordering)} for p={g.p}")
+    if not isinstance(ordering, Ordering):
+        ordering = Ordering(ordering)
     pos = {j: i for i, j in enumerate(ordering)}
     return all(pos[a] < pos[b] for a, b in g.edges)
 
@@ -285,23 +291,14 @@ def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> in
     return diff
 
 
-def _pair_kind(c: Cpdag, pair: tuple[int, int]) -> str:
-    a, b = pair
-    if pair in c.undirected:
-        return "undirected"
-    if (a, b) in c.directed:
-        return "forward"
-    if (b, a) in c.directed:
-        return "backward"
-    return "absent"
-
-
 def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
-    """Count pairs whose orientation kind (absent/undirected/direction) differs."""
+    """Count pairs whose orientation kind (absent/undirected/direction) differs:
+    the distinct pairs in the symmetric difference of the two graphs' marks, the
+    directed edges plus (a, b, "u") for each undirected edge."""
     if c_true.p != c_est.p:
         raise ValidationError(f"node counts differ: {c_true.p} vs {c_est.p}")
-    pairs = c_true.skeleton() | c_est.skeleton()
-    return sum(1 for pair in pairs if _pair_kind(c_true, pair) != _pair_kind(c_est, pair))
+    marks = [c.directed | {(a, b, "u") for a, b in c.undirected} for c in (c_true, c_est)]
+    return len({(min(a, b), max(a, b)) for a, b, *_ in marks[0] ^ marks[1]})
 
 
 # --- graph text format -------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .graphs import Dag, Ordering
 from .numerics import Dataset, _cholesky
 
 ParentTestMode = Literal["conditional", "marginal"]
+PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class LearnConfig:
             raise ValidationError(
                 f"oracle_tolerance must be positive and finite, got {self.oracle_tolerance}"
             )
-        if self.parent_test_mode not in ("conditional", "marginal"):
+        if self.parent_test_mode not in PARENT_TEST_MODES:
             raise ValidationError(f"unknown parent_test_mode {self.parent_test_mode!r}")
 
 
@@ -342,19 +343,20 @@ def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     return Ordering(order), StepLog(order, steps, data.n)
 
 
-def estimate_parents(data: Dataset, pi: Ordering, cfg: LearnConfig | None = None):
+def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None = None):
     """Parent sets along ``pi`` by Fisher z tests at cfg.alpha.
 
     Conditional mode tests each candidate given the remaining predecessors;
     marginal mode tests the pairwise correlation. Every r comes from one QR
     of the centered data in the order ``pi``, which needs n > p + 1 in both
     modes. Every decision is logged, so the log is a complete audit of the
-    returned edge set.
+    returned edge set. A ``pi`` that is not a permutation of the columns
+    raises ValidationError.
     """
     cfg = cfg or LearnConfig()
     if len(pi) != data.p:
         raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
-    order, r, _ = _factor(_centered(data, "parent tests need"), pi.order)
+    order, r, _ = _factor(_centered(data, "parent tests need"), Ordering(pi).order)
     return _fisher_parents(data, order, r, cfg)
 
 
@@ -383,15 +385,15 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     below the tolerance: on ill-conditioned covariances it silently returns
     extra edges (on random models of either protocol, on 10 of 120 at p=20
     and on all 120 at p=40), and a covariance with no Cholesky factor raises.
-    A non-square or non-finite covariance raises ValidationError, the latter
-    naming the first non-finite entry in row-major order; one whose entries
-    differ from their transpose by more than 1e-8 max(1, max |cov|) raises
-    NumericalDegeneracyError. Costs O(p^3).
+    A covariance that is not square with p >= 1, or not finite, raises
+    ValidationError naming its shape or its first non-finite entry in row-major
+    order; one whose entries differ from their transpose by more than
+    1e-8 max(1, max |cov|) raises NumericalDegeneracyError. Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError(f"covariance must be square, got shape {cov.shape}")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+        raise ValidationError(f"covariance must be square with p >= 1, got shape {cov.shape}")
     finite = np.isfinite(cov)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()

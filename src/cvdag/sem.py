@@ -1,6 +1,7 @@
 """Gaussian linear SEMs: population algebra, identifiability checks,
 random generators for the experiment protocols, seeded sampling, and the
-text serialization format.
+text serialization format. `protocol_sem` builds the model of any name in
+`PROTOCOLS`; `SCOPES` lists the scopes of `check_identifiability`.
 
 A model is X = B0 + B X + eps with independent eps_j ~ N(0, sigma2_j); entry
 B[j, k] is the weight of edge k -> j and its nonzero pattern must be acyclic.
@@ -18,15 +19,19 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Literal
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
-from .graphs import Dag, Ordering, descendant_mask, is_consistent, topological_order
+from .graphs import Dag, descendant_mask, is_consistent, topological_order
 from .numerics import Dataset, _check_condition_args, _cholesky
 
 Protocol = Literal["homogeneous", "heterogeneous"]
+PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
+
+Scope = Literal["descendants", "later"]
+SCOPES: tuple[str, ...] = get_args(Scope)
 
 # Relative tolerance for the internal law-of-total-variance self-check; dense
 # weighted graphs push covariance magnitudes up geometrically with p, so the
@@ -177,8 +182,8 @@ def _suffix_sums(w: np.ndarray) -> np.ndarray:
 
 def check_identifiability(
     m: GaussianSem,
-    pi: Ordering | None = None,
-    scope: Literal["descendants", "later"] = "descendants",
+    pi: Sequence[int] | None = None,
+    scope: Scope = "descendants",
 ) -> IdentifiabilityReport:
     """Check the conditional-variance ordering condition along ``pi``.
 
@@ -193,10 +198,11 @@ def check_identifiability(
     same sum over the rows of B A; a disagreement beyond float64 rounding, or
     a NaN, raises NumericalDegeneracyError naming the first failing row. Rows
     run over j in pi order, then k in pi order ("later") or by node index. Any
-    other scope raises ValidationError.
+    scope outside SCOPES, or a ``pi`` that is not a permutation of the nodes
+    (checked by :func:`is_consistent`), raises ValidationError.
     """
-    if scope not in ("descendants", "later"):
-        raise ValidationError(f"unknown scope {scope!r}: use 'descendants' or 'later'")
+    if scope not in SCOPES:
+        raise ValidationError(f"unknown scope {scope!r}: use {' or '.join(map(repr, SCOPES))}")
     if pi is None:
         pi = topological_order(m.dag)
     elif not is_consistent(pi, m.dag):
@@ -305,6 +311,13 @@ def nonfaithful_chain() -> GaussianSem:
     """
     b = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     return GaussianSem(B=b, sigma2=np.array([2.25, 1.5, 1.5]))
+
+
+def protocol_sem(protocol: str, p: int, seed: int) -> GaussianSem:
+    """``nonfaithful_chain()`` for "nonfaithful", else ``random_sem(p, protocol, seed)``."""
+    if protocol == "nonfaithful":
+        return nonfaithful_chain()
+    return random_sem(p, protocol, seed)
 
 
 # --- SEM text format ---------------------------------------------------------

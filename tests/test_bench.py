@@ -6,7 +6,7 @@ import pytest
 import cvdag.bench as bench
 from cvdag.errors import NumericalDegeneracyError, ToolkitError, ValidationError
 from cvdag.graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
-from cvdag.sem import nonfaithful_chain
+from cvdag.sem import derive_seed, nonfaithful_chain
 
 TINY = bench.ExperimentConfig(
     protocol="nonfaithful", p=3, n_grid=(50, 100), replications=4, seed=11
@@ -124,21 +124,21 @@ class TestRunExperiment:
     def test_model_built_and_checked_once_per_replication(self, monkeypatch):
         built, checked = [], []
 
-        def build(cfg, rep):
-            built.append(rep)
-            return sem_for(cfg, rep)
+        def build(protocol, p, seed):
+            built.append(seed)
+            return sem_for(protocol, p, seed)
 
         def check(model, *args, **kwargs):
             checked.append(model)
             return check_for(model, *args, **kwargs)
 
-        sem_for, check_for = bench._protocol_sem, bench.check_identifiability
-        monkeypatch.setattr(bench, "_protocol_sem", build)
+        sem_for, check_for = bench.protocol_sem, bench.check_identifiability
+        monkeypatch.setattr(bench, "protocol_sem", build)
         monkeypatch.setattr(bench, "check_identifiability", check)
         cfg = bench.ExperimentConfig(protocol="heterogeneous", p=5, n_grid=(50, 100, 200),
                                      replications=3, seed=2)
         report = bench.run_experiment(cfg, workers=2)
-        assert sorted(built) == [0, 1, 2]
+        assert sorted(built) == sorted(derive_seed(2, rep, 0) for rep in range(3))
         assert len(checked) == 3
         assert len(report.cells) == 9 and not any(c.failed for c in report.cells)
 

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+import cvdag.learner as learner
 import cvdag.sem as sem
-from cvdag.cli import main
+from cvdag.cli import build_parser, main
 from cvdag.datasets import read_dataset
 from cvdag.graphs import read_cpdag, read_dag, write_graph, Dag
 from cvdag.sem import nonfaithful_chain, write_sem, GaussianSem
@@ -397,6 +399,21 @@ class TestFileErrors:
 
 
 class TestContract:
+    def test_choices_are_the_library_names(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+
+        def choices(command, dest):
+            (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+            return action.choices
+
+        assert choices("simulate", "protocol") == sem.PROTOCOLS
+        assert choices("learn", "parent_test") == learner.PARENT_TEST_MODES
+        assert choices("check", "scope") == sem.SCOPES
+        assert sem.PROTOCOLS == ("homogeneous", "heterogeneous", "nonfaithful")
+        assert learner.PARENT_TEST_MODES == ("conditional", "marginal")
+        assert sem.SCOPES == ("descendants", "later")
+
     def test_unknown_flag_is_validation_error(self, tmp_path, capsys):
         assert run("learn", "marks", "--nonsense", "-o", tmp_path) == 1
         assert "error" in capsys.readouterr().err

@@ -230,6 +230,19 @@ class TestIsConsistent:
         with pytest.raises(ValidationError):
             Ordering((0, 0, 2))
 
+    def test_plain_permutation(self):
+        assert is_consistent((0, 1, 2), CHAIN)
+        assert not is_consistent([2, 1, 0], CHAIN)
+
+    @pytest.mark.parametrize("order", [(0, 0, 2), [0, 1, 5]])
+    def test_non_permutation_rejected(self, order):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            is_consistent(order, CHAIN)
+
+    def test_length_checked_first(self):
+        with pytest.raises(ValidationError, match="ordering of length 2 for p=3"):
+            is_consistent((0, 0), CHAIN)
+
 
 class TestDagToCpdag:
     def test_chain_fully_undirected(self):
@@ -335,7 +348,77 @@ class TestHammingDag:
         assert hamming_dag(a, c) <= hamming_dag(a, b) + hamming_dag(b, c)
 
 
+class TestCpdagBasics:
+    @pytest.mark.parametrize("edge, message", [
+        ((1, 1), "self-loop at node 1"),
+        ((2, 3), r"edge \(2,3\) out of range for p=3"),
+        ((-1, 0), r"edge \(-1,0\) out of range for p=3"),
+    ])
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_edges_checked_like_a_dag(self, edge, message, undirected):
+        marks = (frozenset(), frozenset({edge})) if undirected else (frozenset({edge}),)
+        with pytest.raises(ValidationError, match=message):
+            Cpdag(3, *marks)
+
+
+KINDS = ("absent", "forward", "backward", "undirected")
+
+
+def pair_kind(c: Cpdag, pair: tuple[int, int]) -> str:
+    """Reference classification of a (low, high) pair, one set lookup at a time."""
+    a, b = pair
+    if pair in c.undirected:
+        return "undirected"
+    if (a, b) in c.directed:
+        return "forward"
+    if (b, a) in c.directed:
+        return "backward"
+    return "absent"
+
+
+def hamming_cpdag_by_pairs(c_true: Cpdag, c_est: Cpdag) -> int:
+    pairs = c_true.skeleton() | c_est.skeleton()
+    return sum(1 for pair in pairs if pair_kind(c_true, pair) != pair_kind(c_est, pair))
+
+
+def cpdag_from_kinds(p: int, kinds: dict) -> Cpdag:
+    directed = {(a, b) if kind == "forward" else (b, a)
+                for (a, b), kind in kinds.items() if kind in ("forward", "backward")}
+    undirected = {pair for pair, kind in kinds.items() if kind == "undirected"}
+    return Cpdag(p, frozenset(directed), frozenset(undirected))
+
+
+def random_cpdag_pair(seed: int) -> tuple[Cpdag, Cpdag]:
+    """An equivalence class and, by seed mod 3, a second class, an arbitrary
+    Cpdag, or the first one with some pairs re-marked (reversed, undirected,
+    directed, added or dropped)."""
+    rng = np.random.default_rng(seed)
+    p = 2 + seed % 11
+    first = dag_to_cpdag(random_dag(rng, p, rng.uniform(0.1, 0.7)))
+    pairs = list(itertools.combinations(range(p), 2))
+    if seed % 3 == 0:
+        return first, dag_to_cpdag(random_dag(rng, p, rng.uniform(0.1, 0.7)))
+    if seed % 3 == 1:
+        return first, cpdag_from_kinds(p, {pair: KINDS[rng.integers(4)] for pair in pairs})
+    kinds = {pair: pair_kind(first, pair) for pair in pairs}
+    for pair in pairs:
+        if rng.random() < 0.3:
+            kinds[pair] = KINDS[rng.integers(4)]
+    return first, cpdag_from_kinds(p, kinds)
+
+
 class TestHammingCpdag:
+    def test_matches_per_pair_reference(self):
+        kinds_seen = set()
+        for seed in range(2400):
+            a, b = random_cpdag_pair(seed)
+            expected = hamming_cpdag_by_pairs(a, b)
+            assert hamming_cpdag(a, b) == hamming_cpdag(b, a) == expected, seed
+            kinds_seen |= {(pair_kind(a, pair), pair_kind(b, pair))
+                           for pair in a.skeleton() | b.skeleton()}
+        # every combination of kinds met on some pair (absent twice is no pair)
+        assert kinds_seen == set(itertools.product(KINDS, KINDS)) - {("absent", "absent")}
+
     def test_identical(self):
         cp = dag_to_cpdag(DIAMOND)
         assert hamming_cpdag(cp, cp) == 0

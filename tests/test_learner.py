@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,13 @@ class TestOracle:
                            match=rf"^covariance must be finite: entry \(i={i}, j={j}\) is "):
             learn_from_covariance(cov)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
+    def test_shape_gate_names_the_shape(self, shape):
+        with pytest.raises(ValidationError,
+                           match=rf"^covariance must be square with p >= 1, got shape "
+                                 rf"{re.escape(str(shape))}$"):
+            learn_from_covariance(np.zeros(shape))
+
     @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
     def test_symmetry_gate_boundary(self, scale):
         # an asymmetry of exactly 1e-8 max(1, max |cov|) passes, one ulp more fails
@@ -248,6 +256,19 @@ class TestEstimateParents:
         data = dataset(np.random.default_rng(0).normal(size=(30, 3)))
         with pytest.raises(ValidationError):
             estimate_parents(data, Ordering((0, 1)))
+
+    def test_plain_permutation_is_an_ordering(self):
+        data = sample(random_sem(5, "heterogeneous", seed=21), 600, seed=22)
+        pi = (3, 0, 4, 1, 2)
+        dag, log = estimate_parents(data, pi)
+        assert (dag, log) == estimate_parents(data, Ordering(pi))
+        assert log.order == pi
+
+    @pytest.mark.parametrize("pi", [(0, 0, 2), [0, 1, 5]])
+    def test_non_permutation_rejected(self, pi):
+        data = dataset(np.random.default_rng(0).normal(size=(30, 3)))
+        with pytest.raises(ValidationError, match="not a permutation"):
+            estimate_parents(data, pi)
 
 
 class TestLearn:

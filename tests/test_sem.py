@@ -323,6 +323,19 @@ class TestCheckIdentifiability:
         with pytest.raises(ValidationError):
             check_identifiability(nonfaithful_chain(), Ordering((2, 1, 0)))
 
+    def test_plain_permutation_is_an_ordering(self):
+        m = random_sem(6, "heterogeneous", seed=4)
+        pi = topological_order(m.dag)
+        for scope in sem.SCOPES:
+            given = check_identifiability(m, tuple(pi), scope=scope)
+            assert given.margins.tobytes() == check_identifiability(
+                m, pi, scope=scope).margins.tobytes()
+
+    @pytest.mark.parametrize("pi", [(0, 0, 2), [0, 1, 5]])
+    def test_non_permutation_rejected(self, pi):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            check_identifiability(nonfaithful_chain(), pi)
+
     def test_node_itself_never_compared(self):
         report = check_identifiability(nonfaithful_chain())
         assert all(g.j != g.k for g in report.margins)
@@ -653,6 +666,19 @@ class TestNonfaithfulChain:
 
     def test_identifiable_despite_that(self):
         assert check_identifiability(nonfaithful_chain(), Ordering((0, 1, 2))).satisfied
+
+
+class TestProtocolSem:
+    @pytest.mark.parametrize("protocol", sem.PROTOCOLS)
+    def test_builds_the_protocol_model(self, protocol):
+        m = sem.protocol_sem(protocol, 7, 31)
+        ref = (nonfaithful_chain() if protocol == "nonfaithful"
+               else random_sem(7, protocol, 31))
+        assert format_sem(m) == format_sem(ref)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValidationError, match="unknown protocol 'nope'"):
+            sem.protocol_sem("nope", 7, 31)
 
 
 class TestSemFiles:
