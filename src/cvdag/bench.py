@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ReportIOError, ToolkitError, ValidationError
-from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
+from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import PARENT_TEST_MODES, LearnConfig, learn
 from .sem import (
     PROTOCOLS,
     GaussianSem,
-    _is_int,
     check_identifiability,
     derive_seed,
     protocol_sem,

@@ -4,14 +4,18 @@ Nodes are integers 0..p-1. A directed edge is the ordered pair (parent, child);
 undirected edges are stored canonically as (low, high). A DAG is converted to
 its CPDAG by Chickering's edge labeling (UAI 1995) in one pass over the nodes
 in topological order, O(p + |E|·max in-degree); no orientation rules are run.
-The distance between two CPDAGs counts the node pairs whose marks differ,
-a mark being a directed edge or an undirected edge tagged "u".
+The distance between two DAGs counts the entries where their read-only p x p
+adjacency masks differ; the distance between two CPDAGs counts the node pairs
+whose marks differ, a mark being a directed edge or an undirected edge tagged
+"u". A node count and every node id must be an integer (numpy integers count,
+bools do not); anything else raises ValidationError naming the value.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -20,6 +24,41 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
+
+
+def _is_int(x) -> bool:
+    """True for an int or numpy integer, False for a bool or anything else."""
+    # the type test first: an isinstance check against the ABC costs ten times as much
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def _node(x) -> int:
+    """``x`` as a node id: an int, or ValidationError naming the value."""
+    if not _is_int(x):
+        raise ValidationError(f"node id must be an integer, got {x!r}")
+    return int(x)
+
+
+def _nodes(ids) -> tuple[int, ...]:
+    """``ids`` as a tuple of node ids, each checked by :func:`_node`."""
+    ids = tuple(ids)
+    # plain ints, the common case, are checked at C speed
+    return ids if set(map(type, ids)) <= {int} else tuple(map(_node, ids))
+
+
+def _edges(edges) -> frozenset[tuple[int, int]]:
+    """``edges`` as a frozenset of (parent, child) node-id pairs."""
+    pairs = frozenset(map(tuple, edges))
+    if set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
+        return pairs
+    return frozenset((_node(a), _node(b)) for a, b in pairs)
+
+
+def _node_count(p) -> int:
+    """``p`` as a node count: an int >= 0, or ValidationError naming the value."""
+    if not (_is_int(p) and p >= 0):
+        raise ValidationError(f"node count must be a non-negative integer, got {p!r}")
+    return int(p)
 
 
 def _check_edges(p: int, edges) -> None:
@@ -49,21 +88,26 @@ class Dag:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
+        object.__setattr__(self, "p", _node_count(self.p))
+        object.__setattr__(self, "edges", _edges(self.edges))
         _check_edges(self.p, self.edges)
         if self._index.topo is None:
             raise ValidationError("edge set contains a directed cycle")
 
     @classmethod
-    def _trusted(cls, p: int, edges: frozenset[tuple[int, int]]) -> Dag:
+    def _trusted(cls, p: int, edges: frozenset[tuple[int, int]],
+                 adjacency: np.ndarray | None = None) -> Dag:
         """A Dag from int edges already known to be in range and acyclic.
 
         Skips the validation of ``__post_init__``; for graphs whose edges all
-        point forward along an ordering, such as a learned graph.
+        point forward along an ordering, such as a learned graph. A read-only
+        ``adjacency`` built from the same edges seeds ``_adjacency``.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "p", p)
         object.__setattr__(g, "edges", edges)
+        if adjacency is not None:
+            object.__setattr__(g, "_adjacency", adjacency)
         return g
 
     @cached_property
@@ -86,6 +130,16 @@ class Dag:
     @cached_property
     def _ordering(self) -> Ordering:
         return Ordering(self._index.topo)
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        # entry [parent, child] is True for each edge
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp,
+                           2 * len(self.edges))
+        adj = np.zeros((self.p, self.p), dtype=bool)
+        adj[ends[0::2], ends[1::2]] = True
+        adj.flags.writeable = False
+        return adj
 
     @cached_property
     def _descendant_mask(self) -> np.ndarray:
@@ -120,7 +174,7 @@ class Ordering:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(j) for j in self.order)
+        order = _nodes(self.order)
         if sorted(order) != list(range(len(order))):
             raise ValidationError(f"not a permutation of 0..{len(order) - 1}: {order}")
         object.__setattr__(self, "order", order)
@@ -144,10 +198,9 @@ class Cpdag:
     undirected: frozenset[tuple[int, int]] = field(default=frozenset())
 
     def __post_init__(self):
-        directed = frozenset((int(a), int(b)) for a, b in self.directed)
-        undirected = frozenset(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.undirected
-        )
+        object.__setattr__(self, "p", _node_count(self.p))
+        directed = _edges(self.directed)
+        undirected = frozenset((min(a, b), max(a, b)) for a, b in _edges(self.undirected))
         _check_edges(self.p, directed | undirected)
         dir_pairs = {(min(a, b), max(a, b)) for a, b in directed}
         if dir_pairs & undirected:
@@ -279,15 +332,18 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
     """Missing plus extra directed edges; a reversed edge costs 2 by default.
 
+    Counts the entries where the two graphs' adjacency masks differ.
     ``reversal_as_one`` switches to the common SHD variant where a reversal
-    counts once.
+    counts once: it subtracts the edges of ``g_true`` that ``g_est`` holds
+    reversed, the entries set in both the true mask and the estimate's
+    transpose.
     """
     if g_true.p != g_est.p:
         raise ValidationError(f"node counts differ: {g_true.p} vs {g_est.p}")
-    diff = len(g_true.edges - g_est.edges) + len(g_est.edges - g_true.edges)
+    a_true, a_est = g_true._adjacency, g_est._adjacency
+    diff = int(np.count_nonzero(a_true != a_est))
     if reversal_as_one:
-        reversed_pairs = sum(1 for a, b in g_true.edges if (b, a) in g_est.edges)
-        diff -= reversed_pairs
+        diff -= int(np.count_nonzero(a_true & a_est.T))
     return diff
 
 

@@ -219,7 +219,10 @@ def _factor(x: np.ndarray, order=None):
     the columns between up by one, so the argmin still breaks ties to the
     lower node (a swap would not). Column-major matters for the last bit:
     einsum and the reflector's matrix-vector product round differently on a
-    row-major block.
+    row-major block. Step m builds its Householder reflector in place, in
+    column m below the diagonal, and applies it as a column-major rank-1
+    update; the reflectors' tails are left there and the strict lower
+    triangle is zeroed once, after the loop.
 
     Returns (order, R with its columns in that order, and the RSS of every
     step back to back in one array, each step's unplaced nodes in node order:
@@ -247,15 +250,17 @@ def _factor(x: np.ndarray, order=None):
             col = w[:, m + i].copy()
             w[:, m + 1:m + i + 1] = w[:, m:m + i]
             w[:, m] = col
-        v = w[m:, m].copy()
+        # the reflector is built in column m itself, which no later step reads
+        v = w[m:, m]
         alpha = -math.copysign(math.sqrt(least), v.item(0))
         v[0] -= alpha
-        w[m, m] = alpha
-        w[m + 1:, m] = 0.0
         rest = w[m:, m + 1:]
         scale = v @ rest
         scale *= 2.0 / (v @ v)
-        rest -= v[:, None] * scale
+        rest -= np.multiply(v[:, None], scale, order="F")
+        w[m, m] = alpha
+    # the reflectors' tails are below the diagonal: zero them in one pass
+    w[_lower_pairs(p)] = 0.0
     return tuple(nodes), w, steps
 
 
@@ -267,6 +272,17 @@ def _lower_pairs(p: int):
     return rows, cols
 
 
+@lru_cache(maxsize=16)
+def _upper_flat(p: int):
+    """Flat row-major indices, read-only, of the transposes of the
+    :func:`_lower_pairs` entries, cols p + rows, and of the diagonal entry of
+    each pair's row, rows (p + 1)."""
+    rows, cols = _lower_pairs(p)
+    upper, diag = cols * p + rows, rows * (p + 1)
+    upper.flags.writeable = diag.flags.writeable = False
+    return upper, diag
+
+
 def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     """(m, e, r) over the strict lower triangle, positions e < m of the order.
 
@@ -274,32 +290,43 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     matrix. The three arrays run in :class:`TestLog` row order, p (p - 1) / 2
     long, with r clipped to [-1, 1]. Marginal mode normalizes R^T R.
     Conditional mode conditions on the other predecessors of ``later`` and
-    reads the precision of each leading block off T = (R^T)^-1:
-    r(e, m | rest) = -sign(T[m,m]) T[m,e] / |T[:m+1, e]|.
+    reads the precision of each leading block off U = R^-1:
+    r(e, m | rest) = -sign(U[m,m]) U[e,m] / |U[e, :m+1]|, every entry and
+    running row norm taken from U and the cumulative sum of U*U along its
+    rows by flat index.
     """
-    rows, cols = _lower_pairs(r.shape[0])
+    p = r.shape[0]
+    rows, cols = _lower_pairs(p)
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))
         corr = gram[rows, cols] / (scale[rows] * scale[cols])
     else:
-        # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
-        t = np.linalg.inv(r).T
-        norms = np.sqrt(np.cumsum(t * t, axis=0))
-        corr = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
-    return rows, cols, np.clip(corr, -1.0, 1.0)
+        # LU of an upper-triangular matrix swaps no rows, so U is exactly upper
+        u = np.linalg.inv(r)
+        upper, diag = _upper_flat(p)
+        norms = np.sqrt(np.cumsum(u * u, axis=1).take(upper))
+        corr = -np.sign(u.take(diag)) * u.take(upper) / norms
+    np.maximum(corr, -1.0, out=corr)
+    np.minimum(corr, 1.0, out=corr)
+    return rows, cols, corr
 
 
 def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
-    """(DAG, log) of the pairs whose statistic exceeds ``threshold``."""
+    """(DAG, log) of the pairs whose statistic exceeds ``threshold``; the DAG
+    comes with its adjacency mask, scattered from those pairs."""
     rows, cols, rho = pairs
     nodes = np.asarray(order, dtype=np.intp)
     dependent = statistic > threshold
     log = TestLog(tuple(order), mode, threshold, nodes[cols], nodes[rows], rho,
                   statistic, dependent)
-    edges = zip(log.earlier[dependent].tolist(), log.later[dependent].tolist())
+    parents, children = log.earlier[dependent], log.later[dependent]
+    adjacency = np.zeros((len(order), len(order)), dtype=bool)
+    adjacency[parents, children] = True
+    adjacency.flags.writeable = False
+    edges = frozenset(zip(parents.tolist(), children.tolist()))
     # every edge points forward along the ordering, so the graph is acyclic
-    return Dag._trusted(len(order), frozenset(edges)), log
+    return Dag._trusted(len(order), edges, adjacency), log
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
@@ -350,8 +377,8 @@ def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None =
     marginal mode tests the pairwise correlation. Every r comes from one QR
     of the centered data in the order ``pi``, which needs n > p + 1 in both
     modes. Every decision is logged, so the log is a complete audit of the
-    returned edge set. A ``pi`` that is not a permutation of the columns
-    raises ValidationError.
+    returned edge set. A ``pi`` that is not a permutation of the columns, or
+    holds an id that is not an integer, raises ValidationError.
     """
     cfg = cfg or LearnConfig()
     if len(pi) != data.p:

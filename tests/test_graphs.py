@@ -118,6 +118,84 @@ class TestDagBasics:
         assert [f.name for f in dataclasses.fields(Dag)] == ["p", "edges"]
 
 
+class TestNodeIds:
+    """Node counts and node ids must be integers; nothing is truncated."""
+
+    @pytest.mark.parametrize("order, bad", [((0.5, 1, 2), "0.5"), ((True, False), "True"),
+                                            (("0", "1", "2"), "'0'"), ((0, 1.0), "1.0")])
+    def test_ordering_rejects_non_integers(self, order, bad):
+        with pytest.raises(ValidationError, match=f"node id must be an integer, got {bad}$"):
+            Ordering(order)
+
+    def test_ordering_accepts_numpy_integers(self):
+        pi = Ordering(np.array([2, 0, 1], dtype=np.int32))
+        assert pi == Ordering((2, 0, 1)) and all(type(j) is int for j in pi)
+
+    @pytest.mark.parametrize("edges, bad", [({(0, 1.7)}, "1.7"), ({(True, 2)}, "True"),
+                                            ({("0", 1)}, "'0'")])
+    def test_dag_rejects_non_integer_ends(self, edges, bad):
+        with pytest.raises(ValidationError, match=f"node id must be an integer, got {bad}$"):
+            Dag(3, frozenset(edges))
+
+    @pytest.mark.parametrize("p", [-1, 2.5, 3.0, True, "3", None])
+    def test_dag_rejects_bad_node_counts(self, p):
+        with pytest.raises(ValidationError,
+                           match=rf"node count must be a non-negative integer, got {p!r}$"):
+            Dag(p, frozenset())
+
+    def test_dag_accepts_numpy_integers(self):
+        g = Dag(np.int64(3), {(np.int64(0), np.int32(1)), (np.uint8(1), 2)})
+        assert g == CHAIN and type(g.p) is int
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        assert Dag(0, frozenset()).p == 0
+
+    @pytest.mark.parametrize("marks", [({(0, 1.5)}, ()), ((), {(0.0, 1)}), ((), {(False, 1)})])
+    def test_cpdag_rejects_non_integer_ends(self, marks):
+        with pytest.raises(ValidationError, match="node id must be an integer"):
+            Cpdag(3, frozenset(marks[0]), frozenset(marks[1]))
+
+    def test_cpdag_rejects_bad_node_count(self):
+        with pytest.raises(ValidationError, match="node count must be a non-negative integer"):
+            Cpdag(-1, frozenset())
+
+    def test_cpdag_accepts_numpy_integers(self):
+        cp = Cpdag(np.int64(3), {(np.int64(0), 1)}, {(np.int64(2), np.int32(1))})
+        assert cp == Cpdag(3, frozenset({(0, 1)}), frozenset({(1, 2)}))
+
+
+class TestAdjacency:
+    def test_read_only_and_built_once_on_first_use(self):
+        g = Dag(4, DIAMOND.edges)
+        assert "_adjacency" not in vars(g)
+        adj = g._adjacency
+        assert g._adjacency is adj
+        assert adj.dtype == bool and adj.shape == (4, 4) and not adj.flags.writeable
+        with pytest.raises(ValueError):
+            adj[0, 0] = True
+        assert {tuple(e) for e in np.argwhere(adj).tolist()} == DIAMOND.edges
+
+    def test_empty_graphs(self):
+        assert not Dag(3, frozenset())._adjacency.any()
+        assert Dag(0, frozenset())._adjacency.shape == (0, 0)
+
+    def test_learned_graph_is_seeded_with_its_edges_mask(self):
+        for g in TestTrustedDag.learned_graphs():
+            seeded = vars(g)["_adjacency"]
+            assert not seeded.flags.writeable
+            assert np.array_equal(seeded, Dag(g.p, g.edges)._adjacency)
+
+
+def hamming_dag_by_sets(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
+    """Reference: the set-difference count that ``hamming_dag`` replaced."""
+    if g_true.p != g_est.p:
+        raise ValidationError(f"node counts differ: {g_true.p} vs {g_est.p}")
+    diff = len(g_true.edges - g_est.edges) + len(g_est.edges - g_true.edges)
+    if reversal_as_one:
+        reversed_pairs = sum(1 for a, b in g_true.edges if (b, a) in g_est.edges)
+        diff -= reversed_pairs
+    return diff
+
+
 class TestTrustedDag:
     """Learned graphs skip validation; they must behave as validated ones."""
 
@@ -335,8 +413,34 @@ class TestHammingDag:
         assert hamming_dag(DIAMOND, Dag(4, frozenset())) == 4
 
     def test_p_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="node counts differ: 3 vs 4"):
             hamming_dag(CHAIN, DIAMOND)
+
+    def test_matches_set_difference_reference(self):
+        # the second graph is another DAG, the first with some edges reversed,
+        # dropped or added, or the first itself
+        reversals = 0
+        for seed in range(2400):
+            rng = np.random.default_rng(seed)
+            p = 1 + seed % 14
+            a = random_dag(rng, p, rng.uniform(0.0, 0.8))
+            if seed % 3 == 0:
+                b = random_dag(rng, p, rng.uniform(0.0, 0.8))
+            else:
+                order = topological_order(a).order
+                edges = {(x, y) for x, y in a.edges if rng.random() > 0.2 * (seed % 3)}
+                if seed % 3 == 2:
+                    edges |= {(order[i], order[j]) for i in range(p) for j in range(i + 1, p)
+                              if rng.random() < 0.1}
+                b = Dag(p, frozenset(edges))
+                if rng.random() < 0.5:
+                    b = Dag(p, frozenset((y, x) for x, y in b.edges))
+            for flag in (False, True):
+                want = hamming_dag_by_sets(a, b, reversal_as_one=flag)
+                assert hamming_dag(a, b, reversal_as_one=flag) == want, (seed, flag)
+                assert hamming_dag(b, a, reversal_as_one=flag) == want, (seed, flag)
+            reversals += hamming_dag(a, b) - hamming_dag(a, b, reversal_as_one=True)
+        assert reversals > 1000
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -270,6 +270,13 @@ class TestEstimateParents:
         with pytest.raises(ValidationError, match="not a permutation"):
             estimate_parents(data, pi)
 
+    @pytest.mark.parametrize("pi, bad", [(("0", "1", "2"), "'0'"), ((0.0, 1, 2), "0.0"),
+                                         ((0, True, 2), "True")])
+    def test_non_integer_ordering_rejected(self, pi, bad):
+        data = dataset(np.random.default_rng(0).normal(size=(30, 3)))
+        with pytest.raises(ValidationError, match=f"node id must be an integer, got {bad}$"):
+            estimate_parents(data, pi)
+
 
 class TestLearn:
     def test_result_is_consistent_by_construction(self):
@@ -590,6 +597,43 @@ class TestFactorAgainstGatherLoop:
             _factor(x, (0, 1, 2, 3, 4))
         assert str(got.value) == str(want.value)
         assert "step 2: variable 2" in str(got.value)
+
+
+def reference_pair_correlations(r, mode):
+    """``_pair_correlations`` as it was before it read U = R^-1 by flat index:
+    T = (R^T)^-1, 2-d fancy indexing and np.clip."""
+    rows, cols = learner_module._lower_pairs(r.shape[0])
+    if mode == "marginal":
+        gram = r.T @ r
+        scale = np.sqrt(np.diag(gram))
+        corr = gram[rows, cols] / (scale[rows] * scale[cols])
+    else:
+        # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
+        t = np.linalg.inv(r).T
+        norms = np.sqrt(np.cumsum(t * t, axis=0))
+        corr = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
+    return rows, cols, np.clip(corr, -1.0, 1.0)
+
+
+class TestPairCorrelationsAgainstReference:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("p", [2, 3, 10, 40, 80])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_tall_and_square_factors(self, mode, p, protocol):
+        for seed in range(2):
+            for x in factor_inputs(p, protocol, seed):
+                _, r, _ = _factor(x)
+                want = reference_pair_correlations(r, mode)
+                got = learner_module._pair_correlations(r, mode)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_flat_indices_are_cached_read_only(self):
+        upper, diag = learner_module._upper_flat(5)
+        assert learner_module._upper_flat(5)[0] is upper
+        rows, cols = learner_module._lower_pairs(5)
+        assert np.array_equal(upper, cols * 5 + rows) and np.array_equal(diag, rows * 6)
+        assert not (upper.flags.writeable or diag.flags.writeable)
 
 
 def scaled(steps, n):

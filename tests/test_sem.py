@@ -290,6 +290,105 @@ class TestPopulationConditionalVariance:
             population_conditional_variance(CHAIN_COV, 2, [0, 0])
 
 
+def _suffix_sums(w):
+    """out[:, q] = w[:, q:].sum(axis=1), summed from the last column back."""
+    return np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+
+
+def reference_check(m, pi=None, scope="descendants"):
+    """``check_identifiability`` as it was before its single stacked cumulative
+    sum: two suffix sums over pi-ordered columns and np.rec.fromarrays."""
+    if scope not in sem.SCOPES:
+        raise ValidationError(f"unknown scope {scope!r}: use {' or '.join(map(repr, sem.SCOPES))}")
+    if pi is None:
+        pi = topological_order(m.dag)
+    elif not sem.is_consistent(pi, m.dag):
+        raise ValidationError("ordering is not consistent with the model's graph")
+    a = m._effects
+    cols = np.asarray(list(pi))
+    s2 = m.sigma2[cols]
+    cond = _suffix_sums(a[:, cols] ** 2 * s2)
+    ltv = m.sigma2[:, None] + _suffix_sums((m.B @ a)[:, cols] ** 2 * s2)
+    if scope == "later":
+        pos, q = np.triu_indices(m.p, 1)
+        k = cols[q]
+    else:
+        pos, k = np.nonzero(sem.descendant_mask(m.dag)[cols])
+    j = cols[pos]
+    rhs, rhs_alt = cond[k, pos], ltv[k, pos]
+    bad = ~(np.abs(rhs - rhs_alt) <= sem._LTV_RTOL * np.maximum(1.0, rhs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalDegeneracyError(
+            f"identifiability check: law-of-total-variance self-check failed at (j={j[i]},"
+            f" k={k[i]}): total-effect sum {float(rhs[i])!r} vs structural form"
+            f" {float(rhs_alt[i])!r}"
+        )
+    lhs = m.sigma2[j]
+    margins = np.rec.fromarrays([j, k, lhs, rhs], dtype=sem._MARGIN_FIELDS)
+    margins.flags.writeable = False
+    worst = float((rhs - lhs).min()) if rhs.size else math.inf
+    return sem.IdentifiabilityReport(bool(np.all(lhs < rhs)), margins, worst)
+
+
+class TestCheckAgainstReference:
+    """The stacked cumulative sum gives the rows, margins and verdict of the
+    two suffix sums it replaced, byte for byte."""
+
+    @staticmethod
+    def assert_same(m, pi, scope):
+        want = reference_check(m, pi, scope)
+        got = check_identifiability(m, pi, scope)
+        assert got.margins.dtype == want.margins.dtype
+        assert type(got.margins) is type(want.margins) is np.recarray
+        assert got.margins.tobytes() == want.margins.tobytes()
+        assert not got.margins.flags.writeable
+        assert got.satisfied is want.satisfied
+        assert repr(got.worst_margin) == repr(want.worst_margin)
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 20, 40, 60, 80])
+    def test_generated_models(self, p, protocol, scope):
+        for rep in range(2):
+            m = random_sem(p, protocol, derive_seed(1901, p, rep))
+            for pi in (None, _reordered(m)):
+                self.assert_same(m, pi, scope)
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.floats(0.0, 0.7))
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_models(self, scope, seed, p, prob):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(p)
+        b = np.zeros((p, p))
+        for later in range(1, p):
+            for earlier in range(later):
+                if rng.random() < prob:
+                    b[perm[later], perm[earlier]] = rng.uniform(-2.0, 2.0)
+        m = GaussianSem(B=b, sigma2=rng.uniform(0.5, 3.0, size=p))
+        self.assert_same(m, None, scope)
+        self.assert_same(m, tuple(_reordered(m)), scope)
+
+    @pytest.mark.parametrize("scope", ["descendants", "later"])
+    def test_failed_self_check_same_message(self, scope, monkeypatch):
+        exact = sem._total_effects
+
+        def corrupted(m):
+            a = exact(m)
+            a[2, 0] *= 1.0 + 1e-6
+            return a
+
+        monkeypatch.setattr(sem, "_total_effects", corrupted)
+        errors = []
+        for check in (reference_check, check_identifiability):
+            with pytest.raises(NumericalDegeneracyError) as err:
+                check(pure_chain(0.5, 0.5, 1.0, 1.0, 1.0), None, scope)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[1].endswith("total-effect sum 1.3125001250000625 vs structural form 1.3125")
+
+
 class TestCheckIdentifiability:
     def test_equal_variances_nonzero_weight(self):
         assert check_identifiability(bivariate(0.3, 1.0, 1.0)).satisfied
@@ -335,6 +434,17 @@ class TestCheckIdentifiability:
     def test_non_permutation_rejected(self, pi):
         with pytest.raises(ValidationError, match="not a permutation"):
             check_identifiability(nonfaithful_chain(), pi)
+
+    @pytest.mark.parametrize("pi, bad", [((0.0, 1.0, 2.0), "0.0"), ((0, 1, 2.5), "2.5"),
+                                         ((False, True, 2), "False")])
+    def test_non_integer_ordering_rejected(self, pi, bad):
+        with pytest.raises(ValidationError, match=f"node id must be an integer, got {bad}$"):
+            check_identifiability(nonfaithful_chain(), pi)
+
+    def test_numpy_integer_ordering_accepted(self):
+        m = nonfaithful_chain()
+        got = check_identifiability(m, np.arange(3, dtype=np.int32))
+        assert got.margins.tobytes() == check_identifiability(m).margins.tobytes()
 
     def test_node_itself_never_compared(self):
         report = check_identifiability(nonfaithful_chain())
