@@ -1,10 +1,11 @@
 """Replicated generate/sample/learn/score experiment runs with report emission.
 
-Each replication builds and checks its model once, and each of its
-(replication, sample size) cells draws its randomness from a stream derived
-from (seed, replication, cell), so reports are reproducible for a fixed config
-regardless of how many workers execute the replications. Wall-clock seconds
-are the one field that cannot be bit-stable across reruns.
+Replications run one after another in one loop. Each builds and checks its
+model once, and each of its (replication, sample size) cells draws its
+randomness from a stream derived from (seed, replication, cell), so a report
+is a pure function of its config. Wall-clock seconds are the one field that
+cannot be bit-stable across reruns. Report files are written by
+:func:`errors.write_files`, which holds the package's one file I/O rule.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ReportIOError, ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, write_files
 from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import PARENT_TEST_MODES, LearnConfig, learn
 from .sem import (
@@ -166,13 +166,9 @@ def aggregate(cfg: ExperimentConfig, cells) -> tuple[AggregateRow, ...]:
     return tuple(rows)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (replication, n) cell; learner failures are recorded, not raised."""
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(lambda rep: _run_replication(cfg, rep), range(cfg.replications))
-        cells = [cell for run in runs for cell in run]
+    cells = [cell for rep in range(cfg.replications) for cell in _run_replication(cfg, rep)]
     cells.sort(key=lambda c: (c.n, c.rep))
     return ExperimentReport(cfg, tuple(cells), aggregate(cfg, cells))
 
@@ -265,22 +261,6 @@ def render_chart_svg(rep: ExperimentReport) -> str:
         out.append(f'<text x="{width - 180}" y="{ly + 4}" font-size="12">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_files(outdir, files: dict[str, str]) -> list[Path]:
-    """Create ``outdir`` and write each named text into it, in order.
-
-    Any ``OSError`` becomes :class:`ReportIOError`, the CLI's exit code 3.
-    """
-    outdir = Path(outdir)
-    paths = [outdir / name for name in files]
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for path, text in zip(paths, files.values()):
-            path.write_text(text)
-    except OSError as exc:
-        raise ReportIOError(f"cannot write under {outdir}: {exc}") from exc
-    return paths
 
 
 def emit_report(rep: ExperimentReport, outdir) -> list[Path]:

@@ -3,9 +3,10 @@
 Subcommands: learn, simulate, bench, check, cpdag. Exit codes are a stable
 scripting contract: 0 success, 1 validation/parse error (or an unsatisfied
 identifiability check), 2 numerical degeneracy, 3 I/O failure: any file
-that cannot be read or written, output directories included. The default
-output directory comes from $CVDAG_OUTDIR, falling back to the working
-directory.
+that cannot be read or written, output directories included. Inputs are read
+by the library readers and outputs written by ``errors.write_files``, so the
+I/O rule lives in ``errors`` alone. The default output directory comes from
+$CVDAG_OUTDIR, falling back to the working directory.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .datasets import format_dataset, load_marks, parse_dataset
-from .errors import DataFormatError, ReportIOError, ToolkitError, ValidationError
+from .datasets import format_dataset, load_marks, read_dataset
+from .errors import DataFormatError, ToolkitError, ValidationError, read_text, write_files
 from .graphs import dag_to_cpdag, format_graph, read_dag
 from .learner import PARENT_TEST_MODES, LearnConfig, LearnResult, learn
 from .sem import (
@@ -34,32 +35,11 @@ from .sem import (
 )
 
 
-class _UsageError(ValidationError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the exit-code contract."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
-
-
-def _default_outdir() -> str:
-    return os.environ.get("CVDAG_OUTDIR", ".")
-
-
-def _read(path: Path, reader=Path.read_text):
-    """``reader(path)``, with a failed read reported as :class:`ReportIOError`
-    and undecodable text as :class:`DataFormatError`."""
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise ReportIOError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: not {exc.encoding} text at byte {exc.start} ({exc.reason})"
-        ) from None
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> _Parser:
@@ -67,7 +47,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("-o", "--output", default=_default_outdir(),
+        p.add_argument("-o", "--output", default=os.environ.get("CVDAG_OUTDIR", "."),
                        help="output directory (default: $CVDAG_OUTDIR or '.')")
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="print extra diagnostics")
@@ -107,8 +87,6 @@ def build_parser() -> _Parser:
     p.add_argument("--replications", type=int, default=None,
                    help="override the config's replication count")
     p.add_argument("--seed", type=int, default=None, help="override the config's seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel cell workers (default 1)")
     add_common(p)
 
     p = sub.add_parser("cpdag", help="convert a graph file to its equivalence class")
@@ -136,7 +114,7 @@ def _print_result(ds, result: LearnResult, verbose: int):
 
 def cmd_learn(args) -> int:
     path = Path(args.input)
-    ds = load_marks() if args.input == "marks" else parse_dataset(_read(path), where=str(path))
+    ds = load_marks() if args.input == "marks" else read_dataset(path)
     cfg = LearnConfig(alpha=args.alpha, parent_test_mode=args.parent_test)
     result = learn(ds, cfg)
     lines = ["earlier,later,given,r,statistic,threshold,dependent"]
@@ -144,7 +122,7 @@ def cmd_learn(args) -> int:
         given = ";".join(str(g) for g in rec.given)
         lines.append(f"{rec.earlier},{rec.later},{given},{rec.r:.17g},"
                      f"{rec.statistic:.17g},{rec.threshold:.17g},{int(rec.dependent)}")
-    bench_mod.write_files(args.output, {
+    write_files(args.output, {
         f"{path.stem}.graph": format_graph(result.dag),
         f"{path.stem}.order": " ".join(str(j) for j in result.ordering) + "\n",
         f"{path.stem}.tests.csv": "\n".join(lines) + "\n",
@@ -167,7 +145,7 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     if args.sem:
-        model = _read(Path(args.sem), read_sem)
+        model = read_sem(Path(args.sem))
         stem = Path(args.sem).stem
     else:
         model = protocol_sem(args.protocol, args.p, derive_seed(args.seed, 0))
@@ -178,26 +156,25 @@ def cmd_simulate(args) -> int:
     files = {f"{stem}_n{args.n}_seed{args.seed}.csv": format_dataset(data)}
     if args.save_sem:
         files[f"{stem}_seed{args.seed}.sem"] = format_sem(model)
-    written = bench_mod.write_files(args.output, files)
+    written = write_files(args.output, files)
     print(f"wrote {written[0]}")
     return 0
 
 
 def cmd_check(args) -> int:
     path = Path(args.sem)
-    report = check_identifiability(_read(path, read_sem), scope=args.scope)
+    report = check_identifiability(read_sem(path), scope=args.scope)
     _summarize_check(report, args.verbose)
     lines = ["j,k,lhs,rhs,slack"]
     for j, k, lhs, rhs in report.margins.tolist():
         lines.append(f"{j},{k},{lhs:.17g},{rhs:.17g},{rhs - lhs:.17g}")
-    bench_mod.write_files(args.output, {f"{path.stem}.margins.csv": "\n".join(lines) + "\n"})
+    write_files(args.output, {f"{path.stem}.margins.csv": "\n".join(lines) + "\n"})
     return 0 if report.satisfied else 1
 
 
 def cmd_bench(args) -> int:
-    raw = _read(Path(args.config))
     try:
-        body = json.loads(raw)
+        body = json.loads(read_text(args.config))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{args.config}: invalid JSON: {exc}") from None
     if not isinstance(body, dict):
@@ -213,7 +190,7 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         body["seed"] = args.seed
     cfg = bench_mod.ExperimentConfig(**body)
-    report = bench_mod.run_experiment(cfg, workers=args.workers)
+    report = bench_mod.run_experiment(cfg)
     written = bench_mod.emit_report(report, args.output)
     print(bench_mod.format_aggregate_table(report), end="")
     for path in written:
@@ -223,8 +200,8 @@ def cmd_bench(args) -> int:
 
 def cmd_cpdag(args) -> int:
     path = Path(args.graph)
-    cp = dag_to_cpdag(_read(path, read_dag))
-    (target,) = bench_mod.write_files(args.output, {f"{path.stem}.cpdag": format_graph(cp)})
+    cp = dag_to_cpdag(read_dag(path))
+    (target,) = write_files(args.output, {f"{path.stem}.cpdag": format_graph(cp)})
     print(f"wrote {target}")
     return 0
 

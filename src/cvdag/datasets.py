@@ -16,11 +16,10 @@ so accepted syntax and error messages do not depend on the path taken.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_text, write_text
 from .numerics import Dataset
 
 
@@ -94,7 +93,7 @@ def _scan_dataset(text: str, where: str) -> Dataset:
 
 
 def read_dataset(path) -> Dataset:
-    return parse_dataset(Path(path).read_text(), where=str(path))
+    return parse_dataset(read_text(path), where=str(path))
 
 
 def format_dataset(ds: Dataset) -> str:
@@ -105,7 +104,7 @@ def format_dataset(ds: Dataset) -> str:
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    Path(path).write_text(format_dataset(ds))
+    write_text(path, format_dataset(ds))
 
 
 def load_marks() -> Dataset:

@@ -18,12 +18,11 @@ import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_text, write_text
 
 
 def _is_int(x) -> bool:
@@ -375,7 +374,7 @@ def format_graph(g: Dag | Cpdag) -> str:
 
 
 def write_graph(g: Dag | Cpdag, path) -> None:
-    Path(path).write_text(format_graph(g))
+    write_text(path, format_graph(g))
 
 
 def _parse_graph_lines(text: str, where: str):
@@ -405,12 +404,18 @@ def _parse_graph_lines(text: str, where: str):
 
 
 def read_dag(path) -> Dag:
-    p, directed, undirected = _parse_graph_lines(Path(path).read_text(), str(path))
+    p, directed, undirected = _parse_graph_lines(read_text(path), str(path))
     if undirected:
         raise DataFormatError(f"{path}: undirected edges not allowed in a DAG file")
-    return Dag(p, frozenset(directed))
+    try:
+        return Dag(p, frozenset(directed))
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_cpdag(path) -> Cpdag:
-    p, directed, undirected = _parse_graph_lines(Path(path).read_text(), str(path))
-    return Cpdag(p, frozenset(directed), frozenset(undirected))
+    p, directed, undirected = _parse_graph_lines(read_text(path), str(path))
+    try:
+        return Cpdag(p, frozenset(directed), frozenset(undirected))
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
+from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
 from .graphs import Dag, Ordering, _is_int, descendant_mask, is_consistent, topological_order
 from .numerics import Dataset, _check_condition_args, _cholesky
 
@@ -353,26 +352,29 @@ def format_sem(m: GaussianSem) -> str:
 
 
 def write_sem(m: GaussianSem, path) -> None:
-    Path(path).write_text(format_sem(m))
+    write_text(path, format_sem(m))
 
 
 def read_sem(path) -> GaussianSem:
-    where = str(path)
     p = None
     sigma2 = None
     intercepts = None
     edges: list[tuple[int, int, float, int]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, *rest = line.split()
+        if kind in first_line and kind != "edge":
+            raise DataFormatError(f"{path}:{lineno}: {kind} repeats line {first_line[kind]}")
+        first_line[kind] = lineno
         try:
             if kind == "p":
                 (p,) = rest
                 p = int(p)
                 if p < 1:
-                    raise DataFormatError(f"{where}:{lineno}: p must be >= 1, got {p}")
+                    raise DataFormatError(f"{path}:{lineno}: p must be >= 1, got {p}")
             elif kind == "sigma2":
                 sigma2 = np.array([float(v) for v in rest])
             elif kind == "intercept":
@@ -381,24 +383,21 @@ def read_sem(path) -> GaussianSem:
                 parent, child, beta = rest
                 edges.append((int(parent), int(child), float(beta), lineno))
             else:
-                raise DataFormatError(f"{where}:{lineno}: unknown field {kind!r}")
+                raise DataFormatError(f"{path}:{lineno}: unknown field {kind!r}")
         except (ValueError, TypeError):
-            raise DataFormatError(f"{where}:{lineno}: cannot parse {line!r}") from None
+            raise DataFormatError(f"{path}:{lineno}: cannot parse {line!r}") from None
     if p is None or sigma2 is None:
-        raise DataFormatError(f"{where}: missing required 'p' or 'sigma2' field")
+        raise DataFormatError(f"{path}: missing required 'p' or 'sigma2' field")
     b = np.zeros((p, p))
-    first_line: dict[tuple[int, int], int] = {}
     for parent, child, beta, lineno in edges:
         if not (0 <= parent < p and 0 <= child < p):
-            raise DataFormatError(f"{where}:{lineno}: edge ({parent},{child}) out of range")
-        if (parent, child) in first_line:
-            raise DataFormatError(
-                f"{where}:{lineno}: edge ({parent},{child}) repeats line"
-                f" {first_line[parent, child]}"
-            )
-        first_line[parent, child] = lineno
+            raise DataFormatError(f"{path}:{lineno}: edge ({parent},{child}) out of range")
+        edge = f"edge ({parent},{child})"
+        if edge in first_line:
+            raise DataFormatError(f"{path}:{lineno}: {edge} repeats line {first_line[edge]}")
+        first_line[edge] = lineno
         b[child, parent] = beta
     try:
         return GaussianSem(B=b, sigma2=sigma2, intercepts=intercepts)
     except ValidationError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
+        raise DataFormatError(f"{path}: {exc}") from None

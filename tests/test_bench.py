@@ -67,16 +67,6 @@ class TestRunExperiment:
         b = bench.run_experiment(TINY)
         assert bench.strip_timing(a) == bench.strip_timing(b)
 
-    def test_parallel_workers_change_nothing(self):
-        a = bench.run_experiment(TINY)
-        b = bench.run_experiment(TINY, workers=4)
-        assert bench.strip_timing(a) == bench.strip_timing(b)
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_nonpositive_workers_rejected(self, workers):
-        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
-            bench.run_experiment(TINY, workers=workers)
-
     def test_aggregates_recomputable_from_cells(self):
         report = bench.run_experiment(TINY)
         assert bench.aggregate(report.config, report.cells) == report.aggregates
@@ -137,7 +127,7 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "check_identifiability", check)
         cfg = bench.ExperimentConfig(protocol="heterogeneous", p=5, n_grid=(50, 100, 200),
                                      replications=3, seed=2)
-        report = bench.run_experiment(cfg, workers=2)
+        report = bench.run_experiment(cfg)
         assert sorted(built) == sorted(derive_seed(2, rep, 0) for rep in range(3))
         assert len(checked) == 3
         assert len(report.cells) == 9 and not any(c.failed for c in report.cells)

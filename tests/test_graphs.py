@@ -597,3 +597,20 @@ class TestGraphFiles:
         path.write_text("\n")
         with pytest.raises(DataFormatError):
             read_dag(path)
+
+    @pytest.mark.parametrize("readers, text, fault", [
+        ((read_dag,), "3\n0 1\n1 0\n", "edge set contains a directed cycle"),
+        ((read_cpdag,), "3\n0 1\n1 0\n", "both orientations of one pair are directed"),
+        ((read_dag, read_cpdag), "2\n1 1\n", "self-loop at node 1"),
+        ((read_dag, read_cpdag), "2\n0 5\n", "edge (0,5) out of range for p=2"),
+        ((read_dag, read_cpdag), "-1\n", "node count must be a non-negative integer, got -1"),
+        ((read_cpdag,), "3\n0 1\n1 0 u\n", "a pair appears both directed and undirected"),
+    ])
+    def test_graph_fault_names_the_file(self, readers, text, fault, tmp_path):
+        # once the bare ValidationError of Dag or Cpdag, without the file name
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        for reader in readers:
+            with pytest.raises(DataFormatError) as err:
+                reader(path)
+            assert str(err.value) == f"{path}: {fault}"

@@ -825,6 +825,20 @@ class TestSemFiles:
         with pytest.raises(DataFormatError):
             read_sem(path)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("p 2\np 3\nsigma2 1 1\n", "2: p repeats line 1"),
+        ("p 2\nsigma2 1 1\n\nsigma2 1 1\n", "4: sigma2 repeats line 2"),
+        ("p 2\nsigma2 1 1\nintercept 0 0\n# again\nintercept 1 1\n",
+         "5: intercept repeats line 3"),
+    ])
+    def test_repeated_field_rejected(self, tmp_path, text, fault):
+        # the last value used to win without a word
+        path = tmp_path / "twice.sem"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_sem(path)
+        assert str(err.value) == f"{path}:{fault}"
+
     def test_cyclic_file_rejected(self, tmp_path):
         path = tmp_path / "cyc.sem"
         path.write_text("p 2\nsigma2 1 1\nedge 0 1 1\nedge 1 0 1\n")
