@@ -4,8 +4,11 @@ Nodes are integers 0..p-1. A directed edge is the ordered pair (parent, child);
 undirected edges are stored canonically as (low, high). A DAG is converted to
 its CPDAG by Chickering's edge labeling (UAI 1995) in one pass over the nodes
 in topological order, O(p + |E|·max in-degree); no orientation rules are run.
-The distance between two DAGs counts the entries where their read-only p x p
-adjacency masks differ; the distance between two CPDAGs counts the node pairs
+A Dag stores one thing, its read-only p x p bool adjacency mask, entry
+[parent, child] set for each edge; ``Dag.edges`` is a read-only set view over
+that mask, equal to and hashing as the frozenset of its (parent, child) pairs,
+iterated in sorted order. The distance between two DAGs counts the entries
+where their masks differ; the distance between two CPDAGs counts the node pairs
 whose marks differ, a mark being a directed edge or an undirected edge tagged
 "u". A node count and every node id must be an integer (numpy integers count,
 bools do not); anything else raises ValidationError naming the value.
@@ -16,6 +19,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import numbers
+import operator
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -69,45 +74,121 @@ def _check_edges(p: int, edges) -> None:
             raise ValidationError(f"edge ({a},{b}) out of range for p={p}")
 
 
+def _mask(p: int, edges) -> np.ndarray:
+    """The p x p bool matrix with entry [parent, child] set for each edge."""
+    ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
+    adj = np.zeros((p, p), dtype=bool)
+    adj[ends[0::2], ends[1::2]] = True
+    return adj
+
+
+def _rows(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The columns set in each row of ``mask``, as a tuple per row."""
+    rows, cols = np.nonzero(mask)
+    cols = cols.tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+
+
 class _Index(NamedTuple):
     """Adjacency of a Dag: Kahn topological order (None if cyclic), and the
-    parents and children of each node as tuples."""
+    parents and children of each node as sorted tuples."""
 
     topo: tuple[int, ...] | None
     parents: tuple[tuple[int, ...], ...]
     children: tuple[tuple[int, ...], ...]
 
 
+class _EdgeView(Set):
+    """Read-only set of the (parent, child) pairs of a bool adjacency mask.
+
+    Equal to, and hashing as, the frozenset of the same pairs; set operators
+    return frozensets. Membership reads one mask entry, the size counts the
+    set entries, and iteration runs in row-major order, which is sorted order.
+    Nothing is cached: the mask, made read-only, is the only thing stored.
+    """
+
+    __slots__ = ("_mask",)
+
+    def __init__(self, mask: np.ndarray):
+        mask.flags.writeable = False
+        self._mask = mask
+
+    def __contains__(self, edge) -> bool:
+        try:
+            a, b = map(operator.index, edge)
+        except (TypeError, ValueError):
+            return False
+        p = len(self._mask)
+        return 0 <= a < p and 0 <= b < p and bool(self._mask[a, b])
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._mask))
+
+    def __iter__(self):
+        parents, children = np.nonzero(self._mask)
+        return zip(parents.tolist(), children.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, _EdgeView) and other._mask.shape == self._mask.shape:
+            return bool(np.array_equal(self._mask, other._mask))
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"edges({list(self)})"
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph; the constructor verifies the edges are in range,
-    free of self-loops and acyclic."""
+    free of self-loops and acyclic.
+
+    A Dag stores only its read-only p x p bool adjacency mask; ``edges`` is a
+    read-only set view over it that compares and hashes as a frozenset of pairs.
+    """
 
     p: int
-    edges: frozenset[tuple[int, int]]
+    edges: Set[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _node_count(self.p))
-        object.__setattr__(self, "edges", _edges(self.edges))
-        _check_edges(self.p, self.edges)
-        if self._index.topo is None:
-            raise ValidationError("edge set contains a directed cycle")
+        p = _node_count(self.p)
+        edges = _edges(self.edges)
+        _check_edges(p, edges)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "edges", _EdgeView(_mask(p, edges)))
+        self._acyclic()
 
     @classmethod
-    def _trusted(cls, p: int, edges: frozenset[tuple[int, int]],
-                 adjacency: np.ndarray | None = None) -> Dag:
-        """A Dag from int edges already known to be in range and acyclic.
+    def _trusted(cls, p: int, adjacency: np.ndarray) -> Dag:
+        """A Dag over ``adjacency``, a p x p bool mask [parent, child], unchecked.
 
-        Skips the validation of ``__post_init__``; for graphs whose edges all
-        point forward along an ordering, such as a learned graph. A read-only
-        ``adjacency`` built from the same edges seeds ``_adjacency``.
+        Skips the validation of ``__post_init__``: the mask must have a zero
+        diagonal and, unless :meth:`_acyclic` is called on the result, no
+        directed cycle, as for a learned graph whose edges all point forward
+        along an ordering. The Dag keeps the mask itself and makes it read-only.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "p", p)
-        object.__setattr__(g, "edges", edges)
-        if adjacency is not None:
-            object.__setattr__(g, "_adjacency", adjacency)
+        object.__setattr__(g, "edges", _EdgeView(adjacency))
         return g
+
+    def _acyclic(self) -> Dag:
+        """This Dag, or ValidationError if its edges hold a directed cycle."""
+        if self._index.topo is None:
+            raise ValidationError("edge set contains a directed cycle")
+        return self
+
+    @property
+    def _adjacency(self) -> np.ndarray:
+        # entry [parent, child] is True for each edge
+        return self.edges._mask
 
     @cached_property
     def _index(self) -> _Index:
@@ -115,30 +196,15 @@ class Dag:
         # counted never pays for it; not a dataclass field, so equality and
         # hashing still see only (p, edges); tuples: a frozenset per node
         # would nearly triple a 10-node Dag's memory
-        parents: list[list[int]] = [[] for _ in range(self.p)]
-        children: list[list[int]] = [[] for _ in range(self.p)]
-        for a, b in self.edges:
-            parents[b].append(a)
-            children[a].append(b)
+        parents, children = _rows(self._adjacency.T), _rows(self._adjacency)
         # Kahn's algorithm doubles as the acyclicity check
         order = _kahn(parents, children)
-        return _Index(None if order is None else tuple(order),
-                      tuple(map(tuple, parents)), tuple(map(tuple, children)))
+        return _Index(None if order is None else tuple(order), parents, children)
 
     # like _index, built on first use and shared read-only
     @cached_property
     def _ordering(self) -> Ordering:
         return Ordering(self._index.topo)
-
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
-        # entry [parent, child] is True for each edge
-        ends = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp,
-                           2 * len(self.edges))
-        adj = np.zeros((self.p, self.p), dtype=bool)
-        adj[ends[0::2], ends[1::2]] = True
-        adj.flags.writeable = False
-        return adj
 
     @cached_property
     def _descendant_mask(self) -> np.ndarray:
@@ -156,14 +222,22 @@ class Dag:
         mask.flags.writeable = False
         return mask
 
+    def _node_in_range(self, j) -> int:
+        """``j`` as a node id of this Dag, or ValidationError naming it."""
+        j = _node(j)
+        if not 0 <= j < self.p:
+            raise ValidationError(f"node {j} out of range for p={self.p}")
+        return j
+
     def parents(self, j: int) -> frozenset[int]:
-        return frozenset(self._index.parents[j])
+        return frozenset(self._index.parents[self._node_in_range(j)])
 
     def children(self, j: int) -> frozenset[int]:
-        return frozenset(self._index.children[j])
+        return frozenset(self._index.children[self._node_in_range(j)])
 
     def skeleton(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
+        low, high = np.nonzero(np.triu(self._adjacency | self._adjacency.T))
+        return frozenset(zip(low.tolist(), high.tolist()))
 
 
 @dataclass(frozen=True)
@@ -206,6 +280,8 @@ class Cpdag:
             raise ValidationError("a pair appears both directed and undirected")
         if len(dir_pairs) != len(directed):
             raise ValidationError("both orientations of one pair are directed")
+        # the compelled edges of an equivalence class form a DAG
+        Dag._trusted(self.p, _mask(self.p, directed))._acyclic()
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", undirected)
 
@@ -251,11 +327,9 @@ def topological_order(g: Dag) -> Ordering:
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
     """All nodes reachable from j by directed paths, excluding j itself."""
-    if not 0 <= j < g.p:
-        raise ValidationError(f"node {j} out of range for p={g.p}")
     children = g._index.children
     seen: set[int] = set()
-    stack = list(children[j])
+    stack = list(children[g._node_in_range(j)])
     while stack:
         k = stack.pop()
         if k not in seen:
@@ -278,17 +352,20 @@ def is_consistent(ordering: Sequence[int], g: Dag) -> bool:
         raise ValidationError(f"ordering of length {len(ordering)} for p={g.p}")
     if not isinstance(ordering, Ordering):
         ordering = Ordering(ordering)
-    pos = {j: i for i, j in enumerate(ordering)}
-    return all(pos[a] < pos[b] for a, b in g.edges)
+    pos = np.empty(g.p, dtype=np.intp)
+    pos[list(ordering.order)] = np.arange(g.p)
+    parents, children = np.nonzero(g._adjacency)
+    return bool(np.all(pos[parents] < pos[children]))
 
 
 def vstructures(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Unshielded colliders (a, c, b) with a->c<-b, a<b, and a,b non-adjacent."""
+    adjacent = g._adjacency | g._adjacency.T
     return frozenset(
         (a, c, b)
         for c in range(g.p)
-        for a, b in itertools.combinations(sorted(g._index.parents[c]), 2)
-        if (a, b) not in g.edges and (b, a) not in g.edges
+        for a, b in itertools.combinations(g._index.parents[c], 2)
+        if not adjacent[a, b]
     )
 
 

@@ -314,7 +314,7 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
 
 def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
     """(DAG, log) of the pairs whose statistic exceeds ``threshold``; the DAG
-    comes with its adjacency mask, scattered from those pairs."""
+    stores the adjacency mask scattered from those pairs."""
     rows, cols, rho = pairs
     nodes = np.asarray(order, dtype=np.intp)
     dependent = statistic > threshold
@@ -323,10 +323,8 @@ def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
     parents, children = log.earlier[dependent], log.later[dependent]
     adjacency = np.zeros((len(order), len(order)), dtype=bool)
     adjacency[parents, children] = True
-    adjacency.flags.writeable = False
-    edges = frozenset(zip(parents.tolist(), children.tolist()))
     # every edge points forward along the ordering, so the graph is acyclic
-    return Dag._trusted(len(order), edges, adjacency), log
+    return Dag._trusted(len(order), adjacency), log
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:

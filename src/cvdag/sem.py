@@ -84,9 +84,8 @@ class GaussianSem:
             raise ValidationError("error variances must be strictly positive")
         if np.any(np.diag(b) != 0.0):
             raise ValidationError("diagonal of B must be zero")
-        # edge k -> j whenever B[j, k] != 0; Dag construction rejects cycles
-        children, parents = np.nonzero(b)
-        dag = Dag(p, frozenset(zip(parents.tolist(), children.tolist())))
+        # edge k -> j whenever B[j, k] != 0, on a zero diagonal
+        dag = Dag._trusted(p, (b != 0).T)._acyclic()
         for arr in (b, s2, b0):
             arr.flags.writeable = False
         object.__setattr__(self, "B", b)

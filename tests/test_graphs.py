@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +113,15 @@ class TestDagBasics:
         assert COLLIDER.children(0) == {2}
         assert type(COLLIDER.parents(0)) is frozenset
 
+    @pytest.mark.parametrize("j, message", [(-1, "node -1 out of range for p=3"),
+                                            (3, "node 3 out of range for p=3"),
+                                            (1.0, "node id must be an integer, got 1.0"),
+                                            (True, "node id must be an integer, got True")])
+    @pytest.mark.parametrize("lookup", [Dag.parents, Dag.children, descendants])
+    def test_node_argument_checked(self, lookup, j, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            lookup(COLLIDER, j)
+
     def test_equality_sees_only_p_and_edges(self):
         a = Dag(3, frozenset({(0, 2), (1, 2)}))
         b = Dag(3, [(1, 2), (0, 2)])
@@ -164,11 +175,10 @@ class TestNodeIds:
 
 
 class TestAdjacency:
-    def test_read_only_and_built_once_on_first_use(self):
+    def test_read_only_and_stored_at_construction(self):
         g = Dag(4, DIAMOND.edges)
-        assert "_adjacency" not in vars(g)
         adj = g._adjacency
-        assert g._adjacency is adj
+        assert g._adjacency is adj and vars(g)["edges"]._mask is adj
         assert adj.dtype == bool and adj.shape == (4, 4) and not adj.flags.writeable
         with pytest.raises(ValueError):
             adj[0, 0] = True
@@ -178,11 +188,82 @@ class TestAdjacency:
         assert not Dag(3, frozenset())._adjacency.any()
         assert Dag(0, frozenset())._adjacency.shape == (0, 0)
 
-    def test_learned_graph_is_seeded_with_its_edges_mask(self):
+    def test_learned_graph_stores_its_edges_mask(self):
         for g in TestTrustedDag.learned_graphs():
-            seeded = vars(g)["_adjacency"]
-            assert not seeded.flags.writeable
-            assert np.array_equal(seeded, Dag(g.p, g.edges)._adjacency)
+            assert set(vars(g)) == {"p", "edges"}
+            stored = vars(g)["edges"]._mask
+            assert g._adjacency is stored and not stored.flags.writeable
+            assert np.array_equal(stored, Dag(g.p, g.edges)._adjacency)
+
+
+def view_graphs():
+    """Learned graphs, then generated p=80 DAGs, then the fixed small ones."""
+    yield from TestTrustedDag.learned_graphs()
+    for protocol in ("homogeneous", "heterogeneous"):
+        yield random_sem(80, protocol, 0).dag
+    yield from (CHAIN, COLLIDER, DIAMOND, MARKS_GRAPH, Dag(0, frozenset()))
+
+
+class TestEdgeView:
+    """``Dag.edges`` behaves as the frozenset of its pairs without storing one."""
+
+    def test_equal_and_hashed_as_the_frozenset(self):
+        for g in view_graphs():
+            pairs = frozenset(g.edges)
+            assert g.edges == pairs and pairs == g.edges and not g.edges != pairs
+            assert hash(g.edges) == hash(pairs)
+            assert g == Dag(g.p, pairs) and hash(g) == hash(Dag(g.p, pairs))
+
+    def test_iterates_in_sorted_order(self):
+        for g in view_graphs():
+            pairs = list(g.edges)
+            assert pairs == sorted(g.edges)
+            assert all(type(x) is int for edge in pairs for x in edge)
+
+    def test_membership_and_size_agree_with_the_frozenset(self):
+        for g in view_graphs():
+            pairs = frozenset(g.edges)
+            assert len(g.edges) == len(pairs) and bool(g.edges) == bool(pairs)
+            for edge in itertools.product(range(-1, g.p + 1), repeat=2):
+                assert (edge in g.edges) == (edge in pairs), edge
+            assert (np.int64(0), np.int32(1)) in CHAIN.edges
+            for other in [(0, 1, 2), (0,), "01", None, 0.5, (0.5, 1)]:
+                assert other not in g.edges
+
+    def test_set_operators_return_frozensets(self):
+        graphs = list(view_graphs())
+        for g, h in zip(graphs, graphs[1:]):
+            if g.p != h.p:
+                h = Dag(g.p, frozenset())
+            pairs, other = frozenset(g.edges), frozenset(h.edges)
+            for got, want in [(g.edges - h.edges, pairs - other),
+                              (g.edges | h.edges, pairs | other),
+                              (g.edges & h.edges, pairs & other),
+                              (g.edges ^ h.edges, pairs ^ other),
+                              (pairs - h.edges, pairs - other),
+                              (g.edges - {(0, 1)}, pairs - {(0, 1)})]:
+                assert type(got) is frozenset and got == want
+            assert (h.edges <= g.edges) == (other <= pairs)
+
+    def test_learned_graphs_retain_only_their_masks(self):
+        # 50 oracle graphs at p=40 keep less than 4 p^2 bytes each, the p^2
+        # mask bytes and fixed object overheads; with a frozenset of edge
+        # tuples each kept about 65 KB
+        p = 40
+        covariances = [population_covariance(random_sem(p, "heterogeneous", seed))
+                       for seed in range(50)]
+        learn_from_covariance(covariances[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            graphs = [learn_from_covariance(cov).dag for cov in covariances]
+            for g in graphs:
+                len(g.edges), sorted(g.edges), g.edges == g.edges
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert retained < 4 * p * p * len(graphs)
 
 
 def hamming_dag_by_sets(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
@@ -492,22 +573,37 @@ def cpdag_from_kinds(p: int, kinds: dict) -> Cpdag:
     return Cpdag(p, frozenset(directed), frozenset(undirected))
 
 
+def random_kind(rng, pair: tuple[int, int], rank) -> str:
+    """A random kind for ``pair``; a directed one points from the lower to the
+    higher ``rank``, so the directed pairs drawn against one rank, with edges
+    that already follow it, hold no directed cycle."""
+    kind = KINDS[rng.integers(4)]
+    if kind in ("forward", "backward"):
+        a, b = pair
+        kind = "forward" if rank[a] < rank[b] else "backward"
+    return kind
+
+
 def random_cpdag_pair(seed: int) -> tuple[Cpdag, Cpdag]:
     """An equivalence class and, by seed mod 3, a second class, an arbitrary
-    Cpdag, or the first one with some pairs re-marked (reversed, undirected,
-    directed, added or dropped)."""
+    Cpdag directed along a random node order, or the first one with some pairs
+    re-marked (undirected, directed along its DAG, added or dropped)."""
     rng = np.random.default_rng(seed)
     p = 2 + seed % 11
-    first = dag_to_cpdag(random_dag(rng, p, rng.uniform(0.1, 0.7)))
+    dag = random_dag(rng, p, rng.uniform(0.1, 0.7))
+    first = dag_to_cpdag(dag)
     pairs = list(itertools.combinations(range(p), 2))
     if seed % 3 == 0:
         return first, dag_to_cpdag(random_dag(rng, p, rng.uniform(0.1, 0.7)))
     if seed % 3 == 1:
-        return first, cpdag_from_kinds(p, {pair: KINDS[rng.integers(4)] for pair in pairs})
+        rank = rng.permutation(p)
+        return first, cpdag_from_kinds(p, {pair: random_kind(rng, pair, rank) for pair in pairs})
+    # re-marked pairs point along the first class's DAG, as its compelled edges do
+    rank = np.argsort(topological_order(dag).order)
     kinds = {pair: pair_kind(first, pair) for pair in pairs}
     for pair in pairs:
         if rng.random() < 0.3:
-            kinds[pair] = KINDS[rng.integers(4)]
+            kinds[pair] = random_kind(rng, pair, rank)
     return first, cpdag_from_kinds(p, kinds)
 
 
@@ -601,6 +697,7 @@ class TestGraphFiles:
     @pytest.mark.parametrize("readers, text, fault", [
         ((read_dag,), "3\n0 1\n1 0\n", "edge set contains a directed cycle"),
         ((read_cpdag,), "3\n0 1\n1 0\n", "both orientations of one pair are directed"),
+        ((read_cpdag,), "3\n0 1\n1 2\n2 0\n", "edge set contains a directed cycle"),
         ((read_dag, read_cpdag), "2\n1 1\n", "self-loop at node 1"),
         ((read_dag, read_cpdag), "2\n0 5\n", "edge (0,5) out of range for p=2"),
         ((read_dag, read_cpdag), "-1\n", "node count must be a non-negative integer, got -1"),

@@ -49,7 +49,7 @@ def pure_chain(b1, b2, s1, s2, s3):
 class TestModelValidation:
     def test_cyclic_support_rejected(self):
         b = np.array([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^edge set contains a directed cycle$"):
             GaussianSem(B=b, sigma2=np.ones(2))
 
     def test_nonpositive_variance_rejected(self):
