@@ -96,9 +96,23 @@ def read_dataset(path) -> Dataset:
     return parse_dataset(read_text(path), where=str(path))
 
 
+def _header(names: tuple[str, ...]) -> str:
+    """The header row of ``names``; ValidationError names the first column
+    that :func:`parse_dataset` would not read back from it as it is."""
+    header = ",".join(names)
+    fields = _split(header, "," if "," in header else None)
+    for j, name in enumerate(names):
+        if fields[j:j + 1] != [name] or len(name.splitlines()) != 1:
+            raise ValidationError(
+                f"column {j} name {name!r} would not read back from the header row"
+            )
+    return header
+
+
 def format_dataset(ds: Dataset) -> str:
+    """CSV text of ``ds`` that :func:`parse_dataset` reads back as it is."""
     row = ",".join(["%.17g"] * ds.p)
-    lines = [",".join(ds.names)]
+    lines = [_header(ds.names)]
     lines.extend(row % tuple(values) for values in ds.data.tolist())
     return "\n".join(lines) + "\n"
 

@@ -9,21 +9,21 @@ exceed the tolerance, and the returned graph then has extra edges without any
 error being raised.
 
 Both read every r off one factorization as arrays and decide all pairs in one
-pass over them. The decisions are kept as a columnar `TestLog`: O(p^2) arrays
-plus the ordering, from which each record's conditioning set is derived when
-the record is read, so no per-pair object is stored. The ordering's step
-diagnostics are kept the same way, as a `StepLog`: one array of the
-p (p + 1) / 2 step residual sums of squares plus the ordering, from which each
-step's unplaced nodes and residual variances are derived when the step is read.
+pass over them. The decisions are kept as a columnar `TestLog` (each pair's r
+and statistic, plus the ordering and the threshold) and the ordering's steps
+as a `StepLog` (every step's residual sums of squares, plus the ordering).
+Each record and step is derived when it is read, so no per-pair object is
+stored, and both logs read as the tuple of their rows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator, Literal, Sequence, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class LearnConfig:
     parent_test_mode: ParentTestMode = "conditional"
 
     def __post_init__(self):
+        for name in ("alpha", "oracle_tolerance"):
+            if not isinstance(value := getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.oracle_tolerance < math.inf:
@@ -77,67 +80,67 @@ class TestRecord:
     dependent: bool
 
 
-@dataclass(frozen=True, eq=False)
-class TestLog:
-    """Every independence decision of one parent step, stored as columns.
+class _Rows:
+    """A log read as the tuple of its rows.
 
-    Row i is the i-th pair of positions (m, e), e < m, of ``order`` in
-    row-major order of the strict lower triangle: (1, 0), (2, 0), (2, 1),
-    (3, 0), ... The arrays hold the pair's nodes ``earlier`` = order[e] and
-    ``later`` = order[m], its ``r``, ``statistic`` and ``dependent``; one
-    ``threshold`` serves every row. Storage is O(p^2): the conditioning set
-    order[:e] + order[e+1:m] (empty in marginal mode) is derived when a record
-    is read. Length, indexing, iteration and equality work on
-    :class:`TestRecord` values, so the log compares equal to the tuple of its
-    records.
+    A subclass gives ``__len__`` and ``_row(i)`` for 0 <= i < len; indexing
+    by int or slice, iteration and equality with a tuple or a log of the same
+    type follow from them.
     """
 
-    order: tuple[int, ...]
-    mode: ParentTestMode
-    threshold: float
-    earlier: np.ndarray
-    later: np.ndarray
-    r: np.ndarray
-    statistic: np.ndarray
-    dependent: np.ndarray
-
-    def __post_init__(self):
-        for name in ("earlier", "later", "r", "statistic", "dependent"):
-            getattr(self, name).flags.writeable = False
-
-    def _given(self, i: int) -> tuple[int, ...]:
-        if self.mode == "marginal":
-            return ()
-        # row i opens row m of the triangle once m (m - 1) / 2 <= i
-        m = (1 + math.isqrt(8 * i + 1)) // 2
-        e = i - m * (m - 1) // 2
-        return self.order[:e] + self.order[e + 1:m]
-
-    def __len__(self) -> int:
-        return len(self.r)
-
     def __getitem__(self, i):
+        rows = range(len(self))
         if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        k = range(len(self))[i]  # raises IndexError out of range
-        return TestRecord(int(self.earlier[k]), int(self.later[k]), self._given(k),
-                          float(self.r[k]), float(self.statistic[k]), self.threshold,
-                          bool(self.dependent[k]))
+            return tuple(map(self._row, rows[i]))
+        return self._row(rows[i])  # raises IndexError out of range
 
-    def __iter__(self) -> Iterator[TestRecord]:
-        columns = (self.earlier.tolist(), self.later.tolist(), self.r.tolist(),
-                   self.statistic.tolist(), self.dependent.tolist())
-        for i, (e, m, r, stat, dep) in enumerate(zip(*columns)):
-            yield TestRecord(e, m, self._given(i), r, stat, self.threshold, dep)
+    def __iter__(self):
+        return map(self._row, range(len(self)))
 
     def __eq__(self, other):
-        if not isinstance(other, (TestLog, tuple)):
+        if not isinstance(other, (type(self), tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True, eq=False)
-class StepLog:
+class TestLog(_Rows):
+    """Every independence decision of one parent step, stored as columns.
+
+    Row i is the i-th pair of positions (m, e), e < m, of ``order`` in
+    row-major order of the strict lower triangle: (1, 0), (2, 0), (2, 1),
+    (3, 0), ... The arrays hold each pair's ``r`` and ``statistic``; one
+    ``threshold`` serves every row. Storage is O(p^2): the record's nodes
+    ``earlier`` = order[e] and ``later`` = order[m], its conditioning set
+    order[:e] + order[e+1:m] (empty in marginal mode) and ``dependent``, that
+    is statistic > threshold, are derived when it is read. The log reads as
+    the tuple of its :class:`TestRecord` values.
+    """
+
+    order: tuple[int, ...]
+    mode: ParentTestMode
+    threshold: float
+    r: np.ndarray
+    statistic: np.ndarray
+
+    def __post_init__(self):
+        self.r.flags.writeable = self.statistic.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def _row(self, i: int) -> TestRecord:
+        # row i opens row m of the triangle once m (m - 1) / 2 <= i
+        m = (1 + math.isqrt(8 * i + 1)) // 2
+        e = i - m * (m - 1) // 2
+        given = () if self.mode == "marginal" else self.order[:e] + self.order[e + 1:m]
+        statistic = float(self.statistic[i])
+        return TestRecord(self.order[e], self.order[m], given, float(self.r[i]), statistic,
+                          self.threshold, statistic > self.threshold)
+
+
+@dataclass(frozen=True, eq=False)
+class StepLog(_Rows):
     """Every step of the greedy ordering, stored as one column.
 
     Step m lists each node not in order[:m], in node order, with its value:
@@ -145,9 +148,8 @@ class StepLog:
     residual variance RSS / (n - m - 1). ``rss`` holds the p (p + 1) / 2 RSS
     of all steps back to back, step m's in node order from offset
     m p - m (m - 1) / 2. Storage is O(p^2): the nodes and the division are
-    derived when a step is read. Length, indexing, iteration and equality work
-    on ((node, value), ...) tuples, so the log compares equal to the tuple of
-    its steps.
+    derived when a step is read. The log reads as the tuple of its steps,
+    each a ((node, value), ...) tuple.
     """
 
     order: tuple[int, ...]
@@ -168,23 +170,9 @@ class StepLog:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        m = range(len(self))[i]  # raises IndexError out of range
+    def _row(self, m: int) -> tuple[tuple[int, float], ...]:
         nodes = sorted(set(range(len(self))).difference(self.order[:m]))
         return tuple(zip(nodes, self.values(m).tolist()))
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, float], ...]]:
-        nodes = list(range(len(self)))
-        for m, j in enumerate(self.order):
-            yield tuple(zip(nodes, self.values(m).tolist()))
-            nodes.remove(j)
-
-    def __eq__(self, other):
-        if not isinstance(other, (StepLog, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -318,12 +306,10 @@ def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
     rows, cols, rho = pairs
     nodes = np.asarray(order, dtype=np.intp)
     dependent = statistic > threshold
-    log = TestLog(tuple(order), mode, threshold, nodes[cols], nodes[rows], rho,
-                  statistic, dependent)
-    parents, children = log.earlier[dependent], log.later[dependent]
     adjacency = np.zeros((len(order), len(order)), dtype=bool)
-    adjacency[parents, children] = True
+    adjacency[nodes[cols[dependent]], nodes[rows[dependent]]] = True
     # every edge points forward along the ordering, so the graph is acyclic
+    log = TestLog(tuple(order), mode, threshold, rho, statistic)
     return Dag._trusted(len(order), adjacency), log
 
 
@@ -354,7 +340,7 @@ def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
     return _decide(order, mode, pairs, statistic, threshold)
 
 
-def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
+def estimate_ordering(data: Dataset):
     """Greedy minimal-conditional-variance ordering of the dataset's columns.
 
     Returns (ordering, step diagnostics): a :class:`StepLog` whose step m is
@@ -363,7 +349,6 @@ def estimate_ordering(data: Dataset, cfg: LearnConfig | None = None):
     n > p + 1 so that every regression along the way, and the final parent
     tests, are estimable.
     """
-    del cfg  # ordering has no tunables; accepted for symmetry with the other steps
     order, _, steps = _factor(_centered(data, "ordering needs"))
     return Ordering(order), StepLog(order, steps, data.n)
 

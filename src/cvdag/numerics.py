@@ -24,6 +24,7 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
+from .graphs import _is_int
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -155,9 +156,13 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
 
 
 def _check_condition_args(p: int, j: int, given: tuple[int, ...]):
+    if not _is_int(j):
+        raise ValidationError(f"variable index must be an integer, got {j!r}")
     if not 0 <= j < p:
         raise ValidationError(f"variable index {j} out of range for p={p}")
     for s in given:
+        if not _is_int(s):
+            raise ValidationError(f"conditioning index must be an integer, got {s!r}")
         if not 0 <= s < p:
             raise ValidationError(f"conditioning index {s} out of range for p={p}")
     if j in given:

@@ -254,15 +254,15 @@ def bivariate_weight_threshold(r: float) -> float:
     """Smallest beta^2 guaranteeing two-node identifiability at variance ratio r
     under the variance-ratio condition: max(0, 1 - r^2).
     """
-    if r <= 0.0:
-        raise ValidationError("variance ratio must be positive")
+    if not r > 0.0:
+        raise ValidationError(f"variance ratio must be positive, got {r!r}")
     return max(0.0, 1.0 - r * r)
 
 
 def bivariate_weight_threshold_conservative(r: float) -> float:
     """The stricter classical two-node threshold, piecewise in the ratio r."""
-    if r <= 0.0:
-        raise ValidationError("variance ratio must be positive")
+    if not r > 0.0:
+        raise ValidationError(f"variance ratio must be positive, got {r!r}")
     r2 = r * r
     if r >= 1.0:
         return r2 * ((r2 - 1.0) + math.sqrt(r2 * r2 - 1.0))
@@ -279,6 +279,8 @@ def _propagate(m: GaussianSem, noise: np.ndarray) -> np.ndarray:
 
 def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
     """Draw n rows; deterministic for a fixed seed. Columns follow node indices."""
+    if not _is_int(n):
+        raise ValidationError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     rng = seeded_rng(seed)
@@ -298,6 +300,8 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
     (|b| < 0.25 homogeneous, |b| < 1 heterogeneous); homogeneous fixes all
     error variances at 1, heterogeneous draws them uniform on [1, 3].
     """
+    if not _is_int(p):
+        raise ValidationError(f"node count must be an integer, got {p!r}")
     if p < 2:
         raise ValidationError(f"need at least 2 nodes, got {p}")
     if protocol not in WEIGHT_WINDOWS:

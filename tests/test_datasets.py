@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -170,6 +171,31 @@ class TestRoundTrip:
         back = read_dataset(path)
         assert back.names == ds.names
         assert np.array_equal(back.data, ds.data)
+
+    @pytest.mark.parametrize("names, column", [
+        (("a,b", "c"), 0),  # the comma splits the name in two
+        ((" a", "b"), 0),  # the reader strips each field
+        (("a", "b\t"), 1),
+        (("a\nb", "c"), 0),  # a line break ends the header
+        (("a", "b\rc"), 1),
+        (("", "c"), 0),  # the reader rejects an empty name
+        (("a b",), 0),  # a one-column header splits on whitespace
+        (("",), 0),  # an empty one-column header is no header
+        (("a,b",), 0),
+    ])
+    def test_header_that_would_not_read_back_rejected(self, tmp_path, names, column):
+        ds = Dataset(names, np.ones((2, len(names))))
+        want = re.escape(f"column {column} name {names[column]!r}")
+        with pytest.raises(ValidationError, match=want):
+            format_dataset(ds)
+        with pytest.raises(ValidationError, match=want):
+            write_dataset(ds, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("names", [("a b", "c"), ("a",), ("é", "x.y", "#z")])
+    def test_names_that_read_back_are_written(self, names):
+        ds = Dataset(names, np.arange(2.0 * len(names)).reshape(2, -1))
+        assert parse_dataset(format_dataset(ds)).names == names
 
     def test_format_is_stable(self):
         ds = Dataset(("a",), np.array([[1.0 / 3.0]]))

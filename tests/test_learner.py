@@ -79,6 +79,19 @@ class TestLearnConfig:
         with pytest.raises(ValidationError):
             LearnConfig(parent_test_mode="sideways")
 
+    @pytest.mark.parametrize("name, value", [("alpha", "0.1"), ("alpha", None),
+                                             ("oracle_tolerance", "x"),
+                                             ("oracle_tolerance", [1e-9])])
+    def test_non_number_rejected(self, name, value):
+        # these reached a comparison and raised a bare TypeError
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be a real number, got {value!r}")):
+            LearnConfig(**{name: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = LearnConfig(alpha=np.float64(0.05), oracle_tolerance=np.float32(1e-6))
+        assert (cfg.alpha, cfg.oracle_tolerance) == (0.05, np.float32(1e-6))
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_bad_oracle_tolerance(self, tol):
         # a NaN tolerance used to pass and make every pair independent
@@ -366,8 +379,14 @@ class TestLearn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(result.test_log) == 320 * 319 // 2
         assert peak < 40e6
+        log = result.test_log
+        assert len(log) == 320 * 319 // 2
+        assert [f.name for f in dataclasses.fields(log)] == [
+            "order", "mode", "threshold", "r", "statistic"]
+        for column in (log.r, log.statistic):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (320 * 319 // 2,) and not column.flags.writeable
 
     def test_zero_residual_names_step_and_variable(self):
         # a constant column centers to exactly zero and wins the first step
@@ -493,9 +512,50 @@ class TestAgainstReferences:
     def test_learn_is_the_composition_of_its_stages(self, mode, seed, p, protocol):
         data = sample(random_sem(p, protocol, seed), 60, seed)
         cfg = LearnConfig(parent_test_mode=mode)
-        ordering, steps = estimate_ordering(data, cfg)
+        ordering, steps = estimate_ordering(data)
         dag, log = estimate_parents(data, ordering, cfg)
         assert learn(data, cfg) == LearnResult(ordering, dag, steps, log)
+
+
+def learned_log(source):
+    """The test log of a p=6 model: learned in either parent-test mode, or by
+    the oracle from its covariance."""
+    model = random_sem(6, "heterogeneous", seed=3)
+    if source == "oracle":
+        return learn_from_covariance(population_covariance(model)).test_log
+    return learn(sample(model, 500, seed=4), LearnConfig(parent_test_mode=source)).test_log
+
+
+class TestTestLog:
+    """The columnar decision record reads as the tuple of its records."""
+
+    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    def test_indexing_matches_the_tuple(self, source):
+        log = learned_log(source)
+        whole = tuple(log)
+        assert len(log) == len(whole) == 15
+        for i in range(-15, 15):
+            assert log[i] == whole[i]
+        for cut in (slice(None), slice(1, 4), slice(-2, None), slice(None, None, -2),
+                    slice(12, 1, -3), slice(None, -20, -1), slice(13, 19), slice(16, 20)):
+            assert log[cut] == whole[cut]
+        for bad in (15, -16):
+            with pytest.raises(IndexError):
+                log[bad]
+
+    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    def test_equality_in_both_directions(self, source):
+        log = learned_log(source)
+        whole = tuple(log)
+        again = learned_log(source)
+        assert log == whole and whole == log
+        assert log == again and again == log
+        assert not (log != whole or whole != log)
+        assert log != whole[:-1] and whole[:-1] != log
+        flipped = dataclasses.replace(whole[-1], dependent=not whole[-1].dependent)
+        changed = whole[:-1] + (flipped,)
+        assert log != changed and changed != log
+        assert log != list(whole)
 
 
 def reference_factor(x, order=None):

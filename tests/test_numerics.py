@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from cvdag.numerics import (
     partial_correlation,
     sample_covariance,
 )
-from cvdag.sem import nonfaithful_chain, population_covariance, sample
+from cvdag.sem import (
+    nonfaithful_chain,
+    population_conditional_variance,
+    population_covariance,
+    sample,
+)
 
 # Oracle for the fixed 3-node chain model: X1=e1, X2=X1+e2, X3=X1+X2+e3 means
 # X = C @ eps with the coefficient rows below, so Cov(X) = C diag(s2) C^T.
@@ -163,6 +169,36 @@ class TestConditionalVariance:
                                         np.random.default_rng(1).normal(size=8)]))
         with pytest.raises(DegenerateDesignError):
             conditional_variance(data, 1, [0])
+
+
+class TestConditionIndices:
+    """The index checks that conditional_variance, partial_correlation and
+    population_conditional_variance share."""
+
+    CALLS = {
+        "conditional_variance": lambda j, given: conditional_variance(
+            dataset(np.random.default_rng(0).normal(size=(10, 3))), j, given),
+        "partial_correlation": lambda j, given: partial_correlation(CHAIN_COV, j, 2, given),
+        "population_conditional_variance": lambda j, given: population_conditional_variance(
+            CHAIN_COV, j, given),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("j, given, message", [
+        (1.0, (), "variable index must be an integer, got 1.0"),
+        ("1", (), "variable index must be an integer, got '1'"),
+        (True, (), "variable index must be an integer, got True"),
+        (1, (0.0,), "conditioning index must be an integer, got 0.0"),
+        (1, (np.int64(0), None), "conditioning index must be an integer, got None"),
+    ])
+    def test_non_integer_index_rejected(self, call, j, given, message):
+        # a float index used to reach numpy and raise a bare IndexError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            self.CALLS[call](j, given)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_numpy_integer_indices_accepted(self, call):
+        assert self.CALLS[call](np.int64(1), (np.int32(0),)) == self.CALLS[call](1, (0,))
 
 
 class TestPartialCorrelation:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -625,6 +626,13 @@ class TestBivariateThresholds:
         with pytest.raises(ValidationError):
             bivariate_weight_threshold_conservative(-1.0)
 
+    @pytest.mark.parametrize("threshold", [bivariate_weight_threshold,
+                                           bivariate_weight_threshold_conservative])
+    def test_nan_ratio_rejected(self, threshold):
+        # r <= 0 let NaN through, to 0.0 and to nan
+        with pytest.raises(ValidationError, match="variance ratio must be positive, got nan"):
+            threshold(math.nan)
+
     @given(st.floats(1e-6, 4.0))
     @settings(max_examples=300, deadline=None)
     def test_dominance(self, r):
@@ -653,6 +661,17 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample(nonfaithful_chain(), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        # these reached numpy and raised a bare TypeError
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"sample size must be an integer, got {n!r}")):
+            sample(nonfaithful_chain(), n, seed=0)
+
+    def test_numpy_integer_n_accepted(self):
+        got = sample(nonfaithful_chain(), np.int64(5), seed=0)
+        assert np.array_equal(got.data, sample(nonfaithful_chain(), 5, seed=0).data)
+
     def test_column_order_is_node_order_not_topological(self):
         # node 1 is the source here; columns must still appear as X0, X1
         m = GaussianSem(B=np.array([[0.0, 2.0], [0.0, 0.0]]),
@@ -679,6 +698,17 @@ class TestSampling:
 
 
 class TestRandomSem:
+    @pytest.mark.parametrize("p", [5.0, "5", True, None])
+    def test_non_integer_node_count_rejected(self, p):
+        # these reached numpy and raised a bare AxisError or TypeError
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"node count must be an integer, got {p!r}")):
+            random_sem(p, "homogeneous", seed=0)
+
+    def test_numpy_integer_node_count_accepted(self):
+        got, want = random_sem(np.int64(5), "homogeneous", 0), random_sem(5, "homogeneous", 0)
+        assert np.array_equal(got.B, want.B) and np.array_equal(got.sigma2, want.sigma2)
+
     def test_homogeneous_weight_window_and_variances(self):
         m = random_sem(12, "homogeneous", seed=31)
         weights = m.B[m.B != 0.0]
