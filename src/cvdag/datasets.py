@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataFormatError, ValidationError, read_text, write_text
-from .numerics import Dataset
+from .numerics import Dataset, _repeated_name
 
 
 def _split(line: str, delimiter: str | None) -> list[str]:
@@ -54,7 +54,8 @@ def parse_dataset(text: str, where: str = "<string>") -> Dataset:
         except ValueError:
             pass
         else:
-            if all(names) and len(data) and data.shape[1] == len(names) and np.isfinite(data).all():
+            if (all(names) and _repeated_name(names) is None and len(data)
+                    and data.shape[1] == len(names) and np.isfinite(data).all()):
                 return Dataset(tuple(names), data)
     return _scan_dataset(text, where)
 
@@ -69,6 +70,8 @@ def _scan_dataset(text: str, where: str) -> Dataset:
     names = _split(head, delimiter)
     if any(not n for n in names):
         raise DataFormatError(f"{where}:{head_no}: empty column name in header")
+    if (repeat := _repeated_name(names)) is not None:
+        raise DataFormatError(f"{where}:{head_no}: header has {repeat}")
     linenos = [lineno for lineno, _ in stripped[1:]]
     rows = []
     # float() ignores the whitespace around a field, so fields are not stripped;

@@ -1,18 +1,19 @@
 """Two-step structure learning: greedy conditional-variance ordering, then
 parent selection by partial-correlation tests along the ordering.
 
-A population-oracle twin (`learn_from_covariance`) runs the same search on a
-covariance matrix, deciding independence by thresholding |partial correlation|
-instead of a finite-sample test. It computes in float64, not in exact
+One pipeline serves both versions: `learn` factors centered data of n rows
+and tests each pair by Fisher z; `learn_from_covariance`, the population
+oracle, factors the L^T of a covariance matrix and, with no n, thresholds
+|partial correlation| instead. It computes in float64, not in exact
 arithmetic: on ill-conditioned covariances the rounded |r| of a non-edge can
 exceed the tolerance, and the returned graph then has extra edges without any
 error being raised.
 
 Both read every r off one factorization as arrays and decide all pairs in one
-pass over them. The decisions are kept as a columnar `TestLog` (each pair's r
-and statistic, plus the ordering and the threshold) and the ordering's steps
-as a `StepLog` (every step's residual sums of squares, plus the ordering).
-Each record and step is derived when it is read, so no per-pair object is
+pass over them. The decisions are kept as a columnar `TestLog` (each pair's r,
+the ordering, the threshold and n) and the ordering's steps as a `StepLog`
+(every step's residual sums of squares, the ordering and n). Each record,
+step and statistic is derived when it is read, so no per-pair object is
 stored, and both logs read as the tuple of their rows.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 from typing import Literal, Sequence, get_args
 
@@ -109,22 +110,32 @@ class TestLog(_Rows):
 
     Row i is the i-th pair of positions (m, e), e < m, of ``order`` in
     row-major order of the strict lower triangle: (1, 0), (2, 0), (2, 1),
-    (3, 0), ... The arrays hold each pair's ``r`` and ``statistic``; one
-    ``threshold`` serves every row. Storage is O(p^2): the record's nodes
-    ``earlier`` = order[e] and ``later`` = order[m], its conditioning set
-    order[:e] + order[e+1:m] (empty in marginal mode) and ``dependent``, that
-    is statistic > threshold, are derived when it is read. The log reads as
-    the tuple of its :class:`TestRecord` values.
+    (3, 0), ... The array holds each pair's ``r``; one ``threshold`` and the
+    sample size ``n`` (None for the oracle, as in :class:`StepLog`) serve
+    every row. Storage is O(p^2): the record's nodes ``earlier`` = order[e]
+    and ``later`` = order[m], its conditioning set order[:e] + order[e+1:m]
+    (empty in marginal mode), its ``statistic`` and ``dependent``, that is
+    statistic > threshold, are derived when it is read. The log reads as the
+    tuple of its :class:`TestRecord` values.
     """
 
     order: tuple[int, ...]
     mode: ParentTestMode
     threshold: float
     r: np.ndarray
-    statistic: np.ndarray
+    n: int | None = None
 
     def __post_init__(self):
-        self.r.flags.writeable = self.statistic.flags.writeable = False
+        self.r.flags.writeable = False
+
+    @cached_property
+    def statistic(self) -> np.ndarray:
+        """Each row's statistic, read-only, derived from ``r`` on first read:
+        |r| without ``n``, the Fisher z statistic with it."""
+        rows = _lower_pairs(len(self.order))[0]
+        statistic = _statistic(self.r, self.n, rows - 1 if self.mode == "conditional" else 0)
+        statistic.flags.writeable = False
+        return statistic
 
     def __len__(self) -> int:
         return len(self.r)
@@ -260,17 +271,6 @@ def _lower_pairs(p: int):
     return rows, cols
 
 
-@lru_cache(maxsize=16)
-def _upper_flat(p: int):
-    """Flat row-major indices, read-only, of the transposes of the
-    :func:`_lower_pairs` entries, cols p + rows, and of the diagonal entry of
-    each pair's row, rows (p + 1)."""
-    rows, cols = _lower_pairs(p)
-    upper, diag = cols * p + rows, rows * (p + 1)
-    upper.flags.writeable = diag.flags.writeable = False
-    return upper, diag
-
-
 def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     """(m, e, r) over the strict lower triangle, positions e < m of the order.
 
@@ -292,7 +292,7 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     else:
         # LU of an upper-triangular matrix swaps no rows, so U is exactly upper
         u = np.linalg.inv(r)
-        upper, diag = _upper_flat(p)
+        upper, diag = cols * p + rows, rows * (p + 1)
         norms = np.sqrt(np.cumsum(u * u, axis=1).take(upper))
         corr = -np.sign(u.take(diag)) * u.take(upper) / norms
     np.maximum(corr, -1.0, out=corr)
@@ -300,17 +300,42 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     return rows, cols, corr
 
 
-def _decide(order, mode: ParentTestMode, pairs, statistic, threshold: float):
-    """(DAG, log) of the pairs whose statistic exceeds ``threshold``; the DAG
-    stores the adjacency mask scattered from those pairs."""
-    rows, cols, rho = pairs
+def _statistic(r: np.ndarray, n: int | None, s) -> np.ndarray:
+    """The statistic of each partial correlation ``r`` given ``s`` conditioning
+    nodes: |r| for the population (``n`` None), else the arithmetic of
+    :func:`numerics.fisher_z_test` over all pairs at once, sqrt(n - s - 3)
+    |atanh(r)|, +inf where |r| >= 1. atanh is ``math.atanh``, since
+    ``np.arctanh`` differs from it in the last bit on some inputs.
+    """
+    if n is None:
+        return np.abs(r)
+    # guard atanh against r rounded to within 1e-12 of +-1
+    clipped = np.clip(r, -(1.0 - 1e-12), 1.0 - 1e-12)
+    z = np.fromiter(map(math.atanh, clipped.tolist()), float, len(clipped))
+    return np.where(np.abs(r) >= 1.0, math.inf, np.sqrt(n - s - 3.0) * np.abs(z))
+
+
+def _parents(order, r: np.ndarray, cfg: LearnConfig, n: int | None):
+    """(DAG, log) of one test per ordered pair of the factor ``r``: Fisher z
+    at cfg.alpha with ``n``, |r| against cfg.oracle_tolerance without. The DAG
+    stores the adjacency mask scattered from the dependent pairs."""
+    mode = cfg.parent_test_mode
+    rows, cols, rho = _pair_correlations(r, mode)
+    threshold = cfg.oracle_tolerance if n is None else NormalDist().inv_cdf(1 - cfg.alpha / 2)
+    dependent = _statistic(rho, n, rows - 1 if mode == "conditional" else 0) > threshold
     nodes = np.asarray(order, dtype=np.intp)
-    dependent = statistic > threshold
     adjacency = np.zeros((len(order), len(order)), dtype=bool)
     adjacency[nodes[cols[dependent]], nodes[rows[dependent]]] = True
     # every edge points forward along the ordering, so the graph is acyclic
-    log = TestLog(tuple(order), mode, threshold, rho, statistic)
-    return Dag._trusted(len(order), adjacency), log
+    return Dag._trusted(len(order), adjacency), TestLog(tuple(order), mode, threshold, rho, n)
+
+
+def _learn(x: np.ndarray, cfg: LearnConfig, n: int | None) -> LearnResult:
+    """Ordering, then parents, off one greedy factor of ``x``: centered data
+    of ``n`` rows, or with ``n`` None the L^T of a population covariance."""
+    order, r, steps = _factor(x)
+    dag, log = _parents(order, r, cfg, n)
+    return LearnResult(Ordering(order), dag, StepLog(order, steps, n), log)
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
@@ -318,26 +343,6 @@ def _centered(data: Dataset, stage: str) -> np.ndarray:
     if data.n <= data.p + 1:
         raise InsufficientSamplesError(f"{stage} n > p + 1 (n={data.n}, p={data.p})")
     return data.data - data.data.mean(axis=0)
-
-
-def _fisher_parents(data: Dataset, order, r: np.ndarray, cfg: LearnConfig):
-    """(DAG, log) of one Fisher z test per ordered pair of the factor ``r``.
-
-    The arithmetic of :func:`numerics.fisher_z_test` over all pairs at once:
-    sqrt(n - s - 3) |atanh(r)| with s = m - 1 conditioning nodes at position m
-    (0 in marginal mode), +inf where |r| >= 1. atanh is ``math.atanh``, since
-    ``np.arctanh`` differs from it in the last bit on some inputs.
-    """
-    mode = cfg.parent_test_mode
-    pairs = _pair_correlations(r, mode)
-    rows, _, rho = pairs
-    s = rows - 1 if mode == "conditional" else 0
-    # guard atanh against r rounded to within 1e-12 of +-1
-    clipped = np.clip(rho, -(1.0 - 1e-12), 1.0 - 1e-12)
-    z = np.fromiter(map(math.atanh, clipped.tolist()), float, len(clipped))
-    statistic = np.where(np.abs(rho) >= 1.0, math.inf, np.sqrt(data.n - s - 3.0) * np.abs(z))
-    threshold = NormalDist().inv_cdf(1.0 - cfg.alpha / 2.0)
-    return _decide(order, mode, pairs, statistic, threshold)
 
 
 def estimate_ordering(data: Dataset):
@@ -367,7 +372,7 @@ def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None =
     if len(pi) != data.p:
         raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
     order, r, _ = _factor(_centered(data, "parent tests need"), Ordering(pi).order)
-    return _fisher_parents(data, order, r, cfg)
+    return _parents(order, r, cfg, data.n)
 
 
 def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
@@ -377,19 +382,17 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
     bit for bit, this equals :func:`estimate_parents` along the ordering of
     :func:`estimate_ordering`.
     """
-    cfg = cfg or LearnConfig()
-    order, r, steps = _factor(_centered(data, "ordering needs"))
-    dag, log = _fisher_parents(data, order, r, cfg)
-    return LearnResult(Ordering(order), dag, StepLog(order, steps, data.n), log)
+    return _learn(_centered(data, "ordering needs"), cfg or LearnConfig(), data.n)
 
 
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
     """Population analogue of :func:`learn` on a covariance matrix, in float64.
 
-    With cov = L L^T, the columns of L^T have cov as their Gram matrix, so one
-    greedy QR of L^T gives the ordering, whose step variances are the
-    conditional variances (raw RSS, no degrees of freedom), and every partial
-    correlation. Independence is |partial correlation| <= cfg.oracle_tolerance.
+    With cov = L L^T, the columns of L^T have cov as their Gram matrix, so
+    this is :func:`learn` on L^T without a sample size (n None in both logs):
+    the step variances are the conditional variances (raw RSS, no degrees of
+    freedom), and each test's statistic is |partial correlation|, independent
+    while <= cfg.oracle_tolerance.
     In exact arithmetic this returns the generating graph of an identifiable
     model. In float64 it does so only while the rounding error of each r stays
     below the tolerance: on ill-conditioned covariances it silently returns
@@ -419,11 +422,7 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
             f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has no"
             f" Cholesky factor ({exc})"
         ) from None
-    order, r, steps = _factor(low.T)
-    pairs = _pair_correlations(r, cfg.parent_test_mode)
-    statistic = np.abs(pairs[2])  # |r|, against the tolerance
-    dag, log = _decide(order, cfg.parent_test_mode, pairs, statistic, cfg.oracle_tolerance)
-    return LearnResult(Ordering(order), dag, StepLog(order, steps), log)
+    return _learn(low.T, cfg, None)
 
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:

@@ -26,6 +26,17 @@ from .errors import (
 )
 from .graphs import _is_int
 
+
+def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
+    """The first name that repeats in ``names``, with the indices of its first
+    two columns, as an error message; None when every name is distinct."""
+    first: dict[str, int] = {}
+    for j, name in enumerate(names):
+        if (i := first.setdefault(name, j)) != j:
+            return f"repeated column name {name!r} in columns {i} and {j}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x p observation matrix with one name per column."""
@@ -43,12 +54,15 @@ class Dataset:
             raise ValidationError(
                 f"{len(self.names)} names for {data.shape[1]} columns"
             )
+        names = tuple(str(s) for s in self.names)
+        if (repeat := _repeated_name(names)) is not None:
+            raise ValidationError(repeat)
         if not np.all(np.isfinite(data)):
             raise ValidationError("dataset contains missing or non-finite entries")
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "names", tuple(str(s) for s in self.names))
+        object.__setattr__(self, "names", names)
 
     @property
     def n(self) -> int:

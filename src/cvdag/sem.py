@@ -15,6 +15,7 @@ graph's topological order and descendant mask serve the checks and `sample`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Literal, Sequence, get_args
@@ -250,19 +251,25 @@ def check_identifiability(
     return IdentifiabilityReport(bool(np.all(lhs < rhs)), margins, worst)
 
 
+def _check_ratio(r) -> None:
+    """ValidationError naming ``r`` unless it is a positive real number."""
+    if not isinstance(r, numbers.Real):
+        raise ValidationError(f"variance ratio must be a real number, got {r!r}")
+    if not r > 0.0:
+        raise ValidationError(f"variance ratio must be positive, got {r!r}")
+
+
 def bivariate_weight_threshold(r: float) -> float:
     """Smallest beta^2 guaranteeing two-node identifiability at variance ratio r
     under the variance-ratio condition: max(0, 1 - r^2).
     """
-    if not r > 0.0:
-        raise ValidationError(f"variance ratio must be positive, got {r!r}")
+    _check_ratio(r)
     return max(0.0, 1.0 - r * r)
 
 
 def bivariate_weight_threshold_conservative(r: float) -> float:
     """The stricter classical two-node threshold, piecewise in the ratio r."""
-    if not r > 0.0:
-        raise ValidationError(f"variance ratio must be positive, got {r!r}")
+    _check_ratio(r)
     r2 = r * r
     if r >= 1.0:
         return r2 * ((r2 - 1.0) + math.sqrt(r2 * r2 - 1.0))
@@ -391,6 +398,12 @@ def read_sem(path) -> GaussianSem:
             raise DataFormatError(f"{path}:{lineno}: cannot parse {line!r}") from None
     if p is None or sigma2 is None:
         raise DataFormatError(f"{path}: missing required 'p' or 'sigma2' field")
+    # before the p x p allocation, which a huge p would fail with a bare MemoryError
+    for kind, values in (("sigma2", sigma2), ("intercept", intercepts)):
+        if values is not None and len(values) != p:
+            raise DataFormatError(
+                f"{path}:{first_line[kind]}: {kind} has {len(values)} values for p={p}"
+            )
     b = np.zeros((p, p))
     for parent, child, beta, lineno in edges:
         if not (0 <= parent < p and 0 <= child < p):

@@ -93,6 +93,17 @@ class TestSimulate:
         assert run("check", bad, "-o", tmp_path) == 1
         assert capsys.readouterr().err == f"cvdag: error: {bad}:2: p repeats line 1\n"
 
+    @pytest.mark.parametrize("text, error", [
+        ("p 1000000000\nsigma2 1\n", ":2: sigma2 has 1 values for p=1000000000"),
+        ("p 2\nsigma2 1 1\nintercept 0\n", ":3: intercept has 1 values for p=2"),
+    ])
+    def test_value_count_checked_before_allocation(self, text, error, tmp_path, capsys):
+        # p = 10**9 made the p x p weight matrix first: a numpy allocation traceback
+        bad = tmp_path / "bad.sem"
+        bad.write_text(text)
+        assert run("check", bad, "-o", tmp_path) == 1
+        assert capsys.readouterr().err == f"cvdag: error: {bad}{error}\n"
+
     def test_missing_sem_file_is_io_error(self, tmp_path):
         assert run("simulate", "--sem", tmp_path / "nope.sem", "--n", 10,
                    "-o", tmp_path) == 3
@@ -137,6 +148,13 @@ class TestLearn:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,\n2,3\n")
         assert run("learn", bad, "-o", tmp_path) == 1
+
+    def test_repeated_column_name_names_header_line(self, tmp_path, capsys):
+        bad = tmp_path / "twice.csv"
+        bad.write_text("\na,b,a\n1,2,3\n4,5,6\n7,8,9\n")
+        assert run("learn", bad, "-o", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"cvdag: error: {bad}:2: header has repeated column name 'a' in columns 0 and 2\n"
 
     def test_header_only_file(self, tmp_path):
         bad = tmp_path / "empty.csv"

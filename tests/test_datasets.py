@@ -57,6 +57,31 @@ class TestParsing:
         assert spaced.names == plain.names == ("a", "b")
         assert np.array_equal(spaced.data, plain.data)
 
+    @pytest.mark.parametrize("text, error", [
+        ("a,a\n1,2\n3,4\n", "<string>:1: header has repeated column name 'a' in columns 0 and 1"),
+        ("\n x y z y\n1 2 3 4\n", "<string>:2: header has repeated column name 'y' in columns 1 and 3"),
+        ("b,c,b,c\n1,2\n", "<string>:1: header has repeated column name 'b' in columns 0 and 2"),
+    ])
+    def test_repeated_name_names_header_line(self, text, error):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(error)}$"):
+            parse_dataset(text)
+        _assert_parse_equals_scan(text)
+
+    def test_repeated_name_read_names_the_file(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,b,b\n1,2,3\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:1: header has repeated")):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("names, error", [
+        (("x", "x"), "repeated column name 'x' in columns 0 and 1"),
+        (("u", "v", "w", "v", "u"), "repeated column name 'v' in columns 1 and 3"),
+        ((1, "1"), "repeated column name '1' in columns 0 and 1"),
+    ])
+    def test_dataset_rejects_repeated_names(self, names, error):
+        with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+            Dataset(names, np.ones((2, len(names))))
+
     def test_header_only_rejected(self):
         with pytest.raises(ValidationError):
             parse_dataset("a,b\n")

@@ -383,7 +383,8 @@ class TestLearn:
         log = result.test_log
         assert len(log) == 320 * 319 // 2
         assert [f.name for f in dataclasses.fields(log)] == [
-            "order", "mode", "threshold", "r", "statistic"]
+            "order", "mode", "threshold", "r", "n"]
+        assert log.n == 2000
         for column in (log.r, log.statistic):
             assert type(column) is np.ndarray and column.dtype == np.float64
             assert column.shape == (320 * 319 // 2,) and not column.flags.writeable
@@ -557,6 +558,30 @@ class TestTestLog:
         assert log != changed and changed != log
         assert log != list(whole)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_oracle_statistic_is_abs_r(self, mode):
+        cov = population_covariance(random_sem(6, "heterogeneous", seed=3))
+        log = learn_from_covariance(cov, LearnConfig(parent_test_mode=mode)).test_log
+        assert log.n is None
+        assert log.statistic.tobytes() == np.abs(log.r).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_learned_statistic_is_the_scalar_fisher_z(self, mode):
+        log = learned_log(mode)
+        assert log.n == 500
+        want = [fisher_z_test(rec.r, log.n, len(rec.given), 0.01).statistic for rec in log]
+        assert log.statistic.tolist() == want
+
+    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    def test_statistic_is_derived_on_first_read_and_kept(self, source):
+        log = learned_log(source)
+        assert "statistic" not in vars(log)
+        statistic = log.statistic
+        assert vars(log)["statistic"] is statistic and log.statistic is statistic
+        assert statistic.dtype == np.float64 and statistic.shape == log.r.shape
+        assert not statistic.flags.writeable
+        assert (statistic > log.threshold).tolist() == [rec.dependent for rec in log]
+
 
 def reference_factor(x, order=None):
     """The pivot loop as it was before it ran in place: each step gathers the
@@ -687,13 +712,6 @@ class TestPairCorrelationsAgainstReference:
                 got = learner_module._pair_correlations(r, mode)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_flat_indices_are_cached_read_only(self):
-        upper, diag = learner_module._upper_flat(5)
-        assert learner_module._upper_flat(5)[0] is upper
-        rows, cols = learner_module._lower_pairs(5)
-        assert np.array_equal(upper, cols * 5 + rows) and np.array_equal(diag, rows * 6)
-        assert not (upper.flags.writeable or diag.flags.writeable)
 
 
 def scaled(steps, n):

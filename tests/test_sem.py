@@ -79,6 +79,7 @@ class TestModelValidation:
         ("p 2\nsigma2 1 1\nintercept 0 -inf\n", "intercepts must be finite"),
         ("p 0\nsigma2\n", "bad.sem:1: p must be >= 1"),
         ("sigma2 1\np -1\n", "bad.sem:2: p must be >= 1"),
+        ("p 1000000000\nsigma2 1\n", "bad.sem:2: sigma2 has 1 values for p=1000000000"),
     ])
     def test_read_sem_rejects_invalid_values(self, tmp_path, text, where):
         path = tmp_path / "bad.sem"
@@ -632,6 +633,15 @@ class TestBivariateThresholds:
         # r <= 0 let NaN through, to 0.0 and to nan
         with pytest.raises(ValidationError, match="variance ratio must be positive, got nan"):
             threshold(math.nan)
+
+    @pytest.mark.parametrize("threshold", [bivariate_weight_threshold,
+                                           bivariate_weight_threshold_conservative])
+    @pytest.mark.parametrize("ratio", ["1", None, 1j, [1.0]])
+    def test_non_number_ratio_rejected(self, threshold, ratio):
+        # a bare TypeError from the comparison with 0.0
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"variance ratio must be a real number, got {ratio!r}")):
+            threshold(ratio)
 
     @given(st.floats(1e-6, 4.0))
     @settings(max_examples=300, deadline=None)
