@@ -7,10 +7,11 @@ significant digits so a write/read round-trip is lossless.
 Parsing has two paths. Well-formed text is read by numpy's C reader
 (``np.loadtxt`` over the lines below the header), which converts with the same
 correctly rounded routine as ``float()``. Text it refuses, or whose result
-lacks rows, has the wrong width or holds a non-finite value, goes to a line
-scan with ``float()``, the reference. The scan accepts what ``float()`` accepts
-(digit underscores, non-ASCII digits) and names the line of the first fault,
-so accepted syntax and error messages do not depend on the path taken.
+``Dataset`` refuses (no rows, the wrong width, repeated names or a non-finite
+value), goes to a line scan with ``float()``, the reference. The scan accepts
+what ``float()`` accepts (digit underscores, non-ASCII digits) and names the
+line of the first fault, so accepted syntax and error messages do not depend
+on the path taken.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ def parse_dataset(text: str, where: str = "<string>") -> Dataset:
         try:
             # a list of lines, not a StringIO copy; comments=None keeps "#" an error
             data = np.loadtxt(body, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if (all(names) and _repeated_name(names) is None and len(data)
-                    and data.shape[1] == len(names) and np.isfinite(data).all()):
+            # Dataset holds the rules on rows, width, names and values; text
+            # that breaks one goes to the scan, which names the line at fault
+            if all(names):
                 return Dataset(tuple(names), data)
+        except (ValueError, ValidationError):
+            pass
     return _scan_dataset(text, where)
 
 

@@ -7,11 +7,12 @@ in topological order, O(p + |E|·max in-degree); no orientation rules are run.
 A Dag stores one thing, its read-only p x p bool adjacency mask, entry
 [parent, child] set for each edge; ``Dag.edges`` is a read-only set view over
 that mask, equal to and hashing as the frozenset of its (parent, child) pairs,
-iterated in sorted order. The distance between two DAGs counts the entries
-where their masks differ; the distance between two CPDAGs counts the node pairs
-whose marks differ, a mark being a directed edge or an undirected edge tagged
-"u". A node count and every node id must be an integer (numpy integers count,
-bools do not); anything else raises ValidationError naming the value.
+iterated in sorted order; a Cpdag stores two such views, the second over the
+(low, high) mask of its undirected edges. The distance between two DAGs counts
+the entries where their masks differ, and between two CPDAGs the node pairs
+whose two entries in the PDAG mask differ. A node count and every node id must
+be an integer (numpy integers count, bools do not); anything else raises
+ValidationError naming the value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import numbers
 import operator
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -100,7 +101,7 @@ class _Index(NamedTuple):
 
 
 class _EdgeView(Set):
-    """Read-only set of the (parent, child) pairs of a bool adjacency mask.
+    """Read-only set of the (row, column) pairs of a bool adjacency mask.
 
     Equal to, and hashing as, the frozenset of the same pairs; set operators
     return frozensets. Membership reads one mask entry, the size counts the
@@ -145,14 +146,39 @@ class _EdgeView(Set):
         return frozenset(it)
 
 
-@dataclass(frozen=True)
-class Dag:
-    """Directed acyclic graph; the constructor verifies the edges are in range,
-    free of self-loops and acyclic.
+class _Graph:
+    """Base of Dag and Cpdag, frozen dataclasses whose first field is the node
+    count ``p`` and each further field a read-only _EdgeView over a bool mask;
+    each defines ``_adjacency``, its p x p mask in pcalg's [parent, child] form."""
 
-    A Dag stores only its read-only p x p bool adjacency mask; ``edges`` is a
-    read-only set view over it that compares and hashes as a frozenset of pairs.
-    """
+    def _store(self, p: int, *masks: np.ndarray):
+        object.__setattr__(self, "p", p)
+        for f, mask in zip(fields(self)[1:], masks):
+            object.__setattr__(self, f.name, _EdgeView(mask))
+        return self
+
+    @classmethod
+    def _trusted(cls, p: int, *masks: np.ndarray):
+        """A graph over ``masks``, one per edge field, kept and made read-only.
+
+        Skips the validation of ``__post_init__``: each mask is p x p with a
+        zero diagonal. A Dag's holds no directed cycle unless :meth:`Dag._acyclic`
+        is called on the result, as for a learned graph whose edges all point
+        forward along an ordering; a Cpdag's are valid, the undirected one set at
+        (low, high) only, as for the output of :func:`dag_to_cpdag`.
+        """
+        return object.__new__(cls)._store(p, *masks)
+
+    def skeleton(self) -> frozenset[tuple[int, int]]:
+        low, high = np.nonzero(np.triu(self._adjacency | self._adjacency.T))
+        return frozenset(zip(low.tolist(), high.tolist()))
+
+
+@dataclass(frozen=True)
+class Dag(_Graph):
+    """Directed acyclic graph; the constructor verifies the edges are in range,
+    free of self-loops and acyclic. ``edges`` is a read-only set view over the
+    stored mask that compares and hashes as a frozenset of pairs."""
 
     p: int
     edges: Set[tuple[int, int]]
@@ -161,23 +187,7 @@ class Dag:
         p = _node_count(self.p)
         edges = _edges(self.edges)
         _check_edges(p, edges)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "edges", _EdgeView(_mask(p, edges)))
-        self._acyclic()
-
-    @classmethod
-    def _trusted(cls, p: int, adjacency: np.ndarray) -> Dag:
-        """A Dag over ``adjacency``, a p x p bool mask [parent, child], unchecked.
-
-        Skips the validation of ``__post_init__``: the mask must have a zero
-        diagonal and, unless :meth:`_acyclic` is called on the result, no
-        directed cycle, as for a learned graph whose edges all point forward
-        along an ordering. The Dag keeps the mask itself and makes it read-only.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "p", p)
-        object.__setattr__(g, "edges", _EdgeView(adjacency))
-        return g
+        self._store(p, _mask(p, edges))._acyclic()
 
     def _acyclic(self) -> Dag:
         """This Dag, or ValidationError if its edges hold a directed cycle."""
@@ -235,10 +245,6 @@ class Dag:
     def children(self, j: int) -> frozenset[int]:
         return frozenset(self._index.children[self._node_in_range(j)])
 
-    def skeleton(self) -> frozenset[tuple[int, int]]:
-        low, high = np.nonzero(np.triu(self._adjacency | self._adjacency.T))
-        return frozenset(zip(low.tolist(), high.tolist()))
-
 
 @dataclass(frozen=True)
 class Ordering:
@@ -263,44 +269,32 @@ class Ordering:
 
 
 @dataclass(frozen=True)
-class Cpdag:
-    """Markov-equivalence-class representative: compelled edges directed."""
+class Cpdag(_Graph):
+    """Markov-equivalence-class representative: compelled edges directed;
+    stored, like a Dag, as read-only masks, undirected edges at (low, high)."""
 
     p: int
-    directed: frozenset[tuple[int, int]]
-    undirected: frozenset[tuple[int, int]] = field(default=frozenset())
+    directed: Set[tuple[int, int]]
+    undirected: Set[tuple[int, int]] = field(default=frozenset())
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _node_count(self.p))
+        p = _node_count(self.p)
         directed = _edges(self.directed)
         undirected = frozenset((min(a, b), max(a, b)) for a, b in _edges(self.undirected))
-        _check_edges(self.p, directed | undirected)
-        dir_pairs = {(min(a, b), max(a, b)) for a, b in directed}
-        if dir_pairs & undirected:
+        _check_edges(p, directed | undirected)
+        d, u = _mask(p, directed), _mask(p, undirected)
+        if (u & (d | d.T)).any():
             raise ValidationError("a pair appears both directed and undirected")
-        if len(dir_pairs) != len(directed):
+        if (d & d.T).any():
             raise ValidationError("both orientations of one pair are directed")
         # the compelled edges of an equivalence class form a DAG
-        Dag._trusted(self.p, _mask(self.p, directed))._acyclic()
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        Dag._trusted(p, d)._acyclic()
+        self._store(p, d, u)
 
-    @classmethod
-    def _trusted(cls, p: int, directed: frozenset[tuple[int, int]],
-                 undirected: frozenset[tuple[int, int]]) -> Cpdag:
-        """A Cpdag from int edges already known valid, undirected ones as (low, high).
-
-        Skips the re-validation of ``__post_init__``; for graphs derived from
-        a valid Dag, such as the output of :func:`dag_to_cpdag`.
-        """
-        c = object.__new__(cls)
-        object.__setattr__(c, "p", p)
-        object.__setattr__(c, "directed", directed)
-        object.__setattr__(c, "undirected", undirected)
-        return c
-
-    def skeleton(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(a, b), max(a, b)) for a, b in self.directed) | self.undirected
+    @property
+    def _adjacency(self) -> np.ndarray:
+        # the PDAG mask, as in pcalg: both entries set for an undirected pair
+        return self.directed._mask | self.undirected._mask | self.undirected._mask.T
 
 
 def _kahn(parents, children) -> list[int] | None:
@@ -389,7 +383,6 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     pa = list(map(frozenset, g._index.parents))
     compelled: list[frozenset[int]] = [frozenset()] * g.p
     directed: list[tuple[int, int]] = []
-    undirected: list[tuple[int, int]] = []
     for y in g._index.topo:
         pa_y = pa[y]
         if not pa_y:
@@ -400,9 +393,11 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
         else:
             compelled[y] = pa_y
         directed += [(z, y) for z in compelled[y]]
-        undirected += [(min(z, y), max(z, y)) for z in pa_y - compelled[y]]
-    # edges of a valid Dag, so the Cpdag needs no re-validation
-    return Cpdag._trusted(g.p, frozenset(directed), frozenset(undirected))
+    # the edges of g not compelled are reversible, kept at (low, high); edges
+    # of a valid Dag, so the Cpdag needs no re-validation
+    d = _mask(g.p, directed)
+    reversible = g._adjacency & ~d
+    return Cpdag._trusted(g.p, d, (reversible | reversible.T) & ~np.tri(g.p, dtype=bool))
 
 
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
@@ -425,12 +420,13 @@ def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> in
 
 def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
     """Count pairs whose orientation kind (absent/undirected/direction) differs:
-    the distinct pairs in the symmetric difference of the two graphs' marks, the
-    directed edges plus (a, b, "u") for each undirected edge."""
+    the pairs {i, j} whose PDAG-mask entries [i, j], [j, i] differ, a one-to-one
+    code of the four kinds (neither set, either direction, or both)."""
     if c_true.p != c_est.p:
         raise ValidationError(f"node counts differ: {c_true.p} vs {c_est.p}")
-    marks = [c.directed | {(a, b, "u") for a, b in c.undirected} for c in (c_true, c_est)]
-    return len({(min(a, b), max(a, b)) for a, b, *_ in marks[0] ^ marks[1]})
+    diff = c_true._adjacency != c_est._adjacency
+    # symmetric with a zero diagonal, so each differing pair is set twice
+    return int(np.count_nonzero(diff | diff.T)) // 2
 
 
 # --- graph text format -------------------------------------------------------
@@ -440,13 +436,16 @@ def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
 
 
 def format_graph(g: Dag | Cpdag) -> str:
+    adj = g._adjacency
     lines = [str(g.p)]
-    if isinstance(g, Dag):
-        lines += [f"{a} {b}" for a, b in sorted(g.edges)]
-    else:
-        entries = [(a, b, "") for a, b in g.directed]
-        entries += [(a, b, " u") for a, b in g.undirected]
-        lines += [f"{a} {b}{u}" for a, b, u in sorted(entries)]
+    # row-major order is sorted order; a pair set both ways is undirected and
+    # written once, at its (low, high) entry
+    heads, tails = np.nonzero(adj)
+    for a, b, both in zip(heads.tolist(), tails.tolist(), adj.T[adj].tolist()):
+        if not both:
+            lines.append(f"{a} {b}")
+        elif a < b:
+            lines.append(f"{a} {b} u")
     return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset, _cholesky
+from .numerics import Dataset
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -401,7 +401,8 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     A covariance that is not square with p >= 1, or not finite, raises
     ValidationError naming its shape or its first non-finite entry in row-major
     order; one whose entries differ from their transpose by more than
-    1e-8 max(1, max |cov|) raises NumericalDegeneracyError. Costs O(p^3).
+    1e-8 max(1, max |cov|) raises NumericalDegeneracyError naming the pair
+    (i < j) with the largest difference and that difference. Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
     cov = np.asarray(cov, dtype=float)
@@ -413,14 +414,20 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
         raise ValidationError(
             f"covariance must be finite: entry (i={i}, j={j}) is {float(cov[i, j])}"
         )
-    if np.abs(cov - cov.T).max() > 1e-8 * max(1.0, np.abs(cov).max()):
-        raise NumericalDegeneracyError("covariance is not symmetric")
+    asymmetry = np.abs(cov - cov.T)
+    if asymmetry.max() > 1e-8 * max(1.0, np.abs(cov).max()):
+        # symmetric, so the first largest entry in row-major order has i < j
+        i, j = np.unravel_index(np.argmax(asymmetry), cov.shape)
+        raise NumericalDegeneracyError(
+            "learn_from_covariance: covariance is not symmetric: largest"
+            f" |cov[i, j] - cov[j, i]| is {float(asymmetry[i, j])} at (i={i}, j={j})"
+        )
     try:
-        low = _cholesky(cov)
-    except NumericalDegeneracyError as exc:
+        low = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
         raise NumericalDegeneracyError(
             f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has no"
-            f" Cholesky factor ({exc})"
+            " Cholesky factor (matrix is not positive definite)"
         ) from None
     return _learn(low.T, cfg, None)
 

@@ -86,14 +86,6 @@ class IndependenceDecision:
         return not self.dependent
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError("matrix is not positive definite") from None
-
-
 def sample_covariance(data: Dataset) -> np.ndarray:
     """p x p covariance of mean-centered columns, denominator n - 1."""
     if data.n < 2:
@@ -141,7 +133,13 @@ def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     _check_condition_args(cov.shape[0], j, given)
     _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [j, k]
-    low = _cholesky(cov[np.ix_(idx, idx)])
+    try:
+        low = np.linalg.cholesky(cov[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError(
+            f"partial_correlation: the covariance block of j={j}, k={k} and"
+            f" given={list(given)} is not positive definite"
+        ) from None
     return float(low[-1, -2] / math.hypot(low[-1, -2], low[-1, -1]))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
 from .graphs import Dag, Ordering, _is_int, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _check_condition_args, _cholesky
+from .numerics import Dataset, _check_condition_args
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -166,7 +166,13 @@ def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
     given = tuple(given)
     _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [k]
-    return float(_cholesky(cov[np.ix_(idx, idx)])[-1, -1] ** 2)
+    try:
+        return float(np.linalg.cholesky(cov[np.ix_(idx, idx)])[-1, -1] ** 2)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError(
+            f"population_conditional_variance: the covariance block of k={k} and"
+            f" given={list(given)} is not positive definite"
+        ) from None
 
 
 @lru_cache(maxsize=16)

@@ -13,6 +13,7 @@ from cvdag.graphs import (
     Cpdag,
     Dag,
     Ordering,
+    _EdgeView,
     dag_to_cpdag,
     descendant_mask,
     descendants,
@@ -544,6 +545,29 @@ class TestCpdagBasics:
         marks = (frozenset(), frozenset({edge})) if undirected else (frozenset({edge}),)
         with pytest.raises(ValidationError, match=message):
             Cpdag(3, *marks)
+
+
+    def test_stores_two_read_only_edge_views(self):
+        # validated (cpdag_from_kinds) and trusted (dag_to_cpdag) Cpdags alike
+        assert [f.name for f in dataclasses.fields(Cpdag)] == ["p", "directed", "undirected"]
+        for seed in range(300):
+            for cp in random_cpdag_pair(seed):
+                assert set(vars(cp)) == {"p", "directed", "undirected"}
+                for view in (cp.directed, cp.undirected):
+                    assert type(view) is _EdgeView and not view._mask.flags.writeable
+                    with pytest.raises(ValueError):
+                        view._mask[0, 1] = True
+                    pairs = frozenset(view)
+                    assert view == pairs and pairs == view and hash(view) == hash(pairs)
+                # the PDAG mask sets both entries of an undirected (low, high) pair
+                pdag = np.zeros((cp.p, cp.p), dtype=bool)
+                for a, b in cp.directed:
+                    pdag[a, b] = True
+                for a, b in cp.undirected:
+                    assert a < b
+                    pdag[a, b] = pdag[b, a] = True
+                assert np.array_equal(cp._adjacency, pdag)
+                assert cp == Cpdag(cp.p, frozenset(cp.directed), frozenset(cp.undirected))
 
 
 KINDS = ("absent", "forward", "backward", "undirected")

@@ -32,7 +32,6 @@ from cvdag.numerics import (
     conditional_variance,
     fisher_z_test,
     partial_correlation,
-    _cholesky,
     sample_covariance,
 )
 from cvdag.sem import (
@@ -156,6 +155,17 @@ class TestOracle:
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             learn_from_covariance(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
+    def test_asymmetry_error_names_the_largest_pair(self, entry):
+        cov = np.eye(3)
+        cov[entry] = 0.5
+        cov[1, 2] = 0.25
+        with pytest.raises(NumericalDegeneracyError) as err:
+            learn_from_covariance(cov)
+        assert str(err.value) == ("learn_from_covariance: covariance is not symmetric: largest"
+                                  " |cov[i, j] - cov[j, i]| is 0.5 at (i=0, j=2)")
+        assert err.value.exit_code == 2
 
     @pytest.mark.parametrize("bad, where", [
         ([[1.0, math.inf], [math.inf, 1.0]], (0, 1)),
@@ -738,7 +748,7 @@ class TestStepLog:
     @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
     def test_population_covariance_equals_the_gather_loop(self, p, protocol):
         cov = population_covariance(random_sem(p, protocol, p))
-        want = reference_factor(_cholesky(cov).T)
+        want = reference_factor(np.linalg.cholesky(cov).T)
         steps = learn_from_covariance(cov).step_variances
         assert steps.order == want[0] and steps.n is None
         assert steps == want[2] and tuple(steps) == want[2]

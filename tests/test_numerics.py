@@ -243,6 +243,14 @@ class TestPartialCorrelation:
         with pytest.raises(NumericalDegeneracyError):
             partial_correlation(cov, 0, 1, [2])
 
+    def test_non_spd_block_error_names_the_call(self):
+        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NumericalDegeneracyError) as err:
+            partial_correlation(cov, 1, 0, [2])
+        assert str(err.value) == ("partial_correlation: the covariance block of j=1, k=0"
+                                  " and given=[2] is not positive definite")
+        assert err.value.exit_code == 2
+
     def test_same_variable_rejected(self):
         with pytest.raises(ValidationError):
             partial_correlation(np.eye(3), 1, 1, [])

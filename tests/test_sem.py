@@ -291,6 +291,14 @@ class TestPopulationConditionalVariance:
         with pytest.raises(ValidationError, match="duplicates"):
             population_conditional_variance(CHAIN_COV, 2, [0, 0])
 
+    def test_non_spd_block_error_names_the_call(self):
+        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NumericalDegeneracyError) as err:
+            population_conditional_variance(cov, 1, [2, 0])
+        assert str(err.value) == ("population_conditional_variance: the covariance block of"
+                                  " k=1 and given=[2, 0] is not positive definite")
+        assert err.value.exit_code == 2
+
 
 def _suffix_sums(w):
     """out[:, q] = w[:, q:].sum(axis=1), summed from the last column back."""
