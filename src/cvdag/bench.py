@@ -1,11 +1,14 @@
 """Replicated generate/sample/learn/score experiment runs with report emission.
 
 Replications run one after another in one loop. Each builds and checks its
-model once, and each of its (replication, sample size) cells draws its
+model, converts its true DAG to a CPDAG and builds its learner config once,
+then runs every sample size. Each (replication, sample size) cell draws its
 randomness from a stream derived from (seed, replication, cell), so a report
 is a pure function of its config. Wall-clock seconds are the one field that
-cannot be bit-stable across reruns. Report files are written by
-:func:`errors.write_files`, which holds the package's one file I/O rule.
+cannot be bit-stable across reruns. Every report table is formatted by
+:func:`_csv`; a bench table's columns are the names in its header. Report
+files are written by :func:`errors.write_files`, which holds the package's
+one file I/O rule.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import PARENT_TEST_MODES, LearnConfig, learn
 from .sem import (
     PROTOCOLS,
-    GaussianSem,
     check_identifiability,
     derive_seed,
     protocol_sem,
@@ -126,24 +128,22 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> list[Cell]:
         seconds = time.perf_counter() - start
         return [Cell(n, rep, math.nan, math.nan, seconds, False, failed=True, error=str(exc))
                 for n in cfg.n_grid]
-    return [_run_cell(cfg, model, identifiable, rep, i) for i in range(len(cfg.n_grid))]
-
-
-def _run_cell(cfg: ExperimentConfig, model: GaussianSem, identifiable: bool, rep: int,
-              n_index: int) -> Cell:
-    n = cfg.n_grid[n_index]
-    data = sample(model, n, derive_seed(cfg.seed, rep, 1 + n_index))
+    true_cpdag = dag_to_cpdag(model.dag)
     lcfg = LearnConfig(alpha=cfg.alpha, parent_test_mode=cfg.parent_test_mode)
-    start = time.perf_counter()
-    try:
-        result = learn(data, lcfg)
-    except ToolkitError as exc:
-        return Cell(n, rep, math.nan, math.nan, time.perf_counter() - start,
-                    identifiable, failed=True, error=str(exc))
-    seconds = time.perf_counter() - start
-    hd = hamming_dag(model.dag, result.dag)
-    hd_mec = hamming_cpdag(dag_to_cpdag(model.dag), dag_to_cpdag(result.dag))
-    return Cell(n, rep, float(hd), float(hd_mec), seconds, identifiable)
+    cells = []
+    for i, n in enumerate(cfg.n_grid):
+        data = sample(model, n, derive_seed(cfg.seed, rep, 1 + i))
+        start = time.perf_counter()
+        try:
+            dag = learn(data, lcfg).dag
+        except ToolkitError as exc:
+            cells.append(Cell(n, rep, math.nan, math.nan, time.perf_counter() - start,
+                              identifiable, failed=True, error=str(exc)))
+            continue
+        seconds = time.perf_counter() - start
+        hd, hd_mec = hamming_dag(model.dag, dag), hamming_cpdag(true_cpdag, dag_to_cpdag(dag))
+        cells.append(Cell(n, rep, float(hd), float(hd_mec), seconds, identifiable))
+    return cells
 
 
 def aggregate(cfg: ExperimentConfig, cells) -> tuple[AggregateRow, ...]:
@@ -179,31 +179,29 @@ CELL_HEADER = "protocol,p,n,rep,hamming_dag,hamming_cpdag,seconds,identifiable,f
 AGG_HEADER = "protocol,p,n,mean_hd,se_hd,mean_hd_mec,se_hd_mec,mean_seconds"
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else f"{x:.17g}"
+def _csv(header: str, rows) -> str:
+    """CSV text of ``header`` and one line per row of values: a str is written
+    as it is, NaN as an empty field, any other value with 17 significant
+    digits, so a bool is 1 or 0 and an int its digits."""
+    lines = [",".join(v if isinstance(v, str) else "" if math.isnan(v) else f"{v:.17g}"
+                      for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _report_table(header: str, cfg: ExperimentConfig, rows) -> str:
+    """A bench table: protocol and p from ``cfg``, every further column of
+    ``header`` the row's field of that name."""
+    fields = header.split(",")[2:]
+    return _csv(header, ((cfg.protocol, cfg.p, *(getattr(row, f) for f in fields))
+                         for row in rows))
 
 
 def format_cell_table(rep: ExperimentReport) -> str:
-    cfg = rep.config
-    lines = [CELL_HEADER]
-    for c in rep.cells:
-        lines.append(
-            f"{cfg.protocol},{cfg.p},{c.n},{c.rep},{_fmt(c.hamming_dag)},"
-            f"{_fmt(c.hamming_cpdag)},{_fmt(c.seconds)},"
-            f"{int(c.identifiable)},{int(c.failed)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _report_table(CELL_HEADER, rep.config, rep.cells)
 
 
 def format_aggregate_table(rep: ExperimentReport) -> str:
-    cfg = rep.config
-    lines = [AGG_HEADER]
-    for row in rep.aggregates:
-        lines.append(
-            f"{cfg.protocol},{cfg.p},{row.n},{_fmt(row.mean_hd)},{_fmt(row.se_hd)},"
-            f"{_fmt(row.mean_hd_mec)},{_fmt(row.se_hd_mec)},{_fmt(row.mean_seconds)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _report_table(AGG_HEADER, rep.config, rep.aggregates)
 
 
 def render_chart_svg(rep: ExperimentReport) -> str:

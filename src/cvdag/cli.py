@@ -117,15 +117,13 @@ def cmd_learn(args) -> int:
     ds = load_marks() if args.input == "marks" else read_dataset(path)
     cfg = LearnConfig(alpha=args.alpha, parent_test_mode=args.parent_test)
     result = learn(ds, cfg)
-    lines = ["earlier,later,given,r,statistic,threshold,dependent"]
-    for rec in result.test_log:
-        given = ";".join(str(g) for g in rec.given)
-        lines.append(f"{rec.earlier},{rec.later},{given},{rec.r:.17g},"
-                     f"{rec.statistic:.17g},{rec.threshold:.17g},{int(rec.dependent)}")
+    tests = ((t.earlier, t.later, ";".join(map(str, t.given)), t.r, t.statistic, t.threshold,
+              t.dependent) for t in result.test_log)
     write_files(args.output, {
         f"{path.stem}.graph": format_graph(result.dag),
         f"{path.stem}.order": " ".join(str(j) for j in result.ordering) + "\n",
-        f"{path.stem}.tests.csv": "\n".join(lines) + "\n",
+        f"{path.stem}.tests.csv": bench_mod._csv(
+            "earlier,later,given,r,statistic,threshold,dependent", tests),
     })
     _print_result(ds, result, args.verbose)
     return 0
@@ -165,10 +163,9 @@ def cmd_check(args) -> int:
     path = Path(args.sem)
     report = check_identifiability(read_sem(path), scope=args.scope)
     _summarize_check(report, args.verbose)
-    lines = ["j,k,lhs,rhs,slack"]
-    for j, k, lhs, rhs in report.margins.tolist():
-        lines.append(f"{j},{k},{lhs:.17g},{rhs:.17g},{rhs - lhs:.17g}")
-    write_files(args.output, {f"{path.stem}.margins.csv": "\n".join(lines) + "\n"})
+    margins = ((j, k, lhs, rhs, rhs - lhs) for j, k, lhs, rhs in report.margins.tolist())
+    table = bench_mod._csv("j,k,lhs,rhs,slack", margins)
+    write_files(args.output, {f"{path.stem}.margins.csv": table})
     return 0 if report.satisfied else 1
 
 

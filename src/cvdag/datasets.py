@@ -16,6 +16,7 @@ on the path taken.
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 
 import numpy as np
@@ -28,16 +29,6 @@ def _split(line: str, delimiter: str | None) -> list[str]:
     if delimiter == ",":
         return [f.strip() for f in line.split(",")]
     return line.split()
-
-
-def _require_finite(rows, linenos: list[int], where: str) -> None:
-    """Raise for the first row of ``rows`` that holds a NaN or an infinity."""
-    bad = ~np.isfinite(np.asarray(rows, dtype=float)).all(axis=-1)
-    if bad.any():
-        raise DataFormatError(
-            f"{where}:{linenos[int(np.argmax(bad))]}: missing/non-finite value;"
-            " rows are not imputed"
-        )
 
 
 def parse_dataset(text: str, where: str = "<string>") -> Dataset:
@@ -73,27 +64,27 @@ def _scan_dataset(text: str, where: str) -> Dataset:
         raise DataFormatError(f"{where}:{head_no}: empty column name in header")
     if (repeat := _repeated_name(names)) is not None:
         raise DataFormatError(f"{where}:{head_no}: header has {repeat}")
-    linenos = [lineno for lineno, _ in stripped[1:]]
     rows = []
-    # float() ignores the whitespace around a field, so fields are not stripped;
-    # a fault is reported only after the rows above it pass the finiteness check
+    # each row is checked as it is read, so the first fault in line order is
+    # named; float() ignores the whitespace around a field, so fields are not
+    # stripped
     for lineno, line in stripped[1:]:
         fields = line.split(delimiter)
         if len(fields) != len(names):
-            _require_finite(rows, linenos, where)
             raise DataFormatError(
                 f"{where}:{lineno}: expected {len(names)} fields, got {len(fields)}"
             )
         try:
             rows.append(list(map(float, fields)))
         except ValueError:
-            _require_finite(rows, linenos, where)
             raise DataFormatError(f"{where}:{lineno}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise DataFormatError(
+                f"{where}:{lineno}: missing/non-finite value; rows are not imputed"
+            )
     if not rows:
         raise ValidationError(f"{where}: no data rows below the header")
-    data = np.array(rows, dtype=float)
-    _require_finite(data, linenos, where)
-    return Dataset(tuple(names), data)
+    return Dataset(tuple(names), np.array(rows, dtype=float))
 
 
 def read_dataset(path) -> Dataset:

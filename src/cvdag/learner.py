@@ -5,9 +5,13 @@ One pipeline serves both versions: `learn` factors centered data of n rows
 and tests each pair by Fisher z; `learn_from_covariance`, the population
 oracle, factors the L^T of a covariance matrix and, with no n, thresholds
 |partial correlation| instead. It computes in float64, not in exact
-arithmetic: on ill-conditioned covariances the rounded |r| of a non-edge can
-exceed the tolerance, and the returned graph then has extra edges without any
-error being raised.
+arithmetic. The factorization has a float64 floor: when a placed node keeps
+less than 1e-29 of its sum of squares given the nodes before it, its residual
+is rounding noise, and every entry point raises NumericalDegeneracyError
+naming the step, the variable and that ratio instead of returning a graph.
+Above the floor, on ill-conditioned covariances the rounded |r| of a non-edge
+can still exceed the oracle's tolerance, and the returned graph then has
+extra edges without any error being raised.
 
 Both read every r off one factorization as arrays and decide all pairs in one
 pass over them. The decisions are kept as a columnar `TestLog` (each pair's r,
@@ -39,6 +43,12 @@ from .numerics import Dataset
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
+
+# The float64 floor of the pivot ratio: a placed node's RSS over its step-0
+# RSS. Below it the residual's norm is under ~14 ulps (sqrt(1e-29) ~ 3.2e-15)
+# of its column's, the size of the rounding left by the earlier reflections,
+# so the residual and every r read off it carry no information.
+_PIVOT_RATIO_FLOOR = 1e-29
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,9 @@ def _factor(x: np.ndarray, order=None):
     None the column with the smallest RSS is placed next, ties to the lower
     index; otherwise ``order[m]`` is. Both run the same arithmetic, so a given
     order reproduces the greedy R bit for bit. Needs at least as many rows as
-    columns.
+    columns. A placed column whose RSS is zero raises DegenerateDesignError;
+    one whose RSS is below ``_PIVOT_RATIO_FLOOR`` times its step-0 RSS raises
+    NumericalDegeneracyError.
 
     Tall input is first reduced to its p x p triangle by one unpivoted LAPACK
     QR. That keeps the Gram matrix, so every RSS and every R entry is the same
@@ -243,6 +255,13 @@ def _factor(x: np.ndarray, order=None):
             raise DegenerateDesignError(
                 f"factorization step {m}: variable {nodes[m + i]} has zero residual given"
                 f" the {m} variables placed before it"
+            )
+        # step 0 lists every node in node order, so steps[j] is j's step-0 RSS
+        if least < _PIVOT_RATIO_FLOOR * (total := steps.item(nodes[m + i])):
+            raise NumericalDegeneracyError(
+                f"factorization step {m}: variable {nodes[m + i]} keeps a share"
+                f" {least / total:.3g} of its sum of squares given the {m} variables"
+                f" placed before it, below the float64 floor {_PIVOT_RATIO_FLOOR:g}"
             )
         if i:
             nodes.insert(m, nodes.pop(m + i))
@@ -397,7 +416,8 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     model. In float64 it does so only while the rounding error of each r stays
     below the tolerance: on ill-conditioned covariances it silently returns
     extra edges (on random models of either protocol, on 10 of 120 at p=20
-    and on all 120 at p=40), and a covariance with no Cholesky factor raises.
+    and on all 120 at p=40), and a covariance with no Cholesky factor, or
+    one whose factor falls below the float64 floor of :func:`_factor`, raises.
     A covariance that is not square with p >= 1, or not finite, raises
     ValidationError naming its shape or its first non-finite entry in row-major
     order; one whose entries differ from their transpose by more than

@@ -46,6 +46,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             bench.ExperimentConfig(n_grid=(100, 100))
 
+    @pytest.mark.parametrize("args, message", [
+        ({"p": 1}, "p must be >= 2, got 1"),
+        ({"parent_test_mode": "partial"}, "unknown parent_test_mode 'partial'"),
+    ])
+    def test_single_violation_message(self, args, message):
+        with pytest.raises(ValidationError) as err:
+            bench.ExperimentConfig(**args)
+        assert str(err.value) == f"invalid experiment config: {message}"
+
     def test_nonfaithful_pins_p(self):
         with pytest.raises(ValidationError):
             bench.ExperimentConfig(protocol="nonfaithful", p=5)
@@ -132,6 +141,22 @@ class TestRunExperiment:
         assert len(checked) == 3
         assert len(report.cells) == 9 and not any(c.failed for c in report.cells)
 
+    def test_true_dag_converted_once_per_replication(self, monkeypatch):
+        converted = []
+
+        def convert(dag):
+            converted.append(dag)
+            return to_cpdag(dag)
+
+        to_cpdag = bench.dag_to_cpdag
+        monkeypatch.setattr(bench, "dag_to_cpdag", convert)
+        cfg = bench.ExperimentConfig(protocol="heterogeneous", p=10, n_grid=(50, 100, 200),
+                                     replications=4, seed=5)
+        report = bench.run_experiment(cfg)
+        assert not any(c.failed for c in report.cells)
+        # one true DAG per replication, one learned DAG per cell
+        assert len(converted) == 4 + 12 == 16
+
     def test_failed_check_fails_every_cell_of_the_replication(self, monkeypatch):
         def degenerate(*args, **kwargs):
             raise NumericalDegeneracyError("identifiability check: stand-in failure")
@@ -174,6 +199,20 @@ class TestEmitReport:
         agg = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert agg[0] == bench.AGG_HEADER
         assert len(agg) == 1 + len(TINY.n_grid)
+
+    def test_csv_number_rule(self):
+        rows = [("a", 1, 2.5, math.nan, True, False, 0.1), ("", -3, math.inf, 1e-7, 0, 1.0, "x")]
+        assert bench._csv("h", rows) == (
+            "h\na,1,2.5,,1,0,0.10000000000000001\n,-3,inf,9.9999999999999995e-08,0,1,x\n"
+        )
+
+    def test_columns_are_the_header_fields(self):
+        cfg = bench.ExperimentConfig(protocol="homogeneous", p=4, n_grid=(10,),
+                                     replications=1)
+        cell = bench.Cell(10, 0, math.nan, math.nan, 0.5, True, failed=True, error="e")
+        report = bench.ExperimentReport(cfg, (cell,), bench.aggregate(cfg, (cell,)))
+        assert bench.format_cell_table(report).splitlines()[1] == "homogeneous,4,10,0,,,0.5,1,1"
+        assert bench.format_aggregate_table(report).splitlines()[1] == "homogeneous,4,10,,,,,"
 
     def test_one_cell_report(self, tmp_path):
         cfg = bench.ExperimentConfig(protocol="nonfaithful", p=3, n_grid=(60,),

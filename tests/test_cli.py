@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import cvdag.learner as learner
 import cvdag.sem as sem
 from cvdag.cli import build_parser, main
-from cvdag.datasets import read_dataset
+from cvdag.datasets import read_dataset, write_dataset
 from cvdag.graphs import read_cpdag, read_dag, write_graph, Dag
 from cvdag.sem import nonfaithful_chain, write_sem, GaussianSem
 
@@ -169,6 +170,24 @@ class TestLearn:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("learn", tmp_path / "ghost.csv", "-o", tmp_path) == 3
 
+    def test_no_edges_printed_as_none(self, tmp_path, capsys):
+        # orthogonal centered columns: r is exactly 0
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b\n" + "1,1\n-1,1\n1,-1\n-1,-1\n" * 2)
+        assert run("learn", path, "-o", tmp_path) == 0
+        assert capsys.readouterr().out == "ordering: a b\nedge: (none)\n"
+        assert (tmp_path / "flat.graph").read_text() == "2\n"
+
+    def test_data_below_the_float64_floor_exits_two(self, tmp_path, capsys):
+        model = sem.random_sem(120, "heterogeneous", sem.derive_seed(7120, 0))
+        path = tmp_path / "deep.csv"
+        write_dataset(sem.sample(model, 3000, sem.derive_seed(7121, 0)), path)
+        assert run("learn", path, "-o", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cvdag: error: factorization step ")
+        assert "below the float64 floor 1e-29" in err
+        assert not (tmp_path / "deep.graph").exists()
+
     def test_verbose_prints_test_log(self, tmp_path, capsys):
         run("simulate", "--protocol", "nonfaithful", "--n", 500, "--seed", 4,
             "-o", tmp_path)
@@ -204,6 +223,15 @@ class TestCheck:
         path = tmp_path / "edge.sem"
         write_sem(m, path)
         assert run("check", path, "-o", tmp_path) == 1
+
+    def test_verbose_prints_each_margin(self, chain_sem, tmp_path, capsys):
+        assert run("check", chain_sem, "-v", "-o", tmp_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = (tmp_path / "chain.margins.csv").read_text().splitlines()[1:]
+        assert len(lines) == 1 + len(rows) == 4
+        for line, row in zip(lines[1:], rows):
+            j, k, *_ = row.split(",")
+            assert re.fullmatch(rf"margin: j={j} k={k} lhs=\S+ rhs=\S+ slack=\S+", line)
 
     def test_later_scope_flag(self, chain_sem, tmp_path):
         assert run("check", chain_sem, "--scope", "later", "-o", tmp_path) == 0
@@ -314,6 +342,12 @@ class TestBenchCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert run("bench", bad, "-o", tmp_path) == 1
+
+    def test_json_array_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([{"protocol": "nonfaithful"}]))
+        assert run("bench", cfg, "-o", tmp_path) == 1
+        assert capsys.readouterr().err == f"cvdag: error: {cfg}: expected a JSON object\n"
 
     @pytest.mark.parametrize("body, key", [
         ({"n_grid": 5}, "n_grid"),

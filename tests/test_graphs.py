@@ -215,6 +215,9 @@ class TestEdgeView:
             assert hash(g.edges) == hash(pairs)
             assert g == Dag(g.p, pairs) and hash(g) == hash(Dag(g.p, pairs))
 
+    def test_repr_lists_the_pairs(self):
+        assert repr(Dag(3, [(1, 2), (0, 2)]).edges) == "edges([(0, 2), (1, 2)])"
+
     def test_iterates_in_sorted_order(self):
         for g in view_graphs():
             pairs = list(g.edges)
@@ -671,6 +674,10 @@ class TestHammingCpdag:
         assert (hamming_cpdag(a, b) == 0) == (a == b)
         assert hamming_cpdag(a, c) <= hamming_cpdag(a, b) + hamming_cpdag(b, c)
 
+    def test_node_counts_must_agree(self):
+        with pytest.raises(ValidationError, match="^node counts differ: 2 vs 3$"):
+            hamming_cpdag(Cpdag(2, frozenset(), frozenset()), Cpdag(3, frozenset(), frozenset()))
+
     def test_reduces_to_dag_distance_when_fully_directed(self):
         a = Cpdag(3, frozenset({(0, 2), (1, 2)}), frozenset())
         b = Cpdag(3, frozenset({(0, 2)}), frozenset())
@@ -717,6 +724,19 @@ class TestGraphFiles:
         path.write_text("\n")
         with pytest.raises(DataFormatError):
             read_dag(path)
+
+    @pytest.mark.parametrize("text, fault", [
+        ("three\n0 1\n", "1: expected node count, got 'three'"),
+        ("# count\n3\n0 1\n1 x\n", "4: non-integer node in '1 x'"),
+        ("3\n0 1.5 u\n", "2: non-integer node in '0 1.5 u'"),
+    ])
+    def test_non_integer_count_or_node_is_located(self, text, fault, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        for reader in (read_dag, read_cpdag):
+            with pytest.raises(DataFormatError) as err:
+                reader(path)
+            assert str(err.value) == f"{path}:{fault}"
 
     @pytest.mark.parametrize("readers, text, fault", [
         ((read_dag,), "3\n0 1\n1 0\n", "edge set contains a directed cycle"),

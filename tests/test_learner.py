@@ -15,7 +15,7 @@ from cvdag.errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from cvdag.graphs import Dag, Ordering, hamming_dag, is_consistent
+from cvdag.graphs import Dag, Ordering, hamming_dag, is_consistent, topological_order
 from cvdag.learner import (
     LearnConfig,
     LearnResult,
@@ -382,7 +382,9 @@ class TestLearn:
     def test_p320_log_stores_no_per_pair_conditioning_sets(self):
         # 51040 conditional tests; a tuple per test of its p - 2 predecessors
         # on average would hold about 10.9 M ints, some 110 MB at the peak
-        data = sample(random_sem(320, "homogeneous", 320), 2000, 321)
+        # i.i.d. N(0, 1) columns: every pivot ratio is above 0.8, far from the
+        # float64 floor that refuses sample(random_sem(320, ...)) of this shape
+        data = dataset(np.random.default_rng(320).standard_normal((2000, 320)))
         tracemalloc.start()
         try:
             result = learn(data)
@@ -694,6 +696,65 @@ class TestFactorAgainstGatherLoop:
         assert "step 2: variable 2" in str(got.value)
 
 
+def degeneracy_fields(err):
+    """(step, variable, ratio) named by a pivot-ratio floor error."""
+    match = re.fullmatch(
+        r"factorization step (\d+): variable (\d+) keeps a share (\S+) of its sum of squares"
+        r" given the (\d+) variables placed before it, below the float64 floor 1e-29",
+        str(err.value))
+    assert match and match[1] == match[4], str(err.value)
+    return int(match[1]), int(match[2]), float(match[3])
+
+
+class TestPivotRatioFloor:
+    """The factorization refuses a pivot whose RSS is below 1e-29 of its
+    step-0 RSS, in every learner that runs it, and is silent above it."""
+
+    @pytest.mark.parametrize("d, fires", [(1e-16, True), (1e-14, False)])
+    def test_floor_on_an_exact_square_input(self, d, fires):
+        # square input skips the LAPACK pre-reduction: column 1 is placed
+        # second with RSS exactly d^2 of its step-0 RSS 1
+        x = np.array([[1.0, 1.0], [0.0, d]])
+        if not fires:
+            assert _factor(x)[0] == (0, 1)
+            return
+        with pytest.raises(NumericalDegeneracyError) as err:
+            _factor(x)
+        assert not isinstance(err.value, DegenerateDesignError)
+        assert degeneracy_fields(err) == (1, 1, 1e-32)
+
+    @pytest.mark.parametrize("model, draw", [
+        ((120, "heterogeneous", derive_seed(7120, 0)), (3000, derive_seed(7121, 0))),
+        ((160, "heterogeneous", derive_seed(7160, 0)), (4000, derive_seed(7161, 0))),
+        ((320, "homogeneous", 320), (2000, 321)),
+    ], ids=["p120-heterogeneous", "p160-heterogeneous", "p320-homogeneous"])
+    def test_fires_where_float64_cannot_carry_the_data(self, model, draw):
+        model = random_sem(*model)
+        data = sample(model, *draw)
+        fields = set()
+        for run in (learn, estimate_ordering):
+            with pytest.raises(NumericalDegeneracyError) as err:
+                run(data)
+            fields.add(degeneracy_fields(err))
+        # along the true order as well: no ordering carries these columns
+        with pytest.raises(NumericalDegeneracyError) as err:
+            estimate_parents(data, topological_order(model.dag))
+        ((step, _, ratio),) = fields
+        assert step > 0 and 0 < ratio < 1e-29
+        assert 0 < degeneracy_fields(err)[2] < 1e-29
+
+    @pytest.mark.parametrize("model, draw", [
+        ((80, "homogeneous", derive_seed(1901, 0, 80, 0)),
+         (2000, derive_seed(1901, 0, 80, 0, 2000))),
+        ((80, "homogeneous", derive_seed(707, 0)), (1000, derive_seed(707, 1))),
+    ], ids=["learn-large-input-0", "acceptance-7"])
+    def test_silent_on_benchmark_and_acceptance_draws(self, model, draw):
+        data = sample(random_sem(*model), *draw)
+        order, r, rss = _factor(data.data - data.data.mean(axis=0))
+        assert (np.diag(r) ** 2 / rss[list(order)]).min() > 1e-29
+        assert learn(data).ordering.order == order
+
+
 def reference_pair_correlations(r, mode):
     """``_pair_correlations`` as it was before it read U = R^-1 by flat index:
     T = (R^T)^-1, 2-d fancy indexing and np.clip."""
@@ -804,7 +865,9 @@ class TestStepLog:
 
     def test_p320_steps_are_one_float_array(self):
         # 51360 (node, value) tuples, the form before, held about 4.5 MB
-        data = sample(random_sem(320, "homogeneous", 320), 2000, 321)
+        # i.i.d. N(0, 1) columns: every pivot ratio is above 0.8, far from the
+        # float64 floor that refuses sample(random_sem(320, ...)) of this shape
+        data = dataset(np.random.default_rng(320).standard_normal((2000, 320)))
         tracemalloc.start()
         try:
             _, steps = estimate_ordering(data)

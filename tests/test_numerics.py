@@ -197,6 +197,13 @@ class TestConditionIndices:
             self.CALLS[call](j, given)
 
     @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("given", [(3,), (0, -1)])
+    def test_conditioning_index_out_of_range_rejected(self, call, given):
+        message = f"conditioning index {given[-1]} out of range for p=3"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.CALLS[call](1, given)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
     def test_numpy_integer_indices_accepted(self, call):
         assert self.CALLS[call](np.int64(1), (np.int32(0),)) == self.CALLS[call](1, (0,))
 
@@ -333,6 +340,14 @@ class TestDataset:
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             Dataset(("a", "b"), np.array([[1.0, float("nan")]]))
+
+    @pytest.mark.parametrize("data, message", [
+        (np.zeros(3), "dataset must be 2-D, got shape (3,)"),
+        (np.zeros((0, 1)), "dataset needs at least one row"),
+    ])
+    def test_shape_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(("a",), data)
 
     def test_data_is_frozen(self):
         ds = dataset(np.zeros((2, 2)))

@@ -69,6 +69,15 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             GaussianSem(**args)
 
+    @pytest.mark.parametrize("args, message", [
+        ({"sigma2": np.ones(3)}, "sigma2 must have length 2"),
+        ({"intercepts": np.zeros(3)}, "intercepts must have length 2"),
+        ({"B": np.eye(2)}, "diagonal of B must be zero"),
+    ])
+    def test_lengths_and_diagonal_checked(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            GaussianSem(**{"B": np.zeros((2, 2)), "sigma2": np.ones(2), **args})
+
     def test_empty_model_rejected(self):
         with pytest.raises(ValidationError, match="p >= 1"):
             GaussianSem(B=np.zeros((0, 0)), sigma2=np.zeros(0))
@@ -80,6 +89,8 @@ class TestModelValidation:
         ("p 0\nsigma2\n", "bad.sem:1: p must be >= 1"),
         ("sigma2 1\np -1\n", "bad.sem:2: p must be >= 1"),
         ("p 1000000000\nsigma2 1\n", "bad.sem:2: sigma2 has 1 values for p=1000000000"),
+        ("p 2\nsigma2 1 1\ncolor red\n", "bad.sem:3: unknown field 'color'"),
+        ("p 2\nsigma2 1 1\nedge 0 1 1\nedge 2 0 1\n", r"bad.sem:4: edge \(2,0\) out of range$"),
     ])
     def test_read_sem_rejects_invalid_values(self, tmp_path, text, where):
         path = tmp_path / "bad.sem"
