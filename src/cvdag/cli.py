@@ -67,8 +67,8 @@ def build_parser() -> _Parser:
     src.add_argument("--sem", help="model file to sample from")
     src.add_argument("--protocol", choices=PROTOCOLS,
                      help="generate a random model from this protocol instead")
-    p.add_argument("--p", type=int, default=10,
-                   help="node count for --protocol (default 10)")
+    p.add_argument("--p", type=int, default=None,
+                   help="node count of a random --protocol model (default 10), else the model's")
     p.add_argument("--n", type=int, required=True, help="number of rows to draw")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("--save-sem", action="store_true",
@@ -146,8 +146,11 @@ def cmd_simulate(args) -> int:
         model = read_sem(Path(args.sem))
         stem = Path(args.sem).stem
     else:
-        model = protocol_sem(args.protocol, args.p, derive_seed(args.seed, 0))
+        p = 10 if args.p is None else args.p
+        model = protocol_sem(args.protocol, p, derive_seed(args.seed, 0))
         stem = f"{args.protocol}_p{model.p}"
+    if args.p is not None and args.p != model.p:
+        raise ValidationError(f"--p {args.p} differs from the model's node count {model.p}")
     report = check_identifiability(model)
     _summarize_check(report, args.verbose)
     data = sample(model, args.n, derive_seed(args.seed, 1))

@@ -11,8 +11,8 @@ iterated in sorted order; a Cpdag stores two such views, the second over the
 (low, high) mask of its undirected edges. The distance between two DAGs counts
 the entries where their masks differ, and between two CPDAGs the node pairs
 whose two entries in the PDAG mask differ. A node count and every node id must
-be an integer (numpy integers count, bools do not); anything else raises
-ValidationError naming the value.
+be an integer (numpy integers count, bools do not), and every edge a pair of
+them; anything else raises ValidationError naming the value.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def _nodes(ids) -> tuple[int, ...]:
     return ids if set(map(type, ids)) <= {int} else tuple(map(_node, ids))
 
 
-def _edges(edges) -> frozenset[tuple[int, int]]:
-    """``edges`` as a frozenset of (parent, child) node-id pairs."""
-    pairs = frozenset(map(tuple, edges))
-    if set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
-        return pairs
-    return frozenset((_node(a), _node(b)) for a, b in pairs)
-
-
 def _node_count(p) -> int:
     """``p`` as a node count: an int >= 0, or ValidationError naming the value."""
     if not (_is_int(p) and p >= 0):
@@ -66,13 +58,24 @@ def _node_count(p) -> int:
     return int(p)
 
 
-def _check_edges(p: int, edges) -> None:
-    """Reject a self-loop or an edge with an end outside 0..p-1."""
-    for a, b in edges:
+def _edge_mask(p: int, edges, undirected: bool = False) -> np.ndarray:
+    """The p x p bool mask of ``edges``, each checked: a pair of node ids in
+    0..p-1 that is not a self-loop. An undirected pair is set at (low, high)."""
+    adj = np.zeros((p, p), dtype=bool)
+    for edge in edges:
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge must be a (parent, child) pair, got {edge!r}") from None
+        a, b = _node(a), _node(b)
+        if undirected and a > b:
+            a, b = b, a
         if a == b:
             raise ValidationError(f"self-loop at node {a}")
         if not (0 <= a < p and 0 <= b < p):
             raise ValidationError(f"edge ({a},{b}) out of range for p={p}")
+        adj[a, b] = True
+    return adj
 
 
 def _mask(p: int, edges) -> np.ndarray:
@@ -185,9 +188,7 @@ class Dag(_Graph):
 
     def __post_init__(self):
         p = _node_count(self.p)
-        edges = _edges(self.edges)
-        _check_edges(p, edges)
-        self._store(p, _mask(p, edges))._acyclic()
+        self._store(p, _edge_mask(p, self.edges))._acyclic()
 
     def _acyclic(self) -> Dag:
         """This Dag, or ValidationError if its edges hold a directed cycle."""
@@ -279,10 +280,7 @@ class Cpdag(_Graph):
 
     def __post_init__(self):
         p = _node_count(self.p)
-        directed = _edges(self.directed)
-        undirected = frozenset((min(a, b), max(a, b)) for a, b in _edges(self.undirected))
-        _check_edges(p, directed | undirected)
-        d, u = _mask(p, directed), _mask(p, undirected)
+        d, u = _edge_mask(p, self.directed), _edge_mask(p, self.undirected, undirected=True)
         if (u & (d | d.T)).any():
             raise ValidationError("a pair appears both directed and undirected")
         if (d & d.T).any():

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from statistics import NormalDist
 from typing import Literal, Sequence, get_args
 
@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset
+from .numerics import Dataset, _triangle
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -142,7 +142,7 @@ class TestLog(_Rows):
     def statistic(self) -> np.ndarray:
         """Each row's statistic, read-only, derived from ``r`` on first read:
         |r| without ``n``, the Fisher z statistic with it."""
-        rows = _lower_pairs(len(self.order))[0]
+        rows = _triangle(len(self.order))[0]
         statistic = _statistic(self.r, self.n, rows - 1 if self.mode == "conditional" else 0)
         statistic.flags.writeable = False
         return statistic
@@ -151,9 +151,8 @@ class TestLog(_Rows):
         return len(self.r)
 
     def _row(self, i: int) -> TestRecord:
-        # row i opens row m of the triangle once m (m - 1) / 2 <= i
-        m = (1 + math.isqrt(8 * i + 1)) // 2
-        e = i - m * (m - 1) // 2
+        rows, cols = _triangle(len(self.order))
+        m, e = rows.item(i), cols.item(i)
         given = () if self.mode == "marginal" else self.order[:e] + self.order[e + 1:m]
         statistic = float(self.statistic[i])
         return TestRecord(self.order[e], self.order[m], given, float(self.r[i]), statistic,
@@ -278,16 +277,8 @@ def _factor(x: np.ndarray, order=None):
         rest -= np.multiply(v[:, None], scale, order="F")
         w[m, m] = alpha
     # the reflectors' tails are below the diagonal: zero them in one pass
-    w[_lower_pairs(p)] = 0.0
+    w[_triangle(p)] = 0.0
     return tuple(nodes), w, steps
-
-
-@lru_cache(maxsize=16)
-def _lower_pairs(p: int):
-    """(rows, cols) of the strict lower triangle of a p x p matrix, read-only."""
-    rows, cols = np.tril_indices(p, -1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
@@ -303,7 +294,7 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     rows by flat index.
     """
     p = r.shape[0]
-    rows, cols = _lower_pairs(p)
+    rows, cols = _triangle(p)
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))

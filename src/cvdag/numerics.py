@@ -8,12 +8,16 @@ variances and partial correlations from one pivoted QR instead (see
 queries, and the tests check the learner against them. Everything operates on
 plain float64 numpy arrays; reductions go through numpy's pairwise-summing
 kernels for reproducibility.
+
+``_triangle`` is the one cached table of row-major position pairs: it fixes
+random_sem's draw order and the rows of TestLog and the later-scope margins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -35,6 +39,15 @@ def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
         if (i := first.setdefault(name, j)) != j:
             return f"repeated column name {name!r} in columns {i} and {j}"
     return None
+
+
+@lru_cache(maxsize=16)
+def _triangle(p: int, upper: bool = False):
+    """(rows, cols) of the strict lower triangle of a p x p matrix, or of the
+    strict upper one with ``upper``, in row-major order; cached, read-only."""
+    rows, cols = np.triu_indices(p, 1) if upper else np.tril_indices(p, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True, eq=False)

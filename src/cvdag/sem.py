@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
 from .graphs import Dag, Ordering, _is_int, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _check_condition_args
+from .numerics import Dataset, _check_condition_args, _triangle
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -175,14 +175,6 @@ def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
         ) from None
 
 
-@lru_cache(maxsize=16)
-def _later_pairs(p: int):
-    """(rows, cols) of the strict upper triangle of a p x p matrix, read-only."""
-    rows, cols = np.triu_indices(p, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def check_identifiability(
     m: GaussianSem,
     pi: Sequence[int] | None = None,
@@ -228,7 +220,7 @@ def check_identifiability(
     np.cumsum(w, axis=1, out=w)
     # every (pos, k) pair at once; row-major order is the row order above
     if scope == "later":
-        pos, q = _later_pairs(p)
+        pos, q = _triangle(p, upper=True)
         k = cols[q]
     else:
         pos, k = np.nonzero(descendant_mask(m.dag)[cols])
@@ -322,7 +314,7 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
     rng = seeded_rng(seed)
     perm = rng.permutation(p)
     # (later, earlier) position pairs in row-major order, the order of the draws
-    later, earlier = np.tril_indices(p, -1)
+    later, earlier = _triangle(p)
     betas = rng.uniform(-2.0, 2.0, size=later.size)
     keep = np.abs(betas) >= WEIGHT_WINDOWS[protocol]
     b = np.zeros((p, p))

@@ -54,6 +54,28 @@ class TestSimulate:
                    "-o", tmp_path) == 1
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--protocol", "--sem"])
+    def test_p_the_model_cannot_have_is_refused(self, flag, chain_sem, tmp_path, capsys):
+        # once ignored: nonfaithful --p 7 wrote nonfaithful_p3_n10_seed0.csv
+        source = "nonfaithful" if flag == "--protocol" else chain_sem
+        assert run("simulate", flag, source, "--p", 7, "--n", 10, "-o", tmp_path / "out") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cvdag: error: --p 7 differs from the model's node count 3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_p_the_model_has_is_accepted(self, chain_sem, tmp_path):
+        assert run("simulate", "--protocol", "nonfaithful", "--p", 3, "--n", 10,
+                   "-o", tmp_path) == 0
+        assert run("simulate", "--sem", chain_sem, "--p", 3, "--n", 10, "-o", tmp_path) == 0
+        assert (tmp_path / "chain_n10_seed0.csv").exists()
+
+    def test_nonfaithful_without_p_unchanged(self, tmp_path, capsys):
+        assert run("simulate", "--protocol", "nonfaithful", "--n", 10, "-o", tmp_path) == 0
+        assert capsys.readouterr().out.endswith(
+            f"wrote {tmp_path / 'nonfaithful_p3_n10_seed0.csv'}\n")
+        assert read_dataset(tmp_path / "nonfaithful_p3_n10_seed0.csv").p == 3
+
     def test_from_sem_file(self, chain_sem, tmp_path):
         assert run("simulate", "--sem", chain_sem, "--n", 30, "--seed", 2,
                    "-o", tmp_path) == 0

@@ -170,6 +170,19 @@ class TestNodeIds:
         with pytest.raises(ValidationError, match="node count must be a non-negative integer"):
             Cpdag(-1, frozenset())
 
+    @pytest.mark.parametrize("graph, marks, bad", [
+        (Dag, ([(0, 1, 2)],), "(0, 1, 2)"),
+        (Dag, ([0, 1],), "0"),
+        (Dag, ([(0,)],), "(0,)"),
+        (Cpdag, ([(0,)],), "(0,)"),
+        (Cpdag, (set(), [(0, 1, 2)]), "(0, 1, 2)"),
+    ], ids=["dag-triple", "dag-int", "dag-single", "cpdag-directed", "cpdag-undirected"])
+    def test_malformed_edge_rejected(self, graph, marks, bad):
+        # once a bare ValueError or TypeError from unpacking the edge
+        message = f"edge must be a (parent, child) pair, got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            graph(3, *marks)
+
     def test_cpdag_accepts_numpy_integers(self):
         cp = Cpdag(np.int64(3), {(np.int64(0), 1)}, {(np.int64(2), np.int32(1))})
         assert cp == Cpdag(3, frozenset({(0, 1)}), frozenset({(1, 2)}))

@@ -758,7 +758,7 @@ class TestPivotRatioFloor:
 def reference_pair_correlations(r, mode):
     """``_pair_correlations`` as it was before it read U = R^-1 by flat index:
     T = (R^T)^-1, 2-d fancy indexing and np.clip."""
-    rows, cols = learner_module._lower_pairs(r.shape[0])
+    rows, cols = np.tril_indices(r.shape[0], -1)
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))

@@ -14,6 +14,7 @@ from cvdag.errors import (
 )
 from cvdag.numerics import (
     Dataset,
+    _triangle,
     conditional_variance,
     fisher_z_test,
     partial_correlation,
@@ -330,6 +331,24 @@ class TestFisherZ:
         # the clamp would turn NaN into -(1 - 1e-12), a confident "dependent"
         with pytest.raises(ValidationError, match="NaN"):
             fisher_z_test(float("nan"), 100, 0, 0.05)
+
+
+class TestTriangle:
+    @pytest.mark.parametrize("p", [*range(13), 80])
+    def test_equals_numpy_tables(self, p):
+        for upper, want in ((False, np.tril_indices(p, -1)), (True, np.triu_indices(p, 1))):
+            rows, cols = _triangle(p, upper=upper)
+            assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+            assert rows.dtype == want[0].dtype and cols.dtype == want[1].dtype
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_read_only_and_cached(self, upper):
+        rows, cols = _triangle(6, upper=upper)
+        again = _triangle(6, upper=upper)
+        assert again[0] is rows and again[1] is cols
+        for table in (rows, cols):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 class TestDataset:

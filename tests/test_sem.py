@@ -801,6 +801,22 @@ class TestRandomSem:
             assert m.dag == ref
             assert topological_order(m.dag) == topological_order(ref)
 
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("p", [2, 10, 80])
+    def test_matches_tril_indices_reference(self, p, protocol):
+        # the same seeded_rng calls in the same order: permutation, weights, sigma2
+        rng = seeded_rng(p)
+        perm = rng.permutation(p)
+        later, earlier = np.tril_indices(p, -1)
+        betas = rng.uniform(-2.0, 2.0, size=later.size)
+        betas[np.abs(betas) < sem.WEIGHT_WINDOWS[protocol]] = 0.0
+        b = np.zeros((p, p))
+        b[perm[later], perm[earlier]] = betas
+        sigma2 = np.ones(p) if protocol == "homogeneous" else rng.uniform(1.0, 3.0, size=p)
+        m = random_sem(p, protocol, p)
+        assert m.B.tobytes() == b.tobytes()
+        assert m.sigma2.tobytes() == sigma2.tobytes()
+
 
 def reference_random_sem(p, protocol, seed):
     """random_sem's draws placed one pair at a time: (B, sigma2)."""
