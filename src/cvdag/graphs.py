@@ -61,6 +61,10 @@ def _node_count(p) -> int:
 def _edge_mask(p: int, edges, undirected: bool = False) -> np.ndarray:
     """The p x p bool mask of ``edges``, each checked: a pair of node ids in
     0..p-1 that is not a self-loop. An undirected pair is set at (low, high)."""
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise ValidationError(f"edges must be a collection of pairs, got {edges!r}") from None
     adj = np.zeros((p, p), dtype=bool)
     for edge in edges:
         try:

@@ -41,6 +41,19 @@ def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
     return None
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """A float64 copy of ``value``; ValidationError naming ``name`` where it
+    holds complex or non-numeric entries, which a float cast would drop or
+    raise a bare error on."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind != "c":
+            return np.array(arr, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must hold real numbers")
+
+
 @lru_cache(maxsize=16)
 def _triangle(p: int, upper: bool = False):
     """(rows, cols) of the strict lower triangle of a p x p matrix, or of the
@@ -58,11 +71,13 @@ class Dataset:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = _real_array(self.data, "dataset")
         if data.ndim != 2:
             raise ValidationError(f"dataset must be 2-D, got shape {data.shape}")
         if data.shape[0] < 1:
             raise ValidationError("dataset needs at least one row")
+        if data.shape[1] < 1:
+            raise ValidationError("dataset needs at least one column")
         if len(self.names) != data.shape[1]:
             raise ValidationError(
                 f"{len(self.names)} names for {data.shape[1]} columns"
@@ -72,7 +87,7 @@ class Dataset:
             raise ValidationError(repeat)
         if not np.all(np.isfinite(data)):
             raise ValidationError("dataset contains missing or non-finite entries")
-        data = data.copy()
+        data = np.ascontiguousarray(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "names", names)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
 from .graphs import Dag, Ordering, _is_int, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _check_condition_args, _triangle
+from .numerics import Dataset, _check_condition_args, _real_array, _triangle
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -67,15 +67,15 @@ class GaussianSem:
     intercepts: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.array(self.B, dtype=float)  # copy: the instance owns its arrays
+        b = _real_array(self.B, "B")  # a copy: the instance owns its arrays
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
             raise ValidationError(f"B must be square with p >= 1, got shape {b.shape}")
         p = b.shape[0]
-        s2 = np.array(self.sigma2, dtype=float).reshape(-1)
+        s2 = _real_array(self.sigma2, "sigma2").reshape(-1)
         if s2.shape != (p,):
             raise ValidationError(f"sigma2 must have length {p}")
         b0 = self.intercepts
-        b0 = np.zeros(p) if b0 is None else np.array(b0, dtype=float).reshape(-1)
+        b0 = np.zeros(p) if b0 is None else _real_array(b0, "intercepts").reshape(-1)
         if b0.shape != (p,):
             raise ValidationError(f"intercepts must have length {p}")
         for name, arr in (("B", b), ("sigma2", s2), ("intercepts", b0)):

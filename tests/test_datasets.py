@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -10,6 +11,7 @@ from cvdag import datasets
 from cvdag.datasets import format_dataset, load_marks, parse_dataset, read_dataset, write_dataset
 from cvdag.errors import DataFormatError, ToolkitError, ValidationError
 from cvdag.numerics import Dataset, sample_covariance
+from cvdag.sem import random_sem, sample
 
 
 class TestParsing:
@@ -184,6 +186,78 @@ class TestFormatting:
         data = rng.normal(size=(50, p)) * 10.0 ** rng.integers(-300, 300, size=(50, p))
         data[::7] = np.round(data[::7])
         ds = Dataset(tuple(f"v{i}" for i in range(p)), data)
+        assert format_dataset(ds) == _format_reference(ds)
+
+
+def _table(values, p=1):
+    data = np.asarray(values, dtype=float).reshape(-1, p)
+    return Dataset(tuple(f"v{j}" for j in range(p)), data)
+
+
+def _ulps(x, count):
+    """``x`` and its ``count`` nearest neighbours on each side."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def _ties():
+    """Doubles odd * 2**-j with exactly 18 significant digits, the last a 5:
+    each is an exact tie between two 17-digit decimals."""
+    out = []
+    for j in range(2, 26):
+        five = 5 ** j
+        low, high = -(-10 ** 17 // five) | 1, min(10 ** 18 // five, 2 ** 53) - 1
+        for odd in (low, low + 2, (low + high) // 2 | 1, high - 2 | 1, high | 1):
+            if odd <= high and 10 ** 17 <= odd * five < 10 ** 18:
+                out.append(math.ldexp(odd, -j))
+    return out
+
+
+class TestFormatKernel:
+    """The array kernel of format_dataset writes the bytes of "%.17g"."""
+
+    @given(st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e16, 1e16),
+                  st.builds(math.ldexp, st.integers(-2 ** 53, 2 ** 53), st.integers(-70, 5))),
+        min_size=p, max_size=8 * p))))
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_reference(self, case):
+        p, values = case
+        ds = _table(values[:len(values) // p * p], p)
+        assert format_dataset(ds) == _format_reference(ds)
+
+    def test_powers_of_ten_and_neighbours_match_reference(self):
+        values = [y for k in range(-5, 18) for y in _ulps(float(f"1e{k}"), 2)]
+        values += _ulps(1e-4, 8) + _ulps(1e16, 8)
+        # doubles just below a power of ten that 17 digits round up to it; none
+        # lies in 1e-4 <= |x| < 1e16, where the kernel writes
+        values += [1e-14, 1e98]
+        values += [-v for v in values]
+        ds = _table(values, 2)
+        assert format_dataset(ds) == _format_reference(ds)
+
+    def test_ties_at_the_eighteenth_digit_match_reference(self):
+        ties = _ties()
+        # the 18th significant digit is a 5 and the 19th a 0
+        assert len(ties) > 50 and {f"{v:.18e}"[18:20] for v in ties} == {"50"}
+        ds = _table(ties + [-v for v in ties])
+        assert format_dataset(ds) == _format_reference(ds)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_tables_across_chunks_match_reference(self, p):
+        n = (2 * datasets._CHUNK + 5) // p + 1
+        assert n * p % datasets._CHUNK
+        rng = np.random.default_rng(p)
+        ds = _table(rng.normal(size=n * p) * 10.0 ** rng.integers(-6, 18, size=n * p), p)
+        assert format_dataset(ds) == _format_reference(ds)
+
+    def test_seeded_large_table_matches_reference(self):
+        ds = sample(random_sem(80, "heterogeneous", 1901), 2000, 1902)
         assert format_dataset(ds) == _format_reference(ds)
 
 

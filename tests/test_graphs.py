@@ -183,6 +183,17 @@ class TestNodeIds:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             graph(3, *marks)
 
+    @pytest.mark.parametrize("graph, marks, bad", [
+        (Dag, (5,), "5"),
+        (Cpdag, (1.5,), "1.5"),
+        (Cpdag, (set(), None), "None"),
+    ], ids=["dag-int", "cpdag-directed", "cpdag-undirected"])
+    def test_non_iterable_edges_rejected(self, graph, marks, bad):
+        # once a bare TypeError from iterating the edge collection
+        message = f"edges must be a collection of pairs, got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            graph(3, *marks)
+
     def test_cpdag_accepts_numpy_integers(self):
         cp = Cpdag(np.int64(3), {(np.int64(0), 1)}, {(np.int64(2), np.int32(1))})
         assert cp == Cpdag(3, frozenset({(0, 1)}), frozenset({(1, 2)}))

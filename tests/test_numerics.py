@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -363,10 +364,25 @@ class TestDataset:
     @pytest.mark.parametrize("data, message", [
         (np.zeros(3), "dataset must be 2-D, got shape (3,)"),
         (np.zeros((0, 1)), "dataset needs at least one row"),
+        (np.empty((3, 0)), "dataset needs at least one column"),
     ])
     def test_shape_rejected(self, data, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Dataset(("a",), data)
+
+    @pytest.mark.parametrize("data", [
+        np.array([[1 + 2j, 2]]),
+        [[1 + 2j, 2.0]],
+        np.array([[1j, 2]], dtype=object),
+        [["x", 2.0]],
+    ])
+    def test_complex_or_non_numeric_rejected(self, data):
+        # a complex array lost its imaginary part with a ComplexWarning; the
+        # others raised a bare TypeError or ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^dataset must hold real numbers$"):
+                Dataset(("a", "b"), data)
 
     def test_data_is_frozen(self):
         ds = dataset(np.zeros((2, 2)))

@@ -78,6 +78,22 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             GaussianSem(**{"B": np.zeros((2, 2)), "sigma2": np.ones(2), **args})
 
+    @pytest.mark.parametrize("bad", [1j, np.complex128(1 + 1j)])
+    @pytest.mark.parametrize("name", ["B", "sigma2", "intercepts"])
+    def test_complex_parameters_rejected(self, name, bad):
+        # B and intercepts lost the imaginary part with a ComplexWarning and
+        # sigma2 raised a bare TypeError
+        args = {"B": np.zeros((2, 2)), "sigma2": np.ones(2), "intercepts": np.zeros(2)}
+        args[name] = args[name].astype(complex)
+        args[name].flat[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{name} must hold real numbers$"):
+                GaussianSem(**args)
+        args[name] = args[name].tolist()
+        with pytest.raises(ValidationError, match=f"^{name} must hold real numbers$"):
+            GaussianSem(**args)
+
     def test_empty_model_rejected(self):
         with pytest.raises(ValidationError, match="p >= 1"):
             GaussianSem(B=np.zeros((0, 0)), sigma2=np.zeros(0))
