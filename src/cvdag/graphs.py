@@ -5,7 +5,8 @@ undirected edges are stored canonically as (low, high). A DAG is converted to
 its CPDAG by Chickering's edge labeling (UAI 1995) in one pass over the nodes
 in topological order, O(p + |E|·max in-degree); no orientation rules are run.
 A Dag stores one thing, its read-only p x p bool adjacency mask, entry
-[parent, child] set for each edge; ``Dag.edges`` is a read-only set view over
+[parent, child] set for each edge, and caches only its topological order and
+descendant mask, nothing per node; ``Dag.edges`` is a read-only set view over
 that mask, equal to and hashing as the frozenset of its (parent, child) pairs,
 iterated in sorted order; a Cpdag stores two such views, the second over the
 (low, high) mask of its undirected edges. The distance between two DAGs counts
@@ -24,7 +25,7 @@ import operator
 from collections.abc import Set
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _edge_mask(p: int, edges, undirected: bool = False) -> np.ndarray:
         edges = iter(edges)
     except TypeError:
         raise ValidationError(f"edges must be a collection of pairs, got {edges!r}") from None
-    adj = np.zeros((p, p), dtype=bool)
+    adj = _square(p, bool)
     for edge in edges:
         try:
             a, b = edge
@@ -82,6 +83,14 @@ def _edge_mask(p: int, edges, undirected: bool = False) -> np.ndarray:
     return adj
 
 
+def _square(p: int, dtype) -> np.ndarray:
+    """A zeroed p x p array; ValidationError naming ``p`` if numpy cannot hold it."""
+    try:
+        return np.zeros((p, p), dtype=dtype)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"node count p={p} is too large to hold a p x p matrix") from None
+
+
 def _mask(p: int, edges) -> np.ndarray:
     """The p x p bool matrix with entry [parent, child] set for each edge."""
     ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
@@ -96,15 +105,6 @@ def _rows(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
     cols = cols.tolist()
     ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
     return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
-
-
-class _Index(NamedTuple):
-    """Adjacency of a Dag: Kahn topological order (None if cyclic), and the
-    parents and children of each node as sorted tuples."""
-
-    topo: tuple[int, ...] | None
-    parents: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
 
 
 class _EdgeView(Set):
@@ -196,7 +196,7 @@ class Dag(_Graph):
 
     def _acyclic(self) -> Dag:
         """This Dag, or ValidationError if its edges hold a directed cycle."""
-        if self._index.topo is None:
+        if self._ordering is None:
             raise ValidationError("edge set contains a directed cycle")
         return self
 
@@ -206,28 +206,22 @@ class Dag(_Graph):
         return self.edges._mask
 
     @cached_property
-    def _index(self) -> _Index:
+    def _ordering(self) -> Ordering | None:
+        # Kahn's order, None if cyclic, so it doubles as the acyclicity check;
         # built on first use, so a trusted Dag that is only compared or
         # counted never pays for it; not a dataclass field, so equality and
-        # hashing still see only (p, edges); tuples: a frozenset per node
-        # would nearly triple a 10-node Dag's memory
-        parents, children = _rows(self._adjacency.T), _rows(self._adjacency)
-        # Kahn's algorithm doubles as the acyclicity check
-        order = _kahn(parents, children)
-        return _Index(None if order is None else tuple(order), parents, children)
+        # hashing still see only (p, edges)
+        order = _kahn(self._adjacency.sum(axis=0).tolist(), _rows(self._adjacency))
+        return None if order is None else Ordering(order)
 
-    # like _index, built on first use and shared read-only
-    @cached_property
-    def _ordering(self) -> Ordering:
-        return Ordering(self._index.topo)
-
+    # like _ordering, built on first use and shared read-only
     @cached_property
     def _descendant_mask(self) -> np.ndarray:
         # one pass in reverse topological order unions {c} and row c over the
         # children c of j, on int bitsets unpacked into the matrix at the end
-        topo, _, children = self._index
+        children = _rows(self._adjacency)
         bits = [0] * self.p
-        for j in reversed(topo):
+        for j in reversed(self._ordering.order):
             for c in children[j]:
                 bits[j] |= bits[c] | (1 << c)
         width = (self.p + 7) // 8
@@ -245,10 +239,10 @@ class Dag(_Graph):
         return j
 
     def parents(self, j: int) -> frozenset[int]:
-        return frozenset(self._index.parents[self._node_in_range(j)])
+        return frozenset(np.flatnonzero(self._adjacency[:, self._node_in_range(j)]).tolist())
 
     def children(self, j: int) -> frozenset[int]:
-        return frozenset(self._index.children[self._node_in_range(j)])
+        return frozenset(np.flatnonzero(self._adjacency[self._node_in_range(j)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -299,9 +293,9 @@ class Cpdag(_Graph):
         return self.directed._mask | self.undirected._mask | self.undirected._mask.T
 
 
-def _kahn(parents, children) -> list[int] | None:
-    """Topological sort, smallest node index first; None if cyclic."""
-    indeg = [len(pa) for pa in parents]
+def _kahn(indeg: list[int], children) -> tuple[int, ...] | None:
+    """Topological sort, smallest node index first; None if cyclic. ``indeg``
+    holds each node's parent count and is used up."""
     heap = [j for j, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     out: list[int] = []
@@ -312,7 +306,7 @@ def _kahn(parents, children) -> list[int] | None:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, c)
-    return out if len(out) == len(parents) else None
+    return tuple(out) if len(out) == len(indeg) else None
 
 
 def topological_order(g: Dag) -> Ordering:
@@ -323,7 +317,7 @@ def topological_order(g: Dag) -> Ordering:
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
     """All nodes reachable from j by directed paths, excluding j itself."""
-    children = g._index.children
+    children = _rows(g._adjacency)
     seen: set[int] = set()
     stack = list(children[g._node_in_range(j)])
     while stack:
@@ -359,8 +353,8 @@ def vstructures(g: Dag) -> frozenset[tuple[int, int, int]]:
     adjacent = g._adjacency | g._adjacency.T
     return frozenset(
         (a, c, b)
-        for c in range(g.p)
-        for a, b in itertools.combinations(g._index.parents[c], 2)
+        for c, parents in enumerate(_rows(g._adjacency.T))
+        for a, b in itertools.combinations(parents, 2)
         if not adjacent[a, b]
     )
 
@@ -379,13 +373,14 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     exactly the edges w->y with w->x compelled are. Cost O(p + |E|·max
     in-degree). No orientation rules (Meek, UAI 1995) are needed.
     """
+    topo = g._ordering.order
     pos = [0] * g.p
-    for i, j in enumerate(g._index.topo):
+    for i, j in enumerate(topo):
         pos[j] = i
-    pa = list(map(frozenset, g._index.parents))
+    pa = list(map(frozenset, _rows(g._adjacency.T)))
     compelled: list[frozenset[int]] = [frozenset()] * g.p
     directed: list[tuple[int, int]] = []
-    for y in g._index.topo:
+    for y in topo:
         pa_y = pa[y]
         if not pa_y:
             continue

@@ -44,13 +44,15 @@ def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
 def _real_array(value, name: str) -> np.ndarray:
     """A float64 copy of ``value``; ValidationError naming ``name`` where it
     holds complex or non-numeric entries, which a float cast would drop or
-    raise a bare error on."""
+    raise a bare error on, or an integer too large for float64."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind != "c":
             return np.array(arr, dtype=float)
     except (TypeError, ValueError):
         pass
+    except OverflowError:
+        raise ValidationError(f"{name} holds an integer too large for float64") from None
     raise ValidationError(f"{name} must hold real numbers")
 
 

@@ -23,7 +23,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
-from .graphs import Dag, Ordering, _is_int, descendant_mask, is_consistent, topological_order
+from .graphs import Dag, Ordering, _is_int, _square, descendant_mask, is_consistent, topological_order
 from .numerics import Dataset, _check_condition_args, _real_array, _triangle
 
 Protocol = Literal["homogeneous", "heterogeneous"]
@@ -396,13 +396,16 @@ def read_sem(path) -> GaussianSem:
             raise DataFormatError(f"{path}:{lineno}: cannot parse {line!r}") from None
     if p is None or sigma2 is None:
         raise DataFormatError(f"{path}: missing required 'p' or 'sigma2' field")
-    # before the p x p allocation, which a huge p would fail with a bare MemoryError
+    # value counts first: a short line is named even where p x p cannot be held
     for kind, values in (("sigma2", sigma2), ("intercept", intercepts)):
         if values is not None and len(values) != p:
             raise DataFormatError(
                 f"{path}:{first_line[kind]}: {kind} has {len(values)} values for p={p}"
             )
-    b = np.zeros((p, p))
+    try:
+        b = _square(p, float)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     for parent, child, beta, lineno in edges:
         if not (0 <= parent < p and 0 <= child < p):
             raise DataFormatError(f"{path}:{lineno}: edge ({parent},{child}) out of range")

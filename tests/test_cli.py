@@ -127,6 +127,24 @@ class TestSimulate:
         assert run("check", bad, "-o", tmp_path) == 1
         assert capsys.readouterr().err == f"cvdag: error: {bad}{error}\n"
 
+    def test_weight_matrix_too_large_to_hold(self, tmp_path, capsys, monkeypatch):
+        # p = 100000 asks for a 74.5 GiB weight matrix, a bare MemoryError
+        # traceback on a machine without it; the allocation is refused here on
+        # any machine
+        zeros = np.zeros
+
+        def refuse(shape, *args, **kwargs):
+            if shape == (100000, 100000):
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        bad = tmp_path / "huge.sem"
+        bad.write_text("p 100000\nsigma2" + " 1" * 100000 + "\n")
+        assert run("check", bad, "-o", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"cvdag: error: {bad}: node count p=100000 is too large to hold a p x p matrix\n")
+
     def test_missing_sem_file_is_io_error(self, tmp_path):
         assert run("simulate", "--sem", tmp_path / "nope.sem", "--n", 10,
                    "-o", tmp_path) == 3
@@ -317,6 +335,15 @@ class TestCpdag:
         assert run("cpdag", src, "-o", tmp_path) == 1
         err = capsys.readouterr().err
         assert err == f"cvdag: error: {src}: edge set contains a directed cycle\n"
+
+    def test_node_count_too_large_to_hold(self, tmp_path, capsys):
+        # numpy refused the p x p mask with a bare "array is too big" traceback
+        src = tmp_path / "huge.graph"
+        src.write_text("1000000000000\n")
+        assert run("cpdag", src, "-o", tmp_path) == 1
+        assert capsys.readouterr().err == (f"cvdag: error: {src}: node count p=1000000000000 "
+                                           "is too large to hold a p x p matrix\n")
+        assert not (tmp_path / "huge.cpdag").exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("cpdag", tmp_path / "nothing.graph", "-o", tmp_path) == 3

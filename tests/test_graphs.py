@@ -155,6 +155,13 @@ class TestNodeIds:
                            match=rf"node count must be a non-negative integer, got {p!r}$"):
             Dag(p, frozenset())
 
+    @pytest.mark.parametrize("make", [lambda p: Dag(p, frozenset()), lambda p: Cpdag(p, set())])
+    def test_node_count_too_large_to_hold_rejected(self, make):
+        # numpy refused the p x p mask with a bare "array is too big" ValueError
+        with pytest.raises(ValidationError,
+                           match=r"^node count p=10{12} is too large to hold a p x p matrix$"):
+            make(10**12)
+
     def test_dag_accepts_numpy_integers(self):
         g = Dag(np.int64(3), {(np.int64(0), np.int32(1)), (np.uint8(1), 2)})
         assert g == CHAIN and type(g.p) is int
@@ -293,6 +300,31 @@ class TestEdgeView:
         retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
         assert retained < 4 * p * p * len(graphs)
 
+    def test_model_graphs_retain_no_per_node_rows(self):
+        # 50 dense model graphs at p=40, each asked for its order, descendant
+        # mask, CPDAG, parents and children, keep less than 5 p^2 bytes each:
+        # the adjacency and descendant masks, the order and fixed overheads;
+        # with a parent and a child tuple cached per node each kept 12 p^2
+        p = 40
+
+        def use(g):
+            topological_order(g), descendant_mask(g), dag_to_cpdag(g)
+            for j in range(p):
+                g.parents(j), g.children(j)
+
+        use(random_sem(p, "homogeneous", 50).dag)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            graphs = [random_sem(p, "homogeneous", seed).dag for seed in range(50)]
+            for g in graphs:
+                use(g)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert retained < 5 * p * p * len(graphs)
+
 
 def hamming_dag_by_sets(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
     """Reference: the set-difference count that ``hamming_dag`` replaced."""
@@ -318,9 +350,9 @@ class TestTrustedDag:
 
     def test_learned_graph_is_trusted_and_indexed_lazily(self):
         g = learn(sample(random_sem(8, "homogeneous", 4), 200, 5)).dag
-        assert "_index" not in vars(g)
+        assert "_ordering" not in vars(g)
         topological_order(g)
-        assert "_index" in vars(g)
+        assert "_ordering" in vars(g)
 
     def test_matches_validated_dag(self):
         for trusted in self.learned_graphs():

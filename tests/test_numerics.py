@@ -384,6 +384,12 @@ class TestDataset:
             with pytest.raises(ValidationError, match="^dataset must hold real numbers$"):
                 Dataset(("a", "b"), data)
 
+    def test_integer_too_large_for_float64_rejected(self):
+        # raised a bare OverflowError: int too large to convert to float
+        with pytest.raises(ValidationError,
+                           match="^dataset holds an integer too large for float64$"):
+            Dataset(("a",), [[10**400]])
+
     def test_data_is_frozen(self):
         ds = dataset(np.zeros((2, 2)))
         with pytest.raises(ValueError):

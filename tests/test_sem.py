@@ -94,6 +94,15 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=f"^{name} must hold real numbers$"):
             GaussianSem(**args)
 
+    @pytest.mark.parametrize("name", ["B", "sigma2", "intercepts"])
+    def test_integer_too_large_for_float64_rejected(self, name):
+        # raised a bare OverflowError: int too large to convert to float
+        args = {"B": [[0, 0], [1, 0]], "sigma2": [1, 1], "intercepts": [0, 0]}
+        args[name][-1] = [10**400, 0] if name == "B" else 10**400
+        with pytest.raises(ValidationError,
+                           match=f"^{name} holds an integer too large for float64$"):
+            GaussianSem(**args)
+
     def test_empty_model_rejected(self):
         with pytest.raises(ValidationError, match="p >= 1"):
             GaussianSem(B=np.zeros((0, 0)), sigma2=np.zeros(0))
