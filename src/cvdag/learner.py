@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset, _triangle
+from .numerics import Dataset, _real_array, _triangle
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -409,14 +409,14 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     extra edges (on random models of either protocol, on 10 of 120 at p=20
     and on all 120 at p=40), and a covariance with no Cholesky factor, or
     one whose factor falls below the float64 floor of :func:`_factor`, raises.
-    A covariance that is not square with p >= 1, or not finite, raises
-    ValidationError naming its shape or its first non-finite entry in row-major
-    order; one whose entries differ from their transpose by more than
+    A covariance that is not real, not square with p >= 1, or not finite,
+    raises ValidationError naming its shape or its first non-finite entry in
+    row-major order; one whose entries differ from their transpose by more than
     1e-8 max(1, max |cov|) raises NumericalDegeneracyError naming the pair
     (i < j) with the largest difference and that difference. Costs O(p^3).
     """
     cfg = cfg or LearnConfig()
-    cov = np.asarray(cov, dtype=float)
+    cov = _real_array(cov, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
         raise ValidationError(f"covariance must be square with p >= 1, got shape {cov.shape}")
     finite = np.isfinite(cov)

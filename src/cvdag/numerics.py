@@ -16,6 +16,7 @@ random_sem's draw order and the rows of TestLog and the later-scope margins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -180,6 +181,9 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
     normal critical value at level alpha. |r| >= 1 short-circuits to dependence
     with an infinite statistic.
     """
+    for name, value in (("r", r), ("alpha", alpha)):
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if n <= s + 3:

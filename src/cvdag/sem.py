@@ -289,9 +289,13 @@ def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
     rng = seeded_rng(seed)
-    noise = rng.standard_normal((n, m.p)) * np.sqrt(m.sigma2)
+    try:
+        noise = rng.standard_normal((n, m.p))
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"sample size n={n} is too large to hold an n x p array at p={m.p}") from None
     names = tuple(f"X{j}" for j in range(m.p))
-    return Dataset(names, _propagate(m, noise))
+    return Dataset(names, _propagate(m, noise * np.sqrt(m.sigma2)))
 
 
 #: per-protocol open interval in which a drawn weight is zeroed out
@@ -312,12 +316,12 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
     if protocol not in WEIGHT_WINDOWS:
         raise ValidationError(f"unknown protocol {protocol!r}")
     rng = seeded_rng(seed)
+    b = _square(p, float)
     perm = rng.permutation(p)
     # (later, earlier) position pairs in row-major order, the order of the draws
     later, earlier = _triangle(p)
     betas = rng.uniform(-2.0, 2.0, size=later.size)
     keep = np.abs(betas) >= WEIGHT_WINDOWS[protocol]
-    b = np.zeros((p, p))
     b[perm[later[keep]], perm[earlier[keep]]] = betas[keep]
     if protocol == "homogeneous":
         sigma2 = np.ones(p)

@@ -55,14 +55,13 @@ class TestSimulate:
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--protocol", "--sem"])
-    def test_p_the_model_cannot_have_is_refused(self, flag, chain_sem, tmp_path, capsys):
+    def test_p_the_model_cannot_have_is_refused(self, flag, chain_sem, cli_twice):
         # once ignored: nonfaithful --p 7 wrote nonfaithful_p3_n10_seed0.csv
         source = "nonfaithful" if flag == "--protocol" else chain_sem
-        assert run("simulate", flag, source, "--p", 7, "--n", 10, "-o", tmp_path / "out") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "cvdag: error: --p 7 differs from the model's node count 3\n"
-        assert not (tmp_path / "out").exists()
+        a, b = cli_twice("simulate", flag, source, "--p", 7, "--n", 10, "-o", "out")
+        assert a == b
+        assert (a.code, a.stdout, a.files) == (1, "", {})
+        assert a.stderr == "cvdag: error: --p 7 differs from the model's node count 3\n"
 
     def test_p_the_model_has_is_accepted(self, chain_sem, tmp_path):
         assert run("simulate", "--protocol", "nonfaithful", "--p", 3, "--n", 10,
@@ -70,11 +69,25 @@ class TestSimulate:
         assert run("simulate", "--sem", chain_sem, "--p", 3, "--n", 10, "-o", tmp_path) == 0
         assert (tmp_path / "chain_n10_seed0.csv").exists()
 
-    def test_nonfaithful_without_p_unchanged(self, tmp_path, capsys):
-        assert run("simulate", "--protocol", "nonfaithful", "--n", 10, "-o", tmp_path) == 0
-        assert capsys.readouterr().out.endswith(
-            f"wrote {tmp_path / 'nonfaithful_p3_n10_seed0.csv'}\n")
-        assert read_dataset(tmp_path / "nonfaithful_p3_n10_seed0.csv").p == 3
+    def test_nonfaithful_without_p_unchanged(self, cli_twice):
+        a, b = cli_twice("simulate", "--protocol", "nonfaithful", "--n", 10, "-o", "out")
+        assert a == b
+        assert a.code == 0
+        assert a.stdout.endswith("wrote out/nonfaithful_p3_n10_seed0.csv\n")
+        assert read_dataset(a.cwd / "out" / "nonfaithful_p3_n10_seed0.csv").p == 3
+
+    @pytest.mark.parametrize("p, n, error", [
+        (10, 10**13, "sample size n=10000000000000 is too large to hold an n x p array at p=10"),
+        (10**7, 10, "node count p=10000000 is too large to hold a p x p matrix"),
+    ])
+    def test_sizes_too_large_to_hold(self, p, n, error, cli_twice):
+        # numpy refused the noise array and the weight table with a bare
+        # _ArrayMemoryError traceback; each asks for 8e14 bytes, past any 47-bit
+        # address space, so numpy refuses it at once even where memory overcommits
+        a, b = cli_twice("simulate", "--protocol", "homogeneous", "--p", p, "--n", n,
+                         "-o", "out")
+        assert a == b
+        assert (a.code, a.stderr, a.files) == (1, f"cvdag: error: {error}\n", {})
 
     def test_from_sem_file(self, chain_sem, tmp_path):
         assert run("simulate", "--sem", chain_sem, "--n", 30, "--seed", 2,
@@ -218,15 +231,45 @@ class TestLearn:
         assert capsys.readouterr().out == "ordering: a b\nedge: (none)\n"
         assert (tmp_path / "flat.graph").read_text() == "2\n"
 
-    def test_data_below_the_float64_floor_exits_two(self, tmp_path, capsys):
+    def test_data_below_the_float64_floor_exits_two(self, tmp_path, cli_twice):
+        # p=120 heterogeneous data from models whose identifiability check is
+        # satisfied: one pivot keeps less than 1e-29 of its sum of squares; the
+        # step is not pinned, since another BLAS may round differently
         model = sem.random_sem(120, "heterogeneous", sem.derive_seed(7120, 0))
-        path = tmp_path / "deep.csv"
-        write_dataset(sem.sample(model, 3000, sem.derive_seed(7121, 0)), path)
-        assert run("learn", path, "-o", tmp_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("cvdag: error: factorization step ")
-        assert "below the float64 floor 1e-29" in err
-        assert not (tmp_path / "deep.graph").exists()
+        deep = tmp_path / "deep.csv"
+        write_dataset(sem.sample(model, 3000, sem.derive_seed(7121, 0)), deep)
+        a, b = cli_twice("simulate", "--protocol", "heterogeneous", "--p", 120, "--n", 3000,
+                         "-o", "out")
+        assert a == b
+        assert a.code == 0
+        assert "identifiability: satisfied" in a.stdout
+        for path in (deep, a.cwd / "out" / "heterogeneous_p120_n3000_seed0.csv"):
+            a, b = cli_twice("learn", path, "-o", "out")
+            assert a == b
+            assert (a.code, a.stdout, a.files) == (2, "", {})
+            assert a.stderr.startswith("cvdag: error: factorization step ")
+            assert "below the float64 floor 1e-29" in a.stderr
+
+    def test_p80_learn_is_byte_deterministic(self, tmp_path, cli_twice):
+        # pins the parser, the factorization and the test log on this BLAS; the
+        # CSV must be the bytes of a per-value "%.17g", which pins the array
+        # formatter on this Python and numpy, and read and written again it
+        # must be the same bytes, which pins numpy's text reader
+        ds = sem.sample(sem.random_sem(80, "heterogeneous", 1901), 2000, 1902)
+        path, again = tmp_path / "large.csv", tmp_path / "again.csv"
+        write_dataset(ds, path)
+        rows = [",".join(ds.names)] + [",".join("%.17g" % v for v in row)
+                                      for row in ds.data.tolist()]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        write_dataset(read_dataset(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        for mode in learner.PARENT_TEST_MODES:
+            a, b = cli_twice("learn", path, "--parent-test", mode, "-v", "-o", "out")
+            assert a == b
+            assert a.code == 0
+            assert sorted(a.files) == ["out/large.graph", "out/large.order",
+                                       "out/large.tests.csv"]
+            assert "test: " in a.stdout
 
     def test_verbose_prints_test_log(self, tmp_path, capsys):
         run("simulate", "--protocol", "nonfaithful", "--n", 500, "--seed", 4,
@@ -302,6 +345,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "total effects: " in err and "at (k=1, i=0)" in err
 
+    def test_p80_check_is_byte_deterministic(self, cli_twice):
+        # a dense p=80 model gets a verdict (exit 0 or 1), never a numerical
+        # failure (exit 2), under both scopes; the saved model and data pin the
+        # random generator on this numpy
+        a, b = cli_twice("simulate", "--protocol", "heterogeneous", "--p", 80, "--n", 2000,
+                         "--save-sem", "-o", "out")
+        assert a == b
+        assert a.code == 0
+        model = a.cwd / "out" / "heterogeneous_p80_seed0.sem"
+        for scope in sem.SCOPES:
+            a, b = cli_twice("check", model, "--scope", scope, "-v", "-o", "out")
+            assert a == b
+            assert a.code in (0, 1)
+            assert list(a.files) == ["out/heterogeneous_p80_seed0.margins.csv"]
+            assert "margin: " in a.stdout
+
 
 class TestCpdag:
     def test_chain_file_goes_undirected(self, tmp_path):
@@ -336,14 +395,30 @@ class TestCpdag:
         err = capsys.readouterr().err
         assert err == f"cvdag: error: {src}: edge set contains a directed cycle\n"
 
-    def test_node_count_too_large_to_hold(self, tmp_path, capsys):
+    @pytest.mark.parametrize("p", [10**11, 10**12])
+    def test_node_count_too_large_to_hold(self, p, tmp_path, cli_twice):
         # numpy refused the p x p mask with a bare "array is too big" traceback
         src = tmp_path / "huge.graph"
-        src.write_text("1000000000000\n")
-        assert run("cpdag", src, "-o", tmp_path) == 1
-        assert capsys.readouterr().err == (f"cvdag: error: {src}: node count p=1000000000000 "
-                                           "is too large to hold a p x p matrix\n")
-        assert not (tmp_path / "huge.cpdag").exists()
+        src.write_text(f"{p}\n")
+        a, b = cli_twice("cpdag", src, "-o", "out")
+        assert a == b
+        assert (a.code, a.stdout, a.files) == (1, "", {})
+        assert a.stderr == (f"cvdag: error: {src}: node count p={p} "
+                            "is too large to hold a p x p matrix\n")
+
+    def test_p80_graph_files_are_byte_deterministic(self, tmp_path, cli_twice):
+        # the order in which a Dag's edge view iterates never reaches a file,
+        # and read_cpdag and the one mask-based writer round-trip a p=80 class
+        src, again = tmp_path / "true.graph", tmp_path / "again.graph"
+        write_graph(sem.random_sem(80, "heterogeneous", 1901).dag, src)
+        write_graph(read_dag(src), again)
+        assert again.read_bytes() == src.read_bytes()
+        a, b = cli_twice("cpdag", src, "-o", "out")
+        assert a == b
+        assert a.code == 0
+        cpdag = a.cwd / "out" / "true.cpdag"
+        write_graph(read_cpdag(cpdag), again)
+        assert again.read_bytes() == cpdag.read_bytes()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("cpdag", tmp_path / "nothing.graph", "-o", tmp_path) == 3
@@ -366,21 +441,41 @@ class TestBenchCommand:
         for name in ("cells.csv", "aggregate.csv", "hamming_vs_n.svg"):
             assert (tmp_path / "out" / name).exists()
 
-    def test_rerun_identical_apart_from_seconds(self, tmp_path):
-        cfg = self.config(tmp_path)
-        run("bench", cfg, "-o", tmp_path / "r1")
-        run("bench", cfg, "-o", tmp_path / "r2")
+    @pytest.mark.parametrize("body", [
+        {"protocol": "nonfaithful", "n_grid": [50, 100], "replications": 4, "seed": 5},
+        {"protocol": "heterogeneous", "p": 10, "n_grid": [50, 100, 200], "replications": 4,
+         "seed": 5},
+    ], ids=["nonfaithful", "heterogeneous"])
+    def test_rerun_identical_apart_from_seconds(self, body, tmp_path, cli_twice):
+        # the chart holds no timings, so its bytes match; the tables match once
+        # their wall-clock columns are cut, which pins every cell's hamming_dag
+        # and hamming_cpdag, not only the plotted means
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(body))
+        a, b = cli_twice("bench", cfg, "-o", "out")
 
-        def strip(path):
-            rows = [ln.split(",") for ln in path.read_text().splitlines()]
-            head = rows[0]
-            drop = [i for i, col in enumerate(head)
-                    if "seconds" in col]
-            return [[f for i, f in enumerate(row) if i not in drop]
-                    for row in rows]
+        def strip(text):
+            rows = [ln.split(",") for ln in text.splitlines()]
+            drop = [i for i, col in enumerate(rows[0]) if "seconds" in col]
+            return [[f for i, f in enumerate(row) if i not in drop] for row in rows]
 
-        for name in ("cells.csv", "aggregate.csv"):
-            assert strip(tmp_path / "r1" / name) == strip(tmp_path / "r2" / name)
+        assert a.code == b.code == 0
+        assert strip(a.stdout) == strip(b.stdout)
+        assert sorted(a.files) == sorted(b.files) == [
+            "out/aggregate.csv", "out/cells.csv", "out/hamming_vs_n.svg"]
+        assert a.files["out/hamming_vs_n.svg"] == b.files["out/hamming_vs_n.svg"]
+        for name in ("out/cells.csv", "out/aggregate.csv"):
+            assert strip(a.files[name].decode()) == strip(b.files[name].decode())
+
+    def test_sample_too_large_to_hold(self, tmp_path, cli_twice):
+        # once a bare _ArrayMemoryError traceback that ended the whole run
+        cfg = self.config(tmp_path, protocol="homogeneous", p=10, n_grid=[10**13],
+                          replications=1)
+        a, b = cli_twice("bench", cfg, "-o", "out")
+        assert a == b
+        assert (a.code, a.stdout, a.files) == (1, "", {})
+        assert a.stderr == ("cvdag: error: sample size n=10000000000000 is too large "
+                            "to hold an n x p array at p=10\n")
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
         cfg = self.config(tmp_path)

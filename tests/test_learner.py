@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ class TestOracle:
         i, j = where
         with pytest.raises(ValidationError,
                            match=rf"^covariance must be finite: entry \(i={i}, j={j}\) is "):
+            learn_from_covariance(cov)
+
+    @pytest.mark.parametrize("cov", [[[2 + 1j, 1], [1, 2]], "ab", [[1, "a"], [0, 1]]])
+    def test_non_real_covariance_rejected(self, cov):
+        # a complex matrix once gave a graph after a ComplexWarning, and text a
+        # bare ValueError
+        with pytest.raises(ValidationError, match="^covariance must hold real numbers$"):
             learn_from_covariance(cov)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
@@ -881,3 +889,11 @@ class TestStepLog:
             assert type(log.rss) is np.ndarray and log.rss.dtype == np.float64
             assert log.rss.shape == (320 * 321 // 2,) and not log.rss.flags.writeable
         assert np.array_equal(result.step_variances.rss, steps.rss)
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library" runs as documented; its assert
+    # oracle.dag == model.dag pins the oracle example on this Python and numpy
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.S | re.M)
+    exec(compile(block.group(1), "README.md (Library)", "exec"), {})

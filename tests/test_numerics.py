@@ -328,6 +328,15 @@ class TestFisherZ:
         with pytest.raises(ValidationError):
             fisher_z_test(0.3, 50, 0, 1.5)
 
+    @pytest.mark.parametrize("r, alpha, error", [
+        ("x", 0.05, "r must be a real number, got 'x'"),
+        (0.3, "0.05", "alpha must be a real number, got '0.05'"),
+    ])
+    def test_non_real_arguments_rejected(self, r, alpha, error):
+        # once a bare TypeError
+        with pytest.raises(ValidationError, match=f"^{error}$"):
+            fisher_z_test(r, 50, 0, alpha)
+
     def test_nan_correlation_rejected(self):
         # the clamp would turn NaN into -(1 - 1e-12), a confident "dependent"
         with pytest.raises(ValidationError, match="NaN"):
