@@ -14,7 +14,6 @@ one file I/O rule.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,9 +22,11 @@ import numpy as np
 
 from .errors import ToolkitError, ValidationError, write_files
 from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
-from .learner import PARENT_TEST_MODES, LearnConfig, learn
+from .learner import LearnConfig, _mode_problem, learn
+from .numerics import _alpha_problem
 from .sem import (
     PROTOCOLS,
+    _seed_problem,
     check_identifiability,
     derive_seed,
     protocol_sem,
@@ -44,8 +45,8 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     replications: int = DEFAULT_REPLICATIONS
     seed: int = 0
-    alpha: float = 0.01
-    parent_test_mode: str = "conditional"
+    alpha: float = LearnConfig.alpha
+    parent_test_mode: str = LearnConfig.parent_test_mode
 
     def __post_init__(self):
         problems = []
@@ -71,16 +72,8 @@ class ExperimentConfig:
             problems.append(f"replications must be an integer, got {self.replications!r}")
         elif self.replications < 1:
             problems.append(f"replications must be >= 1, got {self.replications}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.alpha, numbers.Real):
-            problems.append(f"alpha must be a real number, got {self.alpha!r}")
-        elif not 0.0 < self.alpha < 1.0:
-            problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.parent_test_mode, str):
-            problems.append(f"parent_test_mode must be a string, got {self.parent_test_mode!r}")
-        elif self.parent_test_mode not in PARENT_TEST_MODES:
-            problems.append(f"unknown parent_test_mode {self.parent_test_mode!r}")
+        problems += filter(None, (_seed_problem(self.seed), _alpha_problem(self.alpha),
+                                  _mode_problem(self.parent_test_mode)))
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))

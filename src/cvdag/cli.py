@@ -55,10 +55,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("learn", help="estimate a directed graph from a dataset file")
     p.add_argument("input", help="delimited dataset with a header row, or 'marks' "
                                  "for the bundled examination-marks fixture")
-    p.add_argument("--alpha", type=float, default=0.01,
-                   help="significance level of the parent tests (default 0.01)")
+    p.add_argument("--alpha", type=float, default=LearnConfig.alpha,
+                   help="significance level of the parent tests (default %(default)s)")
     p.add_argument("--parent-test", choices=PARENT_TEST_MODES,
-                   default="conditional", dest="parent_test",
+                   default=LearnConfig.parent_test_mode, dest="parent_test",
                    help="conditioning mode of the parent tests")
     add_common(p)
 
@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="check the identifiability condition of a model")
     p.add_argument("sem", help="model file")
-    p.add_argument("--scope", choices=SCOPES, default="descendants",
+    p.add_argument("--scope", choices=SCOPES, default=SCOPES[0],
                    help="compare each node against its descendants (default) or "
                         "against every later node of the ordering")
     add_common(p)

@@ -56,6 +56,15 @@ def read_text(path) -> str:
         ) from None
 
 
+def _located(path, build, *args):
+    """``build(*args)`` on values read from ``path``; a ValidationError it
+    raises is a DataFormatError naming ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def write_text(path, text: str) -> Path:
     """Write ``text`` to ``path``; a failed write is ReportIOError naming its directory."""
     path = Path(path)

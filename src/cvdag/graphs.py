@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_text, write_text
+from .errors import DataFormatError, ValidationError, _located, read_text, write_text
 
 
 def _is_int(x) -> bool:
@@ -397,6 +397,15 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     return Cpdag._trusted(g.p, d, (reversible | reversible.T) & ~np.tri(g.p, dtype=bool))
 
 
+def _comparable(kind: type, a, b) -> None:
+    """ValidationError unless ``a`` and ``b`` are both ``kind`` on as many nodes."""
+    if not (isinstance(a, kind) and isinstance(b, kind)):
+        raise ValidationError(f"expected two {kind.__name__}s, got"
+                              f" {type(a).__name__} and {type(b).__name__}")
+    if a.p != b.p:
+        raise ValidationError(f"node counts differ: {a.p} vs {b.p}")
+
+
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
     """Missing plus extra directed edges; a reversed edge costs 2 by default.
 
@@ -406,8 +415,7 @@ def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> in
     reversed, the entries set in both the true mask and the estimate's
     transpose.
     """
-    if g_true.p != g_est.p:
-        raise ValidationError(f"node counts differ: {g_true.p} vs {g_est.p}")
+    _comparable(Dag, g_true, g_est)
     a_true, a_est = g_true._adjacency, g_est._adjacency
     diff = int(np.count_nonzero(a_true != a_est))
     if reversal_as_one:
@@ -419,8 +427,7 @@ def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
     """Count pairs whose orientation kind (absent/undirected/direction) differs:
     the pairs {i, j} whose PDAG-mask entries [i, j], [j, i] differ, a one-to-one
     code of the four kinds (neither set, either direction, or both)."""
-    if c_true.p != c_est.p:
-        raise ValidationError(f"node counts differ: {c_true.p} vs {c_est.p}")
+    _comparable(Cpdag, c_true, c_est)
     diff = c_true._adjacency != c_est._adjacency
     # symmetric with a zero diagonal, so each differing pair is set twice
     return int(np.count_nonzero(diff | diff.T)) // 2
@@ -480,15 +487,9 @@ def read_dag(path) -> Dag:
     p, directed, undirected = _parse_graph_lines(read_text(path), str(path))
     if undirected:
         raise DataFormatError(f"{path}: undirected edges not allowed in a DAG file")
-    try:
-        return Dag(p, frozenset(directed))
-    except ValidationError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _located(path, Dag, p, frozenset(directed))
 
 
 def read_cpdag(path) -> Cpdag:
     p, directed, undirected = _parse_graph_lines(read_text(path), str(path))
-    try:
-        return Cpdag(p, frozenset(directed), frozenset(undirected))
-    except ValidationError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _located(path, Cpdag, p, frozenset(directed), frozenset(undirected))

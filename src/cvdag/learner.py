@@ -24,7 +24,6 @@ stored, and both logs read as the tuple of their rows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from statistics import NormalDist
@@ -39,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset, _real_array, _triangle
+from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _not_real, _triangle
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -65,17 +64,27 @@ class LearnConfig:
     parent_test_mode: ParentTestMode = "conditional"
 
     def __post_init__(self):
-        for name in ("alpha", "oracle_tolerance"):
-            if not isinstance(value := getattr(self, name), numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.oracle_tolerance < math.inf:
-            raise ValidationError(
-                f"oracle_tolerance must be positive and finite, got {self.oracle_tolerance}"
-            )
-        if self.parent_test_mode not in PARENT_TEST_MODES:
-            raise ValidationError(f"unknown parent_test_mode {self.parent_test_mode!r}")
+        tol = self.oracle_tolerance
+        if problem := _alpha_problem(self.alpha) or _not_real("oracle_tolerance", tol):
+            raise ValidationError(problem)
+        if not 0.0 < tol < math.inf:
+            raise ValidationError(f"oracle_tolerance must be positive and finite, got {tol}")
+        if problem := _mode_problem(self.parent_test_mode):
+            raise ValidationError(problem)
+
+
+def _mode_problem(mode) -> str | None:
+    """The problem with ``mode`` as a parent-test mode, or None."""
+    if not isinstance(mode, str):
+        return f"parent_test_mode must be a string, got {mode!r}"
+    return None if mode in PARENT_TEST_MODES else f"unknown parent_test_mode {mode!r}"
+
+
+def _config(cfg) -> LearnConfig:
+    """``cfg``, or LearnConfig() for None; ValidationError for anything else."""
+    if cfg is None or isinstance(cfg, LearnConfig):
+        return cfg or LearnConfig()
+    raise ValidationError(f"cfg must be a LearnConfig, got {type(cfg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -349,7 +358,9 @@ def _learn(x: np.ndarray, cfg: LearnConfig, n: int | None) -> LearnResult:
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
-    """The column-centered data, once n > p + 1 (``stage`` opens the error)."""
+    """The column-centered data of a Dataset, once n > p + 1 (``stage`` opens the error)."""
+    if not isinstance(data, Dataset):
+        raise ValidationError(f"{stage} a Dataset, got {type(data).__name__}")
     if data.n <= data.p + 1:
         raise InsufficientSamplesError(f"{stage} n > p + 1 (n={data.n}, p={data.p})")
     return data.data - data.data.mean(axis=0)
@@ -378,10 +389,11 @@ def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None =
     returned edge set. A ``pi`` that is not a permutation of the columns, or
     holds an id that is not an integer, raises ValidationError.
     """
-    cfg = cfg or LearnConfig()
+    cfg = _config(cfg)
+    x = _centered(data, "parent tests need")
     if len(pi) != data.p:
         raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
-    order, r, _ = _factor(_centered(data, "parent tests need"), Ordering(pi).order)
+    order, r, _ = _factor(x, Ordering(pi).order)
     return _parents(order, r, cfg, data.n)
 
 
@@ -392,7 +404,7 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
     bit for bit, this equals :func:`estimate_parents` along the ordering of
     :func:`estimate_ordering`.
     """
-    return _learn(_centered(data, "ordering needs"), cfg or LearnConfig(), data.n)
+    return _learn(_centered(data, "ordering needs"), _config(cfg), data.n)
 
 
 def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
@@ -407,39 +419,15 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     model. In float64 it does so only while the rounding error of each r stays
     below the tolerance: on ill-conditioned covariances it silently returns
     extra edges (on random models of either protocol, on 10 of 120 at p=20
-    and on all 120 at p=40), and a covariance with no Cholesky factor, or
-    one whose factor falls below the float64 floor of :func:`_factor`, raises.
-    A covariance that is not real, not square with p >= 1, or not finite,
-    raises ValidationError naming its shape or its first non-finite entry in
-    row-major order; one whose entries differ from their transpose by more than
-    1e-8 max(1, max |cov|) raises NumericalDegeneracyError naming the pair
-    (i < j) with the largest difference and that difference. Costs O(p^3).
+    and on all 120 at p=40). The covariance gate of :mod:`numerics` refuses a
+    covariance that is not real, square, finite or symmetric; one with no
+    Cholesky factor, or whose factor falls below the float64 floor of
+    :func:`_factor`, raises NumericalDegeneracyError. Costs O(p^3).
     """
-    cfg = cfg or LearnConfig()
-    cov = _real_array(cov, "covariance")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
-        raise ValidationError(f"covariance must be square with p >= 1, got shape {cov.shape}")
-    finite = np.isfinite(cov)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0].tolist()
-        raise ValidationError(
-            f"covariance must be finite: entry (i={i}, j={j}) is {float(cov[i, j])}"
-        )
-    asymmetry = np.abs(cov - cov.T)
-    if asymmetry.max() > 1e-8 * max(1.0, np.abs(cov).max()):
-        # symmetric, so the first largest entry in row-major order has i < j
-        i, j = np.unravel_index(np.argmax(asymmetry), cov.shape)
-        raise NumericalDegeneracyError(
-            "learn_from_covariance: covariance is not symmetric: largest"
-            f" |cov[i, j] - cov[j, i]| is {float(asymmetry[i, j])} at (i={i}, j={j})"
-        )
-    try:
-        low = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(
-            f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has no"
-            " Cholesky factor (matrix is not positive definite)"
-        ) from None
+    cfg = _config(cfg)
+    cov = _covariance(cov, "learn_from_covariance")
+    low = _cholesky(cov, f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has"
+                    " no Cholesky factor (matrix is not positive definite)")
     return _learn(low.T, cfg, None)
 
 

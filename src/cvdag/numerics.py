@@ -11,6 +11,11 @@ kernels for reproducibility.
 
 ``_triangle`` is the one cached table of row-major position pairs: it fixes
 random_sem's draw order and the rows of TestLog and the later-scope margins.
+
+:func:`partial_correlation`, :func:`sem.population_conditional_variance` and
+:func:`learner.learn_from_covariance` read a covariance through one gate,
+``_covariance``, which refuses one that is not real, square, finite and
+symmetric, and factor it by ``_cholesky``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,50 @@ def _real_array(value, name: str) -> np.ndarray:
     except OverflowError:
         raise ValidationError(f"{name} holds an integer too large for float64") from None
     raise ValidationError(f"{name} must hold real numbers")
+
+
+def _covariance(cov, caller: str) -> np.ndarray:
+    """A float64 copy of ``cov``, a real, square, finite matrix, p >= 1, whose
+    entries differ from their transpose by at most 1e-8 max(1, max |cov|);
+    NumericalDegeneracyError opened by ``caller`` names the worst pair."""
+    cov = _real_array(cov, "covariance")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+        raise ValidationError(f"covariance must be square with p >= 1, got shape {cov.shape}")
+    finite = np.isfinite(cov)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(
+            f"covariance must be finite: entry (i={i}, j={j}) is {float(cov[i, j])}"
+        )
+    asymmetry = np.abs(cov - cov.T)
+    if asymmetry.max() > 1e-8 * max(1.0, np.abs(cov).max()):
+        # symmetric, so the first largest entry in row-major order has i < j
+        i, j = np.unravel_index(np.argmax(asymmetry), cov.shape)
+        raise NumericalDegeneracyError(
+            f"{caller}: covariance is not symmetric: largest"
+            f" |cov[i, j] - cov[j, i]| is {float(asymmetry[i, j])} at (i={i}, j={j})"
+        )
+    return cov
+
+
+def _cholesky(block: np.ndarray, refusal: str) -> np.ndarray:
+    """The lower Cholesky factor of ``block``, or NumericalDegeneracyError(refusal)."""
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError(refusal) from None
+
+
+def _not_real(name: str, x) -> str | None:
+    """The problem with ``x`` as the real number ``name``, or None."""
+    return None if isinstance(x, numbers.Real) else f"{name} must be a real number, got {x!r}"
+
+
+def _alpha_problem(alpha) -> str | None:
+    """The problem with ``alpha`` as a significance level, or None."""
+    if (problem := _not_real("alpha", alpha)) or 0.0 < alpha < 1.0:
+        return problem
+    return f"alpha must lie in (0, 1), got {alpha}"
 
 
 @lru_cache(maxsize=16)
@@ -161,16 +210,12 @@ def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     given = tuple(given)
     if j == k:
         raise ValidationError("partial correlation needs two distinct variables")
+    cov = _covariance(cov, "partial_correlation")
     _check_condition_args(cov.shape[0], j, given)
     _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [j, k]
-    try:
-        low = np.linalg.cholesky(cov[np.ix_(idx, idx)])
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(
-            f"partial_correlation: the covariance block of j={j}, k={k} and"
-            f" given={list(given)} is not positive definite"
-        ) from None
+    low = _cholesky(cov[np.ix_(idx, idx)], "partial_correlation: the covariance block of"
+                    f" j={j}, k={k} and given={list(given)} is not positive definite")
     return float(low[-1, -2] / math.hypot(low[-1, -2], low[-1, -1]))
 
 
@@ -179,13 +224,15 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
 
     The statistic is sqrt(n - s - 3) * |atanh(r)| compared against the standard
     normal critical value at level alpha. |r| >= 1 short-circuits to dependence
-    with an infinite statistic.
+    with an infinite statistic. ``n`` must be an integer and ``s`` a
+    non-negative one, with n > s + 3.
     """
-    for name, value in (("r", r), ("alpha", alpha)):
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if problem := _not_real("r", r) or _alpha_problem(alpha):
+        raise ValidationError(problem)
+    if not _is_int(n):
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    if not (_is_int(s) and s >= 0):
+        raise ValidationError(f"s must be a non-negative integer, got {s!r}")
     if n <= s + 3:
         raise InsufficientSamplesError(
             f"Fisher z needs n > s + 3 (n={n}, conditioning size s={s})"
@@ -202,15 +249,11 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
 
 
 def _check_condition_args(p: int, j: int, given: tuple[int, ...]):
-    if not _is_int(j):
-        raise ValidationError(f"variable index must be an integer, got {j!r}")
-    if not 0 <= j < p:
-        raise ValidationError(f"variable index {j} out of range for p={p}")
-    for s in given:
-        if not _is_int(s):
-            raise ValidationError(f"conditioning index must be an integer, got {s!r}")
-        if not 0 <= s < p:
-            raise ValidationError(f"conditioning index {s} out of range for p={p}")
+    for kind, x in (("variable", j), *(("conditioning", s) for s in given)):
+        if not _is_int(x):
+            raise ValidationError(f"{kind} index must be an integer, got {x!r}")
+        if not 0 <= x < p:
+            raise ValidationError(f"{kind} index {x} out of range for p={p}")
     if j in given:
         raise ValidationError(f"variable {j} cannot appear in its conditioning set")
     if len(set(given)) != len(given):

@@ -15,16 +15,17 @@ graph's topological order and descendant mask serve the checks and `sample`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import DataFormatError, NumericalDegeneracyError, ValidationError, read_text, write_text
+from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _located,
+                     read_text, write_text)
 from .graphs import Dag, Ordering, _is_int, _square, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _check_condition_args, _real_array, _triangle
+from .numerics import (Dataset, _check_condition_args, _cholesky, _covariance, _not_real,
+                       _real_array, _triangle)
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -40,9 +41,15 @@ _LTV_RTOL = 1e-9
 _MARGIN_FIELDS = np.dtype([("j", np.intp), ("k", np.intp), ("lhs", float), ("rhs", float)])
 
 
+def _seed_problem(seed) -> str | None:
+    """The problem with ``seed`` as a seed, or None."""
+    ok = _is_int(seed) and seed >= 0
+    return None if ok else f"seed must be a non-negative integer, got {seed!r}"
+
+
 def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    if not (_is_int(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if problem := _seed_problem(seed):
+        raise ValidationError(problem)
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
@@ -160,19 +167,16 @@ def population_precision(m: GaussianSem) -> np.ndarray:
 
 
 def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
-    """Var(X_k | X_given) from a covariance: the squared last diagonal entry of
-    the Cholesky factor of the block ordered as [given..., k].
-    """
+    """Var(X_k | X_given) from a covariance that passes the gate of :mod:`numerics`:
+    the squared last diagonal entry of the Cholesky factor of the block ordered
+    as [given..., k]."""
     given = tuple(given)
+    cov = _covariance(cov, "population_conditional_variance")
     _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [k]
-    try:
-        return float(np.linalg.cholesky(cov[np.ix_(idx, idx)])[-1, -1] ** 2)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(
-            f"population_conditional_variance: the covariance block of k={k} and"
-            f" given={list(given)} is not positive definite"
-        ) from None
+    low = _cholesky(cov[np.ix_(idx, idx)], "population_conditional_variance: the covariance"
+                    f" block of k={k} and given={list(given)} is not positive definite")
+    return float(low[-1, -1] ** 2)
 
 
 def check_identifiability(
@@ -251,8 +255,8 @@ def check_identifiability(
 
 def _check_ratio(r) -> None:
     """ValidationError naming ``r`` unless it is a positive real number."""
-    if not isinstance(r, numbers.Real):
-        raise ValidationError(f"variance ratio must be a real number, got {r!r}")
+    if problem := _not_real("variance ratio", r):
+        raise ValidationError(problem)
     if not r > 0.0:
         raise ValidationError(f"variance ratio must be positive, got {r!r}")
 
@@ -369,8 +373,7 @@ def write_sem(m: GaussianSem, path) -> None:
 
 def read_sem(path) -> GaussianSem:
     p = None
-    sigma2 = None
-    intercepts = None
+    vectors: dict[str, np.ndarray] = {}  # the "sigma2" and "intercept" values
     edges: list[tuple[int, int, float, int]] = []
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
@@ -387,10 +390,8 @@ def read_sem(path) -> GaussianSem:
                 p = int(p)
                 if p < 1:
                     raise DataFormatError(f"{path}:{lineno}: p must be >= 1, got {p}")
-            elif kind == "sigma2":
-                sigma2 = np.array([float(v) for v in rest])
-            elif kind == "intercept":
-                intercepts = np.array([float(v) for v in rest])
+            elif kind in ("sigma2", "intercept"):
+                vectors[kind] = np.array([float(v) for v in rest])
             elif kind == "edge":
                 parent, child, beta = rest
                 edges.append((int(parent), int(child), float(beta), lineno))
@@ -398,18 +399,15 @@ def read_sem(path) -> GaussianSem:
                 raise DataFormatError(f"{path}:{lineno}: unknown field {kind!r}")
         except (ValueError, TypeError):
             raise DataFormatError(f"{path}:{lineno}: cannot parse {line!r}") from None
-    if p is None or sigma2 is None:
+    if p is None or "sigma2" not in vectors:
         raise DataFormatError(f"{path}: missing required 'p' or 'sigma2' field")
     # value counts first: a short line is named even where p x p cannot be held
-    for kind, values in (("sigma2", sigma2), ("intercept", intercepts)):
-        if values is not None and len(values) != p:
+    for kind in ("sigma2", "intercept"):
+        if (values := vectors.get(kind)) is not None and len(values) != p:
             raise DataFormatError(
                 f"{path}:{first_line[kind]}: {kind} has {len(values)} values for p={p}"
             )
-    try:
-        b = _square(p, float)
-    except ValidationError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    b = _located(path, _square, p, float)
     for parent, child, beta, lineno in edges:
         if not (0 <= parent < p and 0 <= child < p):
             raise DataFormatError(f"{path}:{lineno}: edge ({parent},{child}) out of range")
@@ -418,7 +416,4 @@ def read_sem(path) -> GaussianSem:
             raise DataFormatError(f"{path}:{lineno}: {edge} repeats line {first_line[edge]}")
         first_line[edge] = lineno
         b[child, parent] = beta
-    try:
-        return GaussianSem(B=b, sigma2=sigma2, intercepts=intercepts)
-    except ValidationError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return _located(path, GaussianSem, b, vectors["sigma2"], vectors.get("intercept"))

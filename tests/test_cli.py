@@ -7,6 +7,7 @@ import pytest
 
 import cvdag.learner as learner
 import cvdag.sem as sem
+from cvdag.bench import ExperimentConfig
 from cvdag.cli import build_parser, main
 from cvdag.datasets import read_dataset, write_dataset
 from cvdag.graphs import read_cpdag, read_dag, write_graph, Dag
@@ -625,6 +626,20 @@ class TestContract:
         assert sem.PROTOCOLS == ("homogeneous", "heterogeneous", "nonfaithful")
         assert learner.PARENT_TEST_MODES == ("conditional", "marginal")
         assert sem.SCOPES == ("descendants", "later")
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        learn_args = parser.parse_args(["learn", "data.csv"])
+        library = learner.LearnConfig()
+        assert (learn_args.alpha, learn_args.parent_test) == (library.alpha,
+                                                              library.parent_test_mode)
+        assert parser.parse_args(["check", "model.sem"]).scope == sem.SCOPES[0]
+        experiment = ExperimentConfig()
+        assert (experiment.alpha, experiment.parent_test_mode) == (library.alpha,
+                                                                   library.parent_test_mode)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        help_text = " ".join(sub.choices["learn"].format_help().split())
+        assert f"significance level of the parent tests (default {library.alpha})" in help_text
 
     def test_unknown_flag_is_validation_error(self, tmp_path, capsys):
         assert run("learn", "marks", "--nonsense", "-o", tmp_path) == 1

@@ -557,6 +557,20 @@ class TestHammingDag:
         with pytest.raises(ValidationError, match="node counts differ: 3 vs 4"):
             hamming_dag(CHAIN, DIAMOND)
 
+    def test_other_graph_type_rejected(self):
+        # hamming_dag(dag, its CPDAG) once returned 1 and hamming_cpdag(dag, dag) 0
+        dag = Dag(3, {(0, 1)})
+        cpdag = dag_to_cpdag(dag)
+        for call, a, b, message in (
+            (hamming_dag, dag, cpdag, "expected two Dags, got Dag and Cpdag"),
+            (hamming_dag, cpdag, dag, "expected two Dags, got Cpdag and Dag"),
+            (hamming_cpdag, dag, dag, "expected two Cpdags, got Dag and Dag"),
+            (hamming_cpdag, cpdag, dag, "expected two Cpdags, got Cpdag and Dag"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call(a, b)
+            assert str(err.value) == message
+
     def test_matches_set_difference_reference(self):
         # the second graph is another DAG, the first with some edges reversed,
         # dropped or added, or the first itself

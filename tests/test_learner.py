@@ -309,6 +309,31 @@ class TestEstimateParents:
             estimate_parents(data, pi)
 
 
+class TestInputTypes:
+    @pytest.mark.parametrize("call, stage", [
+        (learn, "ordering needs"),
+        (estimate_ordering, "ordering needs"),
+        (lambda data: estimate_parents(data, (0, 1, 2)), "parent tests need"),
+    ])
+    def test_data_must_be_a_dataset(self, call, stage):
+        # an array once raised a bare AttributeError on .n
+        with pytest.raises(ValidationError) as err:
+            call(np.random.default_rng(0).normal(size=(30, 3)))
+        assert str(err.value) == f"{stage} a Dataset, got ndarray"
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: learn(sample(COLLIDER_SEM, 30, seed=1), cfg),
+        lambda cfg: estimate_parents(sample(COLLIDER_SEM, 30, seed=1), (0, 1, 2), cfg),
+        lambda cfg: learn_from_covariance(population_covariance(COLLIDER_SEM), cfg),
+    ])
+    @pytest.mark.parametrize("cfg, name", [({"alpha": 0.05}, "dict"), (0.05, "float")])
+    def test_cfg_must_be_a_learn_config(self, call, cfg, name):
+        # a dict once raised a bare AttributeError on .parent_test_mode
+        with pytest.raises(ValidationError) as err:
+            call(cfg)
+        assert str(err.value) == f"cfg must be a LearnConfig, got {name}"
+
+
 class TestLearn:
     def test_result_is_consistent_by_construction(self):
         from cvdag.graphs import is_consistent

@@ -342,6 +342,68 @@ class TestFisherZ:
         with pytest.raises(ValidationError, match="NaN"):
             fisher_z_test(float("nan"), 100, 0, 0.05)
 
+    @pytest.mark.parametrize("n, s, error", [
+        ("50", 0, "n must be an integer, got '50'"),
+        (50.5, 0, "n must be an integer, got 50.5"),
+        (math.nan, 0, "n must be an integer, got nan"),
+        (True, -5, "n must be an integer, got True"),
+        (50, -1, "s must be a non-negative integer, got -1"),
+        (50, 1.5, "s must be a non-negative integer, got 1.5"),
+    ])
+    def test_sizes_that_are_not_integers_rejected(self, n, s, error):
+        # "50" once raised a bare TypeError and the others were used as given:
+        # n = nan passed the n > s + 3 guard and gave "independent" at
+        # statistic nan
+        with pytest.raises(ValidationError) as err:
+            fisher_z_test(0.3, n, s, 0.05)
+        assert str(err.value) == error
+        assert type(err.value) is ValidationError
+
+    def test_numpy_integer_sizes_accepted(self):
+        # numpy integers are integers here, as everywhere in the package
+        want = fisher_z_test(0.3, 50, 2, 0.05)
+        assert fisher_z_test(0.3, np.int64(50), np.int32(2), 0.05) == want
+
+
+# each covariance reference, named as its refusals name it
+COVARIANCE_READERS = {
+    "partial_correlation": lambda cov: partial_correlation(cov, 0, 1, [2]),
+    "population_conditional_variance": lambda cov: population_conditional_variance(cov, 1, [2, 0]),
+}
+
+
+@pytest.mark.parametrize("caller", COVARIANCE_READERS)
+class TestCovarianceGate:
+    def test_nan_entry_rejected(self, caller):
+        # once returned nan
+        cov = CHAIN_COV.copy()
+        cov[0, 2] = cov[2, 0] = math.nan
+        with pytest.raises(ValidationError) as err:
+            COVARIANCE_READERS[caller](cov)
+        assert str(err.value) == "covariance must be finite: entry (i=0, j=2) is nan"
+
+    def test_nested_list_read_as_an_array(self, caller):
+        # once a bare AttributeError on cov.shape
+        read = COVARIANCE_READERS[caller]
+        assert read(CHAIN_COV.tolist()) == read(CHAIN_COV)
+
+    def test_complex_rejected(self, caller):
+        with pytest.raises(ValidationError, match="^covariance must hold real numbers$"):
+            COVARIANCE_READERS[caller](CHAIN_COV + 1j)
+
+    def test_asymmetric_rejected(self, caller):
+        cov = CHAIN_COV.copy()
+        cov[2, 0] += 0.5
+        with pytest.raises(NumericalDegeneracyError) as err:
+            COVARIANCE_READERS[caller](cov)
+        assert str(err.value) == (f"{caller}: covariance is not symmetric: largest"
+                                  " |cov[i, j] - cov[j, i]| is 0.5 at (i=0, j=2)")
+
+    def test_not_square_rejected(self, caller):
+        message = "covariance must be square with p >= 1, got shape (3, 4)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            COVARIANCE_READERS[caller](np.zeros((3, 4)))
+
 
 class TestTriangle:
     @pytest.mark.parametrize("p", [*range(13), 80])
