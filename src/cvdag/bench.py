@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ToolkitError, ValidationError, write_files
 from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
-from .learner import LearnConfig, _mode_problem, learn
+from .learner import LearnConfig, _mode_problem, _size_problem, learn
 from .numerics import _alpha_problem
 from .sem import (
     PROTOCOLS,
@@ -66,8 +66,9 @@ class ExperimentConfig:
             problems.append("n_grid must be nonempty")
         elif list(self.n_grid) != sorted(set(self.n_grid)):
             problems.append(f"n_grid must be strictly increasing, got {self.n_grid}")
-        elif _is_int(self.p) and min(self.n_grid) <= self.p + 1:
-            problems.append(f"smallest n={min(self.n_grid)} too small for p={self.p}")
+        elif _is_int(self.p) and (problem := _size_problem(min(self.n_grid), self.p,
+                                                            "ordering needs")):
+            problems.append(problem)
         if not _is_int(self.replications):
             problems.append(f"replications must be an integer, got {self.replications!r}")
         elif self.replications < 1:

@@ -26,6 +26,7 @@ from .learner import PARENT_TEST_MODES, LearnConfig, LearnResult, learn
 from .sem import (
     PROTOCOLS,
     SCOPES,
+    _sample_size_problem,
     check_identifiability,
     derive_seed,
     format_sem,
@@ -140,8 +141,8 @@ def _summarize_check(report, verbose: int):
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise ValidationError(f"--n must be >= 1, got {args.n}")
+    if problem := _sample_size_problem(args.n):
+        raise ValidationError(problem)
     if args.sem:
         model = read_sem(Path(args.sem))
         stem = Path(args.sem).stem

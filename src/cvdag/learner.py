@@ -38,7 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Dag, Ordering
-from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _not_real, _triangle
+from .numerics import (Dataset, _alpha_problem, _cholesky, _covariance, _dataset, _not_real,
+                       _triangle)
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -357,12 +358,16 @@ def _learn(x: np.ndarray, cfg: LearnConfig, n: int | None) -> LearnResult:
     return LearnResult(Ordering(order), dag, StepLog(order, steps, n), log)
 
 
+def _size_problem(n: int, p: int, stage: str) -> str | None:
+    """The problem, opened by ``stage``, with learning from n rows of p
+    columns, or None: every regression and parent test needs n > p + 1."""
+    return None if n > p + 1 else f"{stage} n > p + 1 (n={n}, p={p})"
+
+
 def _centered(data: Dataset, stage: str) -> np.ndarray:
     """The column-centered data of a Dataset, once n > p + 1 (``stage`` opens the error)."""
-    if not isinstance(data, Dataset):
-        raise ValidationError(f"{stage} a Dataset, got {type(data).__name__}")
-    if data.n <= data.p + 1:
-        raise InsufficientSamplesError(f"{stage} n > p + 1 (n={data.n}, p={data.p})")
+    if problem := _size_problem(_dataset(data, stage).n, data.p, stage):
+        raise InsufficientSamplesError(problem)
     return data.data - data.data.mean(axis=0)
 
 

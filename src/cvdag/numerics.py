@@ -153,6 +153,14 @@ class Dataset:
         return self.data.shape[1]
 
 
+def _dataset(data, stage: str) -> Dataset:
+    """``data`` where it is a Dataset; ValidationError opened by ``stage``
+    otherwise, where an array would raise a bare AttributeError."""
+    if not isinstance(data, Dataset):
+        raise ValidationError(f"{stage} a Dataset, got {type(data).__name__}")
+    return data
+
+
 @dataclass(frozen=True)
 class IndependenceDecision:
     """Outcome of a two-sided Fisher z test; statistic is +inf when |r| = 1."""
@@ -168,7 +176,7 @@ class IndependenceDecision:
 
 def sample_covariance(data: Dataset) -> np.ndarray:
     """p x p covariance of mean-centered columns, denominator n - 1."""
-    if data.n < 2:
+    if _dataset(data, "covariance needs").n < 2:
         raise InsufficientSamplesError("covariance needs at least 2 rows")
     centered = data.data - data.data.mean(axis=0)
     cov = centered.T @ centered / (data.n - 1)
@@ -184,7 +192,7 @@ def conditional_variance(data: Dataset, j: int, given) -> float:
     residual is the projection's; a constant one raises DegenerateDesignError.
     """
     given = tuple(given)
-    _check_condition_args(data.p, j, given)
+    _check_condition_args(_dataset(data, "conditional variance needs").p, j, given)
     if data.n <= len(given) + 1:
         raise InsufficientSamplesError(
             f"n={data.n} rows cannot support conditioning on {len(given)} columns"

@@ -118,6 +118,14 @@ class GaussianSem:
         return a
 
 
+def _model(m, stage: str) -> GaussianSem:
+    """``m`` where it is a GaussianSem; ValidationError opened by ``stage``
+    otherwise, where an array would raise a bare AttributeError."""
+    if not isinstance(m, GaussianSem):
+        raise ValidationError(f"{stage} a GaussianSem, got {type(m).__name__}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
     """``margins``: read-only record array, one row (j, k, lhs, rhs) per checked
@@ -155,14 +163,14 @@ def _total_effects(m: GaussianSem) -> np.ndarray:
 
 def population_covariance(m: GaussianSem) -> np.ndarray:
     """Exact covariance (I - B)^-1 Sigma_eps (I - B)^-T of the model."""
-    a = m._effects
+    a = _model(m, "population covariance needs")._effects
     cov = (a * m.sigma2) @ a.T
     return (cov + cov.T) / 2.0
 
 
 def population_precision(m: GaussianSem) -> np.ndarray:
     """Exact inverse covariance (I - B)^T Sigma_eps^-1 (I - B)."""
-    eye_b = np.eye(m.p) - m.B
+    eye_b = np.eye(_model(m, "population precision needs").p) - m.B
     return eye_b.T @ ((1.0 / m.sigma2)[:, None] * eye_b)
 
 
@@ -204,6 +212,7 @@ def check_identifiability(
     or a ``pi`` that is not a permutation of the nodes or holds an id that is
     not an integer (checked by :func:`is_consistent`), raises ValidationError.
     """
+    _model(m, "identifiability check needs")
     if scope not in SCOPES:
         raise ValidationError(f"unknown scope {scope!r}: use {' or '.join(map(repr, SCOPES))}")
     if pi is None:
@@ -286,12 +295,18 @@ def _propagate(m: GaussianSem, noise: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sample_size_problem(n) -> str | None:
+    """The problem with ``n`` as a number of rows to draw, or None."""
+    if not _is_int(n):
+        return f"sample size must be an integer, got {n!r}"
+    return None if n >= 1 else f"sample size must be >= 1, got {n}"
+
+
 def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
     """Draw n rows; deterministic for a fixed seed. Columns follow node indices."""
-    if not _is_int(n):
-        raise ValidationError(f"sample size must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
+    _model(m, "sample needs")
+    if problem := _sample_size_problem(n):
+        raise ValidationError(problem)
     rng = seeded_rng(seed)
     try:
         noise = rng.standard_normal((n, m.p))

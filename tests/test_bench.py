@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import cvdag.bench as bench
-from cvdag.errors import NumericalDegeneracyError, ToolkitError, ValidationError
+from cvdag.errors import (InsufficientSamplesError, NumericalDegeneracyError, ToolkitError,
+                          ValidationError)
 from cvdag.graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
-from cvdag.sem import derive_seed, nonfaithful_chain
+from cvdag.learner import learn
+from cvdag.sem import derive_seed, nonfaithful_chain, random_sem, sample
 
 TINY = bench.ExperimentConfig(
     protocol="nonfaithful", p=3, n_grid=(50, 100), replications=4, seed=11
@@ -62,6 +64,15 @@ class TestConfigValidation:
     def test_grid_must_exceed_p(self):
         with pytest.raises(ValidationError):
             bench.ExperimentConfig(p=10, n_grid=(10, 100))
+
+    def test_grid_rule_is_the_learner_rule(self):
+        message = "ordering needs n > p + 1 (n=11, p=10)"
+        with pytest.raises(ValidationError) as err:
+            bench.ExperimentConfig(p=10, n_grid=(11, 100))
+        assert str(err.value) == f"invalid experiment config: {message}"
+        with pytest.raises(InsufficientSamplesError) as err:
+            learn(sample(random_sem(10, "homogeneous", 0), 11, 0))
+        assert str(err.value) == message
 
 
 class TestRunExperiment:

@@ -48,6 +48,11 @@ class TestSimulate:
         assert run("simulate", "--protocol", "nonfaithful", "--n", 0,
                    "-o", tmp_path) == 1
 
+    def test_zero_rows_refused_by_the_sample_rule_before_any_output(self, tmp_path, capsys):
+        assert run("simulate", "--protocol", "nonfaithful", "--n", 0, "-o", tmp_path) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "cvdag: error: sample size must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("protocol", ["homogeneous", "nonfaithful"])
     def test_negative_seed_rejected(self, protocol, tmp_path, capsys):
         # once a bare ValueError from numpy's SeedSequence

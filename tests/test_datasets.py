@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 
 import numpy as np
 import pytest
@@ -333,3 +334,176 @@ class TestMarksFixture:
         marks = load_marks()
         assert marks.data.min() >= 0.0
         assert marks.data.max() <= 100.0
+
+
+def _fixed(x, digits=None):
+    """``x`` in positional notation: its shortest repr, or rounded to
+    ``digits`` significant digits."""
+    text = repr(x) if digits is None else f"{x:.{digits - 1}e}"
+    return format(Decimal(text), "f")
+
+
+def _midpoints(digits):
+    """Decimals next to the midpoint of two adjacent doubles, rounded to
+    ``digits`` significant digits: the ones float64 rounding finds hardest."""
+    rng = np.random.default_rng(digits)
+    out = []
+    for x in np.concatenate([10.0 ** rng.uniform(-3, 15, 60), [0.1, 0.3, 1.0, 2.0 ** 53 - 1]]):
+        x = float(x)
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        out.append(format(+mid.normalize(Context(prec=digits)), "f"))
+        out.append(format(mid.normalize(Context(prec=digits, rounding=ROUND_FLOOR)), "f"))
+        out.append(format(mid.normalize(Context(prec=digits, rounding=ROUND_CEILING)), "f"))
+    return out
+
+
+def _scientific_midpoints(digits):
+    """The same across the whole normal range, in "%e" notation."""
+    rng = np.random.default_rng(100 + digits)
+    bits = rng.integers(0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 150, dtype=np.uint64)
+    out = []
+    for x in bits.view(np.float64).tolist() + [1e-300, 2.0 ** -1022, 1e300]:
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        for rounding in (ROUND_HALF_EVEN, ROUND_FLOOR, ROUND_CEILING):
+            out.append(format(mid.normalize(Context(prec=digits, rounding=rounding)),
+                              f".{digits - 1}e"))
+    return out
+
+
+# fields whose doubles are hard to get right, each with its sign flipped
+_ADVERSARIAL = [f for digits in (17, 18, 19) for f in _midpoints(digits)]
+_ADVERSARIAL += [str(10 ** 18), str(10 ** 19 - 1), str(2 ** 63), str(2 ** 63 + 1025),
+                 str(2 ** 64 - 1), str(10 ** 19), "12345678901234567890", "99999999999999999999",
+                 str(2 ** 53 + 1), str(2 ** 54 + 2), str(2 ** 64 + 4097)]
+_ADVERSARIAL += ["0." + "0" * zeros + "12345678901234567" for zeros in range(8)]
+_ADVERSARIAL += ["-0", "0", "-0.0", "5.", ".5", "-.5", "00012.50", "0000000000000000000000001"]
+_ADVERSARIAL += [_fixed(y, digits) for k in range(-4, 17) for y in _ulps(float(f"1e{k}"), 3)
+                 for digits in (None, 17)]
+_ADVERSARIAL += ["5e-324", "1.7976931348623157e308", "2.5E-3", "+1.5", "1e+05",
+                 "1.00000000000000000000001", "123456789012345678901234",
+                 "0.0000000000000000000001", "0.00000000000000000000001", "1" * 23 + ".5"]
+# with an exponent: "%e" text, as np.savetxt writes it, and repr below 1e-4 or
+# from 1e16 up
+_ADVERSARIAL += [f for digits in (17, 18, 19) for f in _scientific_midpoints(digits)]
+_ADVERSARIAL += ["1e5", "1E5", "1E-005", "1.5e0005", "12.5e-3", ".5e1", "5.e-1", "0e999",
+                 "0.0e-999", "1e-400", "123456789012345678e-30", "1234567890123456789e-5",
+                 "12345678901234567890e-5", "1.7976931348623158e308", "2.2250738585072014e-308",
+                 "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9e-324", "1e-323",
+                 "9.999999999999999e-343", "1e-342", "1e-343", "1e308", "1e22", "1e23",
+                 "9007199254740993e0", "9007199254740993e1", "1e00000"]
+_ADVERSARIAL += [repr(10.0 ** k * m) for k in range(-320, 309, 7)
+                 for m in (1.0, 1.2345678901234567)]
+_ADVERSARIAL += ["%.18e" % x for x in np.random.default_rng(9).normal(size=40) * 1e-6]
+_ADVERSARIAL += [f[1:] if f.startswith("-") else "-" + f.lstrip("+") for f in _ADVERSARIAL]
+
+
+def _savetxt_and_repr_fields():
+    """"%.18e", repr and "%.16E" text of doubles from 1e-300 to 1e300."""
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, 300)
+    return [*("%.18e" % x for x in values), *map(repr, values.tolist()),
+            *(f"{x:.16E}" for x in values)]
+
+
+def _kernel_values(fields, p, eol="\n"):
+    """The kernel's values of ``fields`` laid out as CSV rows of p fields."""
+    names = [f"a_column_name_long_enough_{j}" for j in range(p)]
+    rows = [",".join(fields[i:i + p]) for i in range(0, len(fields), p)]
+    ds = datasets._read_table(eol.join([",".join(names), *rows]) + eol)
+    assert ds is not None
+    return ds.data.reshape(-1)
+
+
+class TestParseKernel:
+    """The array kernel of parse_dataset gives the doubles of ``float()``."""
+
+    @given(st.integers(1, 4).flatmap(lambda p: st.tuples(st.just(p), st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(-1e6, 1e6).flatmap(lambda x: st.integers(0, 20).map(lambda d: f"{x:.{d}f}")),
+        st.builds(lambda sign, whole, point, frac: sign + whole + point + frac,
+                  st.sampled_from(["", "-"]), st.text("0123456789", max_size=20),
+                  st.sampled_from(["", "."]), st.text("0123456789", max_size=20))
+        .filter(lambda f: any(c.isdigit() for c in f)),
+        st.builds(lambda x, digits, e: f"{x:.{digits}{e}}",
+                  st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 20),
+                  st.sampled_from("eE")).filter(lambda f: math.isfinite(float(f)))),
+        min_size=p, max_size=12 * p))))
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_float(self, case):
+        p, fields = case
+        fields = fields[:len(fields) // p * p]
+        want = np.array([float(f) for f in fields])
+        assert _kernel_values(fields, p).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_adversarial_fields_match_float(self, p):
+        fields = _ADVERSARIAL + ["0"] * (-len(_ADVERSARIAL) % p)
+        want = np.array([float(f) for f in fields])
+        assert _kernel_values(fields, p).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fields", [
+        [f for digits in (17, 18, 19) for f in _midpoints(digits)], _savetxt_and_repr_fields(),
+    ], ids=["midpoints", "savetxt-and-repr"])
+    def test_fields_are_read_by_the_kernel(self, monkeypatch, fields):
+        # each field float() reads alone is recorded: the kernel decides all of
+        # these itself
+        read_alone = []
+        monkeypatch.setattr(datasets, "float", lambda f: read_alone.append(f) or float(f),
+                            raising=False)
+        assert _kernel_values(fields, 1).tobytes() == np.array(list(map(float, fields))).tobytes()
+        assert read_alone == []
+
+    @pytest.mark.parametrize("field", ["1e309", "-1e309", "nan", "1.7976931348623159e308"])
+    def test_non_finite_field_goes_to_the_scan(self, field):
+        text = "a_long_column_name,b\n1.5,2\n" + field + ",3\n"
+        assert datasets._read_table(text) is None
+        with pytest.raises(DataFormatError, match=":3: missing/non-finite value"):
+            parse_dataset(text)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n", "name_long_enough_here\n1\n", "a_long_header_name,b\n1,2\r3,4\n",
+        "a_long_header_name,b\n1,2\x0c\n3,4\n", "a_long_header_name,b\n1,,2\n",
+        "a_long_header_name b\n1,2\n", "a_long_header_name,b\n 1 , 2 3\n",
+        "a_long_header_name,b\n1,2\n3\n", "x\x0cy_long_header name\n1 2\n",
+        "a_long_header_name,b\n1_0,2\n", "a_long_header_name,b\n1,٣\n",
+        *(f"a_long_header_name,b\n1.5,2\n{field},3\n"
+          for field in ("1.5e+5e5", "1e", "1e+", "e5", "1e5.5", "1ee5", "1e+-5")),
+    ])
+    def test_refused_layouts_give_the_scan_outcome(self, text):
+        _assert_parse_equals_scan(text)
+
+    @pytest.mark.parametrize("layout", [
+        lambda t: t, lambda t: t.replace("\n", "\r\n"), lambda t: t.replace(",", " "),
+        lambda t: t.replace(",", "\t"),
+        lambda t: "\n  " + t.replace(",", "   ").replace("\n", " \n\n"),
+        lambda t: t.replace(",", " , ").replace("\n", " \t\n"), lambda t: t.rstrip("\n"),
+    ])
+    def test_layouts_are_read_by_the_kernel(self, layout):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=240) * 10.0 ** rng.integers(-3, 8, 240)
+        text = layout(format_dataset(_table(values, 6)))
+        got = datasets._read_table(text)
+        want = datasets._scan_dataset(text, "<string>")
+        assert got is not None and got.names == want.names
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 7])
+    def test_table_across_a_chunk_boundary(self, p):
+        rng = np.random.default_rng(p)
+        n = 3 * datasets._PARSE_CHUNK // (20 * p) // 2
+        text = format_dataset(_table(rng.normal(size=n * p), p))
+        assert datasets._PARSE_CHUNK < len(text) < 2 * datasets._PARSE_CHUNK
+        for end in ("", "\n"):
+            got = datasets._read_table(text.rstrip("\n") + end)
+            assert got is not None
+            assert got.data.tobytes() == datasets._scan_dataset(text, "<string>").data.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 40, 333])
+    def test_small_chunks_give_the_same_values(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        text = format_dataset(_table(rng.normal(size=300) * 1e3, 3)).replace("\n", " \r\n")
+        want = datasets._scan_dataset(text, "<string>")
+        monkeypatch.setattr(datasets, "_PARSE_CHUNK", chunk)
+        got = datasets._read_table(text)
+        assert got is not None and got.data.tobytes() == want.data.tobytes()
+

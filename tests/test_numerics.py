@@ -97,6 +97,18 @@ def simple_regression_residual_variance(x, y):
     return (resid * resid).sum() / (len(x) - 2)
 
 
+class TestDataArguments:
+    @pytest.mark.parametrize("call, stage", [
+        (sample_covariance, "covariance needs"),
+        (lambda data: conditional_variance(data, 0, (1,)), "conditional variance needs"),
+    ])
+    def test_data_must_be_a_dataset(self, call, stage):
+        # an array once raised a bare AttributeError on .n or .p
+        with pytest.raises(ValidationError) as err:
+            call(np.zeros((5, 3)))
+        assert str(err.value) == f"{stage} a Dataset, got ndarray"
+
+
 class TestConditionalVariance:
     def test_exact_linear_dependence_gives_zero(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])

@@ -137,6 +137,20 @@ def exact_total_effects(m):
     return a
 
 
+class TestModelArguments:
+    @pytest.mark.parametrize("call, stage", [
+        (lambda m: sample(m, 10, seed=0), "sample needs"),
+        (population_covariance, "population covariance needs"),
+        (population_precision, "population precision needs"),
+        (check_identifiability, "identifiability check needs"),
+    ])
+    def test_model_must_be_a_gaussian_sem(self, call, stage):
+        # an array once raised a bare AttributeError on .p, .dag or ._effects
+        with pytest.raises(ValidationError) as err:
+            call(np.eye(3))
+        assert str(err.value) == f"{stage} a GaussianSem, got ndarray"
+
+
 class TestTotalEffects:
     @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
     def test_matches_exact_rational_reference_at_p60(self, protocol):
