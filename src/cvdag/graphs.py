@@ -91,14 +91,6 @@ def _square(p: int, dtype) -> np.ndarray:
         raise ValidationError(f"node count p={p} is too large to hold a p x p matrix") from None
 
 
-def _mask(p: int, edges) -> np.ndarray:
-    """The p x p bool matrix with entry [parent, child] set for each edge."""
-    ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges))
-    adj = np.zeros((p, p), dtype=bool)
-    adj[ends[0::2], ends[1::2]] = True
-    return adj
-
-
 def _rows(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The columns set in each row of ``mask``, as a tuple per row."""
     rows, cols = np.nonzero(mask)
@@ -379,7 +371,8 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
         pos[j] = i
     pa = list(map(frozenset, _rows(g._adjacency.T)))
     compelled: list[frozenset[int]] = [frozenset()] * g.p
-    directed: list[tuple[int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
     for y in topo:
         pa_y = pa[y]
         if not pa_y:
@@ -389,12 +382,14 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
             compelled[y] = compelled[x]
         else:
             compelled[y] = pa_y
-        directed += [(z, y) for z in compelled[y]]
+        tails += compelled[y]
+        heads += [y] * len(compelled[y])
     # the edges of g not compelled are reversible, kept at (low, high); edges
     # of a valid Dag, so the Cpdag needs no re-validation
-    d = _mask(g.p, directed)
+    d = np.zeros((g.p, g.p), dtype=bool)
+    d[tails, heads] = True
     reversible = g._adjacency & ~d
-    return Cpdag._trusted(g.p, d, (reversible | reversible.T) & ~np.tri(g.p, dtype=bool))
+    return Cpdag._trusted(g.p, d, np.triu(reversible | reversible.T, 1))
 
 
 def _comparable(kind: type, a, b) -> None:

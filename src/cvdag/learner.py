@@ -420,8 +420,8 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     the step variances are the conditional variances (raw RSS, no degrees of
     freedom), and each test's statistic is |partial correlation|, independent
     while <= cfg.oracle_tolerance.
-    In exact arithmetic this returns the generating graph of an identifiable
-    model. In float64 it does so only while the rounding error of each r stays
+    In exact arithmetic only a scope="later" pass of check_identifiability
+    certifies its ordering. In float64 each r's rounding error must also stay
     below the tolerance: on ill-conditioned covariances it silently returns
     extra edges (on random models of either protocol, on 10 of 120 at p=20
     and on all 120 at p=40). The covariance gate of :mod:`numerics` refuses a

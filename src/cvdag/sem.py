@@ -211,6 +211,10 @@ def check_identifiability(
     then k in pi order ("later") or by node index. Any scope outside SCOPES,
     or a ``pi`` that is not a permutation of the nodes or holds an id that is
     not an integer (checked by :func:`is_consistent`), raises ValidationError.
+    A scope="later" pass makes every greedy step strict: in exact arithmetic
+    the learner's greedy ordering is then ``pi``. A default-scope pass, the
+    ``identifiable`` column of ``cvdag bench``, does not certify that; the
+    README names a model that passes it and whose greedy misplaces a node.
     """
     _model(m, "identifiability check needs")
     if scope not in SCOPES:

@@ -37,6 +37,7 @@ from cvdag.numerics import (
 )
 from cvdag.sem import (
     GaussianSem,
+    check_identifiability,
     derive_seed,
     nonfaithful_chain,
     population_covariance,
@@ -206,6 +207,40 @@ class TestOracle:
             else:
                 with pytest.raises(NumericalDegeneracyError, match="not symmetric"):
                     learn_from_covariance(cov)
+
+
+def square_root(m):
+    """S = diag(sigma) A^T, whose Gram matrix S^T S is the model's covariance."""
+    return np.sqrt(m.sigma2)[:, None] * m._effects.T
+
+
+class TestIdentifiabilityCertificate:
+    """What a pass of check_identifiability says about the greedy ordering."""
+
+    def test_default_scope_does_not_certify_the_ordering(self):
+        # rep 39 of the oracle benchmark at seed 1901; its population greedy
+        # misplaces node 37 in 120-digit arithmetic too
+        m = random_sem(60, "heterogeneous", 6135103646514698416)
+        assert check_identifiability(m).satisfied
+        assert not check_identifiability(m, scope="later").satisfied
+        order = _factor(square_root(m))[0]
+        assert not is_consistent(order, m.dag)
+        pos = {j: i for i, j in enumerate(order)}
+        assert {3, 36} <= m.dag.parents(37)
+        assert pos[37] < pos[3] and pos[37] < pos[36]
+
+    @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
+    def test_later_scope_pass_fixes_the_greedy_ordering(self, protocol):
+        certified = 0
+        for p in range(5, 21):
+            for rep in range(50):
+                m = random_sem(p, protocol, derive_seed(3100 + p, rep))
+                if check_identifiability(m, scope="later").satisfied:
+                    certified += 1
+                    order = _factor(square_root(m))[0]
+                    assert order == topological_order(m.dag).order, (p, rep)
+        # the sweep must certify enough models to test something
+        assert certified >= 25
 
 
 class TestEstimateOrdering:
