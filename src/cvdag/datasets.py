@@ -13,19 +13,19 @@ per-value ``%`` over every row.
 
 Parsing has two paths. An exact array kernel reads the text's bytes in
 chunks of whole lines: it finds the end of each field, reads any exponent
-after an "e" or "E" at its end, reads the 24 bytes before the exponent as
-three uint64 words, forms their digits with SWAR arithmetic (eight one-byte
-digits a word) and makes the correctly rounded double by Eisel-Lemire, the
-same double ``float()`` gives. It reads comma fields and runs of spaces or
-tabs, with "\n" or "\r\n" line ends; a field it cannot decide exactly (a "+"
-before its digits, over 19 significant digits or 24 bytes, a subnormal or
-infinite double) takes ``float()`` alone. A p=80, n=2000 table parses in
-about 22 ms and writes in about 34 ms (medians, 2-vCPU Xeon VM). Text the
-kernel refuses, or whose result ``Dataset`` refuses (no rows, the wrong
-width, repeated names or a non-finite value), goes to a line scan with
-``float()``, the reference. The scan accepts what ``float()`` accepts
-(digit underscores, non-ASCII digits) and names the line of the first fault,
-so accepted syntax and error messages do not depend on the path taken.
+after an "e" or "E" at its end, reads the 24 bytes before the exponent with
+one record gather, as three uint64 words, forms their digits with SWAR
+arithmetic (eight one-byte digits a word) and makes the correctly rounded
+double by Eisel-Lemire, the same double ``float()`` gives. It reads comma
+fields and runs of spaces or tabs, with "\n" or "\r\n" line ends; a field it
+cannot decide exactly (a "+" before its digits, over 19 significant digits or
+24 bytes, a subnormal or infinite double) takes ``float()`` alone. A p=80,
+n=2000 table parses in about 20 ms and writes in about 34 ms (medians, 2-vCPU
+Xeon VM). Text the kernel refuses, or whose result ``Dataset`` refuses (no
+rows, the wrong width, repeated names or a non-finite value), goes to a line
+scan with ``float()``, the reference. The scan accepts what ``float()``
+accepts (digit underscores, non-ASCII digits) and names the line of the first
+fault, so accepted syntax and error messages do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataFormatError, ValidationError, read_text, write_text
-from .numerics import Dataset, _repeated_name
+from .numerics import Dataset, _dataset, _repeated_name
 
 
 def _split(line: str, delimiter: str | None) -> list[str]:
@@ -105,7 +105,7 @@ def _header(names: tuple[str, ...]) -> str:
 
 def format_dataset(ds: Dataset) -> str:
     """CSV text of ``ds`` that :func:`parse_dataset` reads back as it is."""
-    values = ds.data.reshape(-1)
+    values = _dataset(ds, "CSV text needs").data.reshape(-1)
     chunks = (_format_chunk(values[start:start + _CHUNK], start, ds.p)
               for start in range(0, values.size, _CHUNK))
     return "".join([_header(ds.names) + "\n", *chunks])
@@ -236,10 +236,12 @@ _BYTES = np.uint64(0x0101010101010101)
 _HIGH, _ZERO = _BYTES * np.uint64(0x80), _BYTES * np.uint64(ord("0"))
 _DIGIT = _BYTES * np.uint64(0x80 - 10)  # a byte above 9 carries into its top bit
 _LOW9 = np.uint64(2 ** 9 - 1)
-# _LEAD[8 * (2 - j) + c]: word j of a row with its bytes in columns below c set
-_LEAD = np.array([(1 << 8 * min(max(c - 16, 0), 8)) - 1 for c in range(_FIELD + 17)],
-                 dtype=np.uint64)
+# _LEAD[j, c]: word j of a row with its bytes in columns below c set
+_LEAD = np.array([[(1 << 8 * min(max(c - 8 * j, 0), 8)) - 1 for c in range(_FIELD + 1)]
+                  for j in range(3)], dtype=np.uint64)
 _KEEP = ~_LEAD
+# the shift that takes the top bit of byte i of word j to bit 8i + j
+_TOP = np.array([[7], [6], [5]], dtype=np.uint64)
 # "e" and "E" XOR "0", each with its 0x20 bit set, and the bytes 3..6 of a
 # word, where the "e" of an exponent of one to four bytes stands
 _E, _LOW7 = _BYTES * np.uint64(0x75), _BYTES * np.uint64(0x7F)
@@ -274,15 +276,15 @@ def _read_table(text: str) -> Dataset | None:
     if not all(names) or start == size or size < _FIELD:
         return None
     data = np.frombuffer(raw, np.uint8)
-    # the little-endian uint64 at each byte
-    words = np.ndarray((size - 7,), "<u8", raw, strides=(1,))
+    # the 24 bytes at each byte: three little-endian uint64 words
+    records = np.ndarray((size - _FIELD + 1,), f"V{_FIELD}", raw, strides=(1,))
     chunks = []
     while start < size:
         end = (raw.rfind(b"\n", start, start + _PARSE_CHUNK) + 1
                or raw.find(b"\n", start + _PARSE_CHUNK) + 1 or size)
         lines = data[start:end] if raw[end - 1] == 10 else np.append(data[start:end], np.uint8(10))
         exponents = raw.find(b"e", start, end) >= 0 or raw.find(b"E", start, end) >= 0
-        values = _parse_chunk(data, words, lines, start, len(names), delimiter, exponents)
+        values = _parse_chunk(data, records, lines, start, len(names), delimiter, exponents)
         if values is None:
             return None
         chunks.append(values)
@@ -342,11 +344,11 @@ def _fields(lines: np.ndarray, p: int, delimiter: str | None):
     return first, end
 
 
-def _parse_chunk(data: np.ndarray, words: np.ndarray, lines: np.ndarray, start: int,
+def _parse_chunk(data: np.ndarray, records: np.ndarray, lines: np.ndarray, start: int,
                  p: int, delimiter: str | None, exponents: bool) -> np.ndarray | None:
     r"""The values of ``lines``, whole lines from byte ``start`` of the text
-    bytes ``data`` ending in "\n", with ``words[i]`` the uint64 at byte i and
-    ``exponents`` false where the lines hold no "e" or "E"; None where the
+    bytes ``data`` ending in "\n", with ``records[i]`` the 24 bytes at byte i
+    and ``exponents`` false where the lines hold no "e" or "E"; None where the
     lines are not p fields each or ``float()`` refuses a field."""
     fields = _fields(lines, p, delimiter)
     if fields is None:
@@ -356,18 +358,21 @@ def _parse_chunk(data: np.ndarray, words: np.ndarray, lines: np.ndarray, start: 
     s, e, power = first + neg, end, 0
     if exponents:
         # a field may end in an exponent, which moves the point of the digits
-        # before it
-        size, power = _exponents(words[np.maximum(end - 8, 0)])
+        # before it; the last word of the record before its end holds it (a
+        # field ending before byte 24 is not fast, whatever this reads)
+        size, power = _exponents(records[np.maximum(end - _FIELD, 0)].view("<u8")[2::3])
         e = end - size
-    x, plain, point = _digit_rows(data, words, s, e)
+    x, plain, point = _digit_rows(data, records, s, e)
     length = e - s
     # the kernel reads a field with a digit whose row holds it whole
     fast = plain & (length - (point >= 0) >= 1) & (length <= _FIELD) & (e >= _FIELD)
     # the point leaves its column to the digits before it
-    for j in (2, 1, 0):
-        shifted = x[j] << _U8 | (x[j - 1] >> _U56 if j else 0)
-        x[j] ^= (x[j] ^ shifted) & _LEAD.take(point + 1 + 8 * (2 - j), mode="clip")
-    top, middle, bottom = map(_eight_digits, x)
+    shifted = x << _U8
+    shifted[1:] |= x[:-1] >> _U56
+    shifted ^= x
+    shifted &= _LEAD.take(point + 1, axis=1)
+    x ^= shifted
+    top, middle, bottom = _eight_digits(x)
     fast &= top < np.uint64(1000)
     m = top * _D16 + middle * _E8 + bottom
     zero = m == np.uint64(0)
@@ -384,18 +389,18 @@ def _parse_chunk(data: np.ndarray, words: np.ndarray, lines: np.ndarray, start: 
     return values
 
 
-def _digit_rows(data: np.ndarray, words: np.ndarray, s: np.ndarray, e: np.ndarray):
-    """The rows of the digits from byte s to byte e: the three words of the 24
-    bytes before e XOR "0", so that digits read 0..9 and the bytes before s
-    read 0; whether the digits hold at most one byte that is not a digit, a
-    point; and the column of that byte, -1 where there is none."""
+def _digit_rows(data: np.ndarray, records: np.ndarray, s: np.ndarray, e: np.ndarray):
+    """The rows of the digits from byte s to byte e: a (3, k) array whose
+    row j holds word j of the 24 bytes before each field's e, XOR "0", so
+    that digits read 0..9 and the bytes before s read 0; whether the digits
+    hold at most one byte that is not a digit, a point; and the column of that
+    byte, -1 where there is none."""
     row, lead = np.maximum(e - _FIELD, 0), _FIELD - (e - s)
-    x = [(words[row + 8 * j] ^ _ZERO) & _KEEP.take(lead + 8 * (2 - j), mode="clip")
-         for j in range(3)]
+    x = np.bitwise_xor(records[row].view("<u8").reshape(-1, 3).T, _ZERO, order="C")
+    x &= _KEEP.take(lead, axis=1, mode="clip")
     # one bit for each byte that is not a digit: bit 8i + j for column 8j + i
-    other = ((x[0] + _DIGIT | x[0]) & _HIGH) >> np.uint64(7)
-    other |= ((x[1] + _DIGIT | x[1]) & _HIGH) >> np.uint64(6)
-    other |= ((x[2] + _DIGIT | x[2]) & _HIGH) >> np.uint64(5)
+    other = ((x + _DIGIT | x) & _HIGH) >> _TOP
+    other = other[0] | other[1] | other[2]
     bit = (other.astype(np.float64).view(np.uint64) >> _U52).astype(np.int64) - 1023
     point = np.where(other != 0, 8 * (bit & 7) + (bit >> 3), -1)
     plain = (((other & (other - _U1)) == 0)
@@ -419,7 +424,7 @@ def _exponents(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minus = sign == np.uint64(ord("-") ^ ord("0"))
     signed = minus | (sign == np.uint64(ord("+") ^ ord("0")))
     # the digits after the "e" and sign, the bytes before them read as 0
-    digits = w & _KEEP.take(17 + i + signed)
+    digits = w & _KEEP[2].take(17 + i + signed)
     ok = (at != 0) & (i + signed < 7) & ((digits + _DIGIT | digits) & _HIGH == np.uint64(0))
     value = np.where(ok, _eight_digits(digits).astype(np.int64), 0)
     return np.where(ok, 8 - i, 0), np.where(minus, -value, value)

@@ -43,9 +43,20 @@ class ReportIOError(ToolkitError):
     exit_code = 3
 
 
+def _path(path) -> Path:
+    """``path`` as a Path; ValidationError naming its type where it is neither
+    a str nor an os.PathLike, where Path would raise a bare TypeError."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise ValidationError(
+            f"path must be a str or os.PathLike, got {type(path).__name__}"
+        ) from None
+
+
 def read_text(path) -> str:
     """The text of ``path``; a failed read is ReportIOError, undecodable text DataFormatError."""
-    path = Path(path)
+    path = _path(path)
     try:
         return path.read_text()
     except OSError as exc:
@@ -67,7 +78,7 @@ def _located(path, build, *args):
 
 def write_text(path, text: str) -> Path:
     """Write ``text`` to ``path``; a failed write is ReportIOError naming its directory."""
-    path = Path(path)
+    path = _path(path)
     try:
         path.write_text(text)
     except OSError as exc:
@@ -77,7 +88,7 @@ def write_text(path, text: str) -> Path:
 
 def write_files(outdir, files: dict[str, str]) -> list[Path]:
     """Create ``outdir`` and write each named text into it, in order."""
-    outdir = Path(outdir)
+    outdir = _path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -304,12 +304,12 @@ def _kahn(indeg: list[int], children) -> tuple[int, ...] | None:
 def topological_order(g: Dag) -> Ordering:
     """Parents-before-children ordering, ties broken by smallest node index;
     built once per graph."""
-    return g._ordering
+    return _graph(g, "topological_order needs")._ordering
 
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
     """All nodes reachable from j by directed paths, excluding j itself."""
-    children = _rows(g._adjacency)
+    children = _rows(_graph(g, "descendants needs")._adjacency)
     seen: set[int] = set()
     stack = list(children[g._node_in_range(j)])
     while stack:
@@ -330,7 +330,7 @@ def descendant_mask(g: Dag) -> np.ndarray:
 def is_consistent(ordering: Sequence[int], g: Dag) -> bool:
     """True iff every edge points from earlier to later in the ordering; after
     the length check, one that is not a permutation raises ValidationError."""
-    if len(ordering) != g.p:
+    if len(ordering) != _graph(g, "is_consistent needs").p:
         raise ValidationError(f"ordering of length {len(ordering)} for p={g.p}")
     if not isinstance(ordering, Ordering):
         ordering = Ordering(ordering)
@@ -365,7 +365,7 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     exactly the edges w->y with w->x compelled are. Cost O(p + |E|·max
     in-degree). No orientation rules (Meek, UAI 1995) are needed.
     """
-    topo = g._ordering.order
+    topo = _graph(g, "dag_to_cpdag needs")._ordering.order
     pos = [0] * g.p
     for i, j in enumerate(topo):
         pos[j] = i
@@ -399,6 +399,15 @@ def _comparable(kind: type, a, b) -> None:
                               f" {type(a).__name__} and {type(b).__name__}")
     if a.p != b.p:
         raise ValidationError(f"node counts differ: {a.p} vs {b.p}")
+
+
+def _graph(g, stage: str, kinds: tuple[type, ...] = (Dag,)):
+    """``g`` where it is one of ``kinds``; ValidationError opened by ``stage``
+    otherwise, where another value would raise a bare AttributeError."""
+    if not isinstance(g, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValidationError(f"{stage} a {names}, got {type(g).__name__}")
+    return g
 
 
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
@@ -435,7 +444,7 @@ def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
 
 
 def format_graph(g: Dag | Cpdag) -> str:
-    adj = g._adjacency
+    adj = _graph(g, "graph text needs", (Dag, Cpdag))._adjacency
     lines = [str(g.p)]
     # row-major order is sorted order; a pair set both ways is undirected and
     # written once, at its (low, high) entry

@@ -365,10 +365,12 @@ def _size_problem(n: int, p: int, stage: str) -> str | None:
 
 
 def _centered(data: Dataset, stage: str) -> np.ndarray:
-    """The column-centered data of a Dataset, once n > p + 1 (``stage`` opens the error)."""
+    """The column-centered data of a Dataset, once n > p + 1 (``stage`` opens
+    the error), in column-major order: LAPACK's QR reads columns, so
+    :func:`_factor` hands it over with a plain copy instead of a transpose."""
     if problem := _size_problem(_dataset(data, stage).n, data.p, stage):
         raise InsufficientSamplesError(problem)
-    return data.data - data.data.mean(axis=0)
+    return np.subtract(data.data, data.data.mean(axis=0), order="F")
 
 
 def estimate_ordering(data: Dataset):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cvdag.datasets import read_dataset, write_dataset
-from cvdag.errors import DataFormatError, ReportIOError
+from cvdag.datasets import format_dataset, read_dataset, write_dataset
+from cvdag.errors import DataFormatError, ReportIOError, ValidationError, write_files
 from cvdag.graphs import Dag, read_cpdag, read_dag, write_graph
 from cvdag.numerics import Dataset
 from cvdag.sem import nonfaithful_chain, read_sem, write_sem
@@ -39,3 +39,28 @@ def test_library_file_errors_are_typed(call, fault, tmp_path):
     with pytest.raises(error) as err:
         call(path)
     assert str(err.value).startswith(message.format(path=path))
+
+
+@pytest.mark.parametrize("call", [
+    *[pytest.param(reader, id=name) for name, reader in READERS.items()],
+    *[pytest.param(writer, id=name) for name, writer in WRITERS.items()],
+    pytest.param(lambda path: write_files(path, {"a.txt": "a"}), id="write_files"),
+])
+@pytest.mark.parametrize("path, kind", [(None, "NoneType"), (b"file", "bytes"), (3, "int")])
+def test_path_must_be_a_str_or_path_like(call, path, kind):
+    # None once raised a bare TypeError from Path(None)
+    with pytest.raises(ValidationError) as err:
+        call(path)
+    assert str(err.value) == f"path must be a str or os.PathLike, got {kind}"
+
+
+@pytest.mark.parametrize("call", [
+    format_dataset,
+    lambda ds: write_dataset(ds, "unused.csv"),
+])
+@pytest.mark.parametrize("value, kind", [(None, "NoneType"), (np.eye(2), "ndarray")])
+def test_dataset_writers_need_a_dataset(call, value, kind):
+    # once a bare AttributeError on .data
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value) == f"CSV text needs a Dataset, got {kind}"

@@ -571,6 +571,22 @@ class TestHammingDag:
                 call(a, b)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("call, value, message", [
+        (dag_to_cpdag, None, "dag_to_cpdag needs a Dag, got NoneType"),
+        (dag_to_cpdag, dag_to_cpdag(Dag(2, {(0, 1)})), "dag_to_cpdag needs a Dag, got Cpdag"),
+        (topological_order, [[0, 1]], "topological_order needs a Dag, got list"),
+        (lambda g: descendants(g, 0), None, "descendants needs a Dag, got NoneType"),
+        (lambda g: is_consistent((0, 1, 2), g), None, "is_consistent needs a Dag, got NoneType"),
+        (format_graph, None, "graph text needs a Dag or Cpdag, got NoneType"),
+        (lambda g: write_graph(g, "unused.graph"), {(0, 1)},
+         "graph text needs a Dag or Cpdag, got set"),
+    ])
+    def test_graph_argument_rule(self, call, value, message):
+        # each once raised a bare AttributeError
+        with pytest.raises(ValidationError) as err:
+            call(value)
+        assert str(err.value) == message
+
     def test_matches_set_difference_reference(self):
         # the second graph is another DAG, the first with some edges reversed,
         # dropped or added, or the first itself

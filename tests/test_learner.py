@@ -588,6 +588,18 @@ class TestAgainstReferences:
         assert np.array_equal(again[1], greedy)
         assert np.array_equal(greedy, np.triu(greedy))
 
+    @pytest.mark.parametrize("p", [10, 40, 80])
+    def test_factor_does_not_depend_on_the_memory_layout(self, p):
+        # the centered data is column-major, for LAPACK; row-major input must
+        # give the same order, R and step RSS, bit for bit
+        x = learner_module._centered(sample(random_sem(p, "heterogeneous", p), 25 * p, p), "")
+        assert x.flags.f_contiguous
+        row_major = np.ascontiguousarray(x)
+        assert row_major.flags.c_contiguous and not row_major.flags.f_contiguous
+        (order, r, steps), again = _factor(x), _factor(row_major)
+        assert again[0] == order
+        assert again[1].tobytes() == r.tobytes() and again[2].tobytes() == steps.tobytes()
+
     @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
     @settings(max_examples=25, deadline=None)
     def test_learn_is_the_composition_of_its_stages(self, mode, seed, p, protocol):
