@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError, ValidationError, write_files
+from .errors import ToolkitError, ValidationError, _instance, write_files
 from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import LearnConfig, _mode_problem, _size_problem, learn
 from .numerics import _alpha_problem
@@ -162,6 +162,7 @@ def aggregate(cfg: ExperimentConfig, cells) -> tuple[AggregateRow, ...]:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (replication, n) cell; learner failures are recorded, not raised."""
+    _instance(cfg, "run_experiment needs", ExperimentConfig)
     cells = [cell for rep in range(cfg.replications) for cell in _run_replication(cfg, rep)]
     cells.sort(key=lambda c: (c.n, c.rep))
     return ExperimentReport(cfg, tuple(cells), aggregate(cfg, cells))
@@ -257,6 +258,7 @@ def render_chart_svg(rep: ExperimentReport) -> str:
 
 def emit_report(rep: ExperimentReport, outdir) -> list[Path]:
     """Write cell table, aggregate table, and chart; byte-identical per report."""
+    _instance(rep, "emit_report needs", ExperimentReport)
     return write_files(outdir, {
         "cells.csv": format_cell_table(rep),
         "aggregate.csv": format_aggregate_table(rep),

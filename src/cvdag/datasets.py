@@ -20,12 +20,12 @@ double by Eisel-Lemire, the same double ``float()`` gives. It reads comma
 fields and runs of spaces or tabs, with "\n" or "\r\n" line ends; a field it
 cannot decide exactly (a "+" before its digits, over 19 significant digits or
 24 bytes, a subnormal or infinite double) takes ``float()`` alone. A p=80,
-n=2000 table parses in about 20 ms and writes in about 34 ms (medians, 2-vCPU
-Xeon VM). Text the kernel refuses, or whose result ``Dataset`` refuses (no
-rows, the wrong width, repeated names or a non-finite value), goes to a line
-scan with ``float()``, the reference. The scan accepts what ``float()``
-accepts (digit underscores, non-ASCII digits) and names the line of the first
-fault, so accepted syntax and error messages do not depend on the path taken.
+n=2000 table parses in about 20 ms (median, 2-vCPU Xeon VM). Text the kernel
+refuses, or whose result ``Dataset`` refuses (no rows, the wrong width,
+repeated names or a non-finite value), goes to a line scan with ``float()``,
+the reference. The scan accepts what ``float()`` accepts (digit underscores,
+non-ASCII digits) and names the line of the first fault, so accepted syntax
+and error messages do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_text, write_text
-from .numerics import Dataset, _dataset, _repeated_name
+from .errors import DataFormatError, ValidationError, _instance, read_text, write_text
+from .numerics import Dataset, _repeated_name
 
 
 def _split(line: str, delimiter: str | None) -> list[str]:
@@ -48,6 +48,7 @@ def _split(line: str, delimiter: str | None) -> list[str]:
 
 
 def parse_dataset(text: str, where: str = "<string>") -> Dataset:
+    _instance(text, "dataset text needs", str)
     return _read_table(text) or _scan_dataset(text, where)
 
 
@@ -105,7 +106,7 @@ def _header(names: tuple[str, ...]) -> str:
 
 def format_dataset(ds: Dataset) -> str:
     """CSV text of ``ds`` that :func:`parse_dataset` reads back as it is."""
-    values = _dataset(ds, "CSV text needs").data.reshape(-1)
+    values = _instance(ds, "CSV text needs", Dataset).data.reshape(-1)
     chunks = (_format_chunk(values[start:start + _CHUNK], start, ds.p)
               for start in range(0, values.size, _CHUNK))
     return "".join([_header(ds.names) + "\n", *chunks])

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the toolkit, and the one file I/O rule.
+"""Exception hierarchy shared across the toolkit, the argument rules, and
+the one file I/O rule.
 
 Exit codes are part of the CLI contract: 0 success, 1 validation/parse,
 2 numerical degeneracy, 3 I/O. Every file the package reads or writes for a
 caller goes through :func:`read_text` or :func:`write_text`, so the library
-readers and writers raise the same typed errors as the CLI.
+readers and writers raise the same typed errors as the CLI. Every argument
+type check goes through :func:`_instance`, and every caller's sequence
+through :func:`_sequence`.
 """
 
 from pathlib import Path
@@ -41,6 +44,24 @@ class ReportIOError(ToolkitError):
     """Failed to read or write a file; the message names the path."""
 
     exit_code = 3
+
+
+def _instance(value, stage: str, *kinds: type):
+    """``value`` where it is one of ``kinds``; ValidationError opened by
+    ``stage`` otherwise, such as "cfg must be a LearnConfig, got str"."""
+    if isinstance(value, kinds):
+        return value
+    names = " or ".join(kind.__name__ for kind in kinds)
+    article = "an" if names[0] in "AEIOU" else "a"
+    raise ValidationError(f"{stage} {article} {names}, got {type(value).__name__}")
+
+
+def _sequence(value, name: str) -> tuple:
+    """``value`` as a tuple; ValidationError naming ``name`` where it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}") from None
 
 
 def _path(path) -> Path:

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, _located, read_text, write_text
+from .errors import (DataFormatError, ValidationError, _instance, _located, _sequence, read_text,
+                     write_text)
 
 
 def _is_int(x) -> bool:
@@ -43,13 +44,6 @@ def _node(x) -> int:
     if not _is_int(x):
         raise ValidationError(f"node id must be an integer, got {x!r}")
     return int(x)
-
-
-def _nodes(ids) -> tuple[int, ...]:
-    """``ids`` as a tuple of node ids, each checked by :func:`_node`."""
-    ids = tuple(ids)
-    # plain ints, the common case, are checked at C speed
-    return ids if set(map(type, ids)) <= {int} else tuple(map(_node, ids))
 
 
 def _node_count(p) -> int:
@@ -244,7 +238,10 @@ class Ordering:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = _nodes(self.order)
+        order = _sequence(self.order, "ordering")
+        # node ids checked by _node; plain ints, the common case, at C speed
+        if not set(map(type, order)) <= {int}:
+            order = tuple(map(_node, order))
         if sorted(order) != list(range(len(order))):
             raise ValidationError(f"not a permutation of 0..{len(order) - 1}: {order}")
         object.__setattr__(self, "order", order)
@@ -304,12 +301,12 @@ def _kahn(indeg: list[int], children) -> tuple[int, ...] | None:
 def topological_order(g: Dag) -> Ordering:
     """Parents-before-children ordering, ties broken by smallest node index;
     built once per graph."""
-    return _graph(g, "topological_order needs")._ordering
+    return _instance(g, "topological_order needs", Dag)._ordering
 
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
     """All nodes reachable from j by directed paths, excluding j itself."""
-    children = _rows(_graph(g, "descendants needs")._adjacency)
+    children = _rows(_instance(g, "descendants needs", Dag)._adjacency)
     seen: set[int] = set()
     stack = list(children[g._node_in_range(j)])
     while stack:
@@ -324,16 +321,22 @@ def descendant_mask(g: Dag) -> np.ndarray:
     """Read-only boolean p x p matrix whose row j marks ``descendants(g, j)``;
     built once per graph, in one pass over the nodes in reverse topological
     order."""
-    return g._descendant_mask
+    return _instance(g, "descendant_mask needs", Dag)._descendant_mask
+
+
+def _ordering(pi, p: int) -> Ordering:
+    """``pi`` as an Ordering of ``p`` nodes; ValidationError where it has
+    another length, checked first, or is not a permutation of 0..p-1."""
+    order = pi.order if isinstance(pi, Ordering) else _sequence(pi, "ordering")
+    if len(order) != p:
+        raise ValidationError(f"ordering of length {len(order)} for p={p}")
+    return pi if isinstance(pi, Ordering) else Ordering(order)
 
 
 def is_consistent(ordering: Sequence[int], g: Dag) -> bool:
-    """True iff every edge points from earlier to later in the ordering; after
-    the length check, one that is not a permutation raises ValidationError."""
-    if len(ordering) != _graph(g, "is_consistent needs").p:
-        raise ValidationError(f"ordering of length {len(ordering)} for p={g.p}")
-    if not isinstance(ordering, Ordering):
-        ordering = Ordering(ordering)
+    """True iff every edge points from earlier to later in the ordering, read
+    by :func:`_ordering`."""
+    ordering = _ordering(ordering, _instance(g, "is_consistent needs", Dag).p)
     pos = np.empty(g.p, dtype=np.intp)
     pos[list(ordering.order)] = np.arange(g.p)
     parents, children = np.nonzero(g._adjacency)
@@ -365,7 +368,7 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     exactly the edges w->y with w->x compelled are. Cost O(p + |E|·max
     in-degree). No orientation rules (Meek, UAI 1995) are needed.
     """
-    topo = _graph(g, "dag_to_cpdag needs")._ordering.order
+    topo = _instance(g, "dag_to_cpdag needs", Dag)._ordering.order
     pos = [0] * g.p
     for i, j in enumerate(topo):
         pos[j] = i
@@ -399,15 +402,6 @@ def _comparable(kind: type, a, b) -> None:
                               f" {type(a).__name__} and {type(b).__name__}")
     if a.p != b.p:
         raise ValidationError(f"node counts differ: {a.p} vs {b.p}")
-
-
-def _graph(g, stage: str, kinds: tuple[type, ...] = (Dag,)):
-    """``g`` where it is one of ``kinds``; ValidationError opened by ``stage``
-    otherwise, where another value would raise a bare AttributeError."""
-    if not isinstance(g, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValidationError(f"{stage} a {names}, got {type(g).__name__}")
-    return g
 
 
 def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
@@ -444,7 +438,7 @@ def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
 
 
 def format_graph(g: Dag | Cpdag) -> str:
-    adj = _graph(g, "graph text needs", (Dag, Cpdag))._adjacency
+    adj = _instance(g, "graph text needs", Dag, Cpdag)._adjacency
     lines = [str(g.p)]
     # row-major order is sorted order; a pair set both ways is undirected and
     # written once, at its (low, high) entry

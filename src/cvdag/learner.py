@@ -36,10 +36,10 @@ from .errors import (
     InsufficientSamplesError,
     NumericalDegeneracyError,
     ValidationError,
+    _instance,
 )
-from .graphs import Dag, Ordering
-from .numerics import (Dataset, _alpha_problem, _cholesky, _covariance, _dataset, _not_real,
-                       _triangle)
+from .graphs import Dag, Ordering, _ordering
+from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _not_real, _triangle
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -83,9 +83,7 @@ def _mode_problem(mode) -> str | None:
 
 def _config(cfg) -> LearnConfig:
     """``cfg``, or LearnConfig() for None; ValidationError for anything else."""
-    if cfg is None or isinstance(cfg, LearnConfig):
-        return cfg or LearnConfig()
-    raise ValidationError(f"cfg must be a LearnConfig, got {type(cfg).__name__}")
+    return LearnConfig() if cfg is None else _instance(cfg, "cfg must be", LearnConfig)
 
 
 @dataclass(frozen=True)
@@ -368,7 +366,7 @@ def _centered(data: Dataset, stage: str) -> np.ndarray:
     """The column-centered data of a Dataset, once n > p + 1 (``stage`` opens
     the error), in column-major order: LAPACK's QR reads columns, so
     :func:`_factor` hands it over with a plain copy instead of a transpose."""
-    if problem := _size_problem(_dataset(data, stage).n, data.p, stage):
+    if problem := _size_problem(_instance(data, stage, Dataset).n, data.p, stage):
         raise InsufficientSamplesError(problem)
     return np.subtract(data.data, data.data.mean(axis=0), order="F")
 
@@ -398,9 +396,7 @@ def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None =
     """
     cfg = _config(cfg)
     x = _centered(data, "parent tests need")
-    if len(pi) != data.p:
-        raise ValidationError(f"ordering of length {len(pi)} for p={data.p} dataset")
-    order, r, _ = _factor(x, Ordering(pi).order)
+    order, r, _ = _factor(x, _ordering(pi, data.p).order)
     return _parents(order, r, cfg, data.n)
 
 
@@ -440,6 +436,7 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:
     """Audit helper: the node picked at each step attains that step's minimum."""
+    _instance(result, "ordering_is_greedy_minimal needs", LearnResult)
     nodes = list(range(len(result.ordering)))  # the unplaced nodes, in node order
     for m, j in enumerate(result.ordering):
         values = result.step_variances.values(m)

@@ -33,6 +33,8 @@ from .errors import (
     InsufficientSamplesError,
     NumericalDegeneracyError,
     ValidationError,
+    _instance,
+    _sequence,
 )
 from .graphs import _is_int
 
@@ -130,11 +132,10 @@ class Dataset:
             raise ValidationError("dataset needs at least one row")
         if data.shape[1] < 1:
             raise ValidationError("dataset needs at least one column")
-        if len(self.names) != data.shape[1]:
-            raise ValidationError(
-                f"{len(self.names)} names for {data.shape[1]} columns"
-            )
-        names = tuple(str(s) for s in self.names)
+        names = _sequence(self.names, "names")
+        if len(names) != data.shape[1]:
+            raise ValidationError(f"{len(names)} names for {data.shape[1]} columns")
+        names = tuple(map(str, names))
         if (repeat := _repeated_name(names)) is not None:
             raise ValidationError(repeat)
         if not np.all(np.isfinite(data)):
@@ -153,14 +154,6 @@ class Dataset:
         return self.data.shape[1]
 
 
-def _dataset(data, stage: str) -> Dataset:
-    """``data`` where it is a Dataset; ValidationError opened by ``stage``
-    otherwise, where an array would raise a bare AttributeError."""
-    if not isinstance(data, Dataset):
-        raise ValidationError(f"{stage} a Dataset, got {type(data).__name__}")
-    return data
-
-
 @dataclass(frozen=True)
 class IndependenceDecision:
     """Outcome of a two-sided Fisher z test; statistic is +inf when |r| = 1."""
@@ -176,7 +169,7 @@ class IndependenceDecision:
 
 def sample_covariance(data: Dataset) -> np.ndarray:
     """p x p covariance of mean-centered columns, denominator n - 1."""
-    if _dataset(data, "covariance needs").n < 2:
+    if _instance(data, "covariance needs", Dataset).n < 2:
         raise InsufficientSamplesError("covariance needs at least 2 rows")
     centered = data.data - data.data.mean(axis=0)
     cov = centered.T @ centered / (data.n - 1)
@@ -191,8 +184,8 @@ def conditional_variance(data: Dataset, j: int, given) -> float:
     the sample variance. Collinear conditioning columns are fine, since the
     residual is the projection's; a constant one raises DegenerateDesignError.
     """
-    given = tuple(given)
-    _check_condition_args(_dataset(data, "conditional variance needs").p, j, given)
+    given = _sequence(given, "given")
+    _check_condition_args(_instance(data, "conditional variance needs", Dataset).p, j, given)
     if data.n <= len(given) + 1:
         raise InsufficientSamplesError(
             f"n={data.n} rows cannot support conditioning on {len(given)} columns"
@@ -215,7 +208,7 @@ def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     ordered as [given..., j, k]; works for sample and population covariances
     alike.
     """
-    given = tuple(given)
+    given = _sequence(given, "given")
     if j == k:
         raise ValidationError("partial correlation needs two distinct variables")
     cov = _covariance(cov, "partial_correlation")

@@ -21,9 +21,9 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _located,
-                     read_text, write_text)
-from .graphs import Dag, Ordering, _is_int, _square, descendant_mask, is_consistent, topological_order
+from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _instance,
+                     _located, _sequence, read_text, write_text)
+from .graphs import Dag, _is_int, _ordering, _square, descendant_mask, is_consistent, topological_order
 from .numerics import (Dataset, _check_condition_args, _cholesky, _covariance, _not_real,
                        _real_array, _triangle)
 
@@ -118,14 +118,6 @@ class GaussianSem:
         return a
 
 
-def _model(m, stage: str) -> GaussianSem:
-    """``m`` where it is a GaussianSem; ValidationError opened by ``stage``
-    otherwise, where an array would raise a bare AttributeError."""
-    if not isinstance(m, GaussianSem):
-        raise ValidationError(f"{stage} a GaussianSem, got {type(m).__name__}")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class IdentifiabilityReport:
     """``margins``: read-only record array, one row (j, k, lhs, rhs) per checked
@@ -163,14 +155,14 @@ def _total_effects(m: GaussianSem) -> np.ndarray:
 
 def population_covariance(m: GaussianSem) -> np.ndarray:
     """Exact covariance (I - B)^-1 Sigma_eps (I - B)^-T of the model."""
-    a = _model(m, "population covariance needs")._effects
+    a = _instance(m, "population covariance needs", GaussianSem)._effects
     cov = (a * m.sigma2) @ a.T
     return (cov + cov.T) / 2.0
 
 
 def population_precision(m: GaussianSem) -> np.ndarray:
     """Exact inverse covariance (I - B)^T Sigma_eps^-1 (I - B)."""
-    eye_b = np.eye(_model(m, "population precision needs").p) - m.B
+    eye_b = np.eye(_instance(m, "population precision needs", GaussianSem).p) - m.B
     return eye_b.T @ ((1.0 / m.sigma2)[:, None] * eye_b)
 
 
@@ -178,7 +170,7 @@ def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
     """Var(X_k | X_given) from a covariance that passes the gate of :mod:`numerics`:
     the squared last diagonal entry of the Cholesky factor of the block ordered
     as [given..., k]."""
-    given = tuple(given)
+    given = _sequence(given, "given")
     cov = _covariance(cov, "population_conditional_variance")
     _check_condition_args(cov.shape[0], k, given)
     idx = list(given) + [k]
@@ -209,25 +201,23 @@ def check_identifiability(
     by one cumulative sum along each row, so column p - 1 - pos holds the sum
     over the nodes at positions pos and later. Rows run over j in pi order,
     then k in pi order ("later") or by node index. Any scope outside SCOPES,
-    or a ``pi`` that is not a permutation of the nodes or holds an id that is
-    not an integer (checked by :func:`is_consistent`), raises ValidationError.
+    or a ``pi`` that the ordering rule ``graphs._ordering`` refuses (another
+    length, not a permutation, an id not an integer), raises ValidationError.
     A scope="later" pass makes every greedy step strict: in exact arithmetic
     the learner's greedy ordering is then ``pi``. A default-scope pass, the
     ``identifiable`` column of ``cvdag bench``, does not certify that; the
     README names a model that passes it and whose greedy misplaces a node.
     """
-    _model(m, "identifiability check needs")
+    _instance(m, "identifiability check needs", GaussianSem)
     if scope not in SCOPES:
         raise ValidationError(f"unknown scope {scope!r}: use {' or '.join(map(repr, SCOPES))}")
     if pi is None:
-        order = topological_order(m.dag).order
-    elif is_consistent(pi, m.dag):
-        order = Ordering(pi).order
-    else:
+        order = topological_order(m.dag)
+    elif not is_consistent(order := _ordering(pi, m.p), m.dag):
         raise ValidationError("ordering is not consistent with the model's graph")
     p = m.p
     a = m._effects
-    cols = np.asarray(order)
+    cols = np.asarray(order.order)
     rev = cols[::-1]
     # w[k, p-1-pos] = Var(X_k | X_pi[:pos]) and w[p+k, p-1-pos] the structural
     # sum; positive terms, so nothing cancels
@@ -308,7 +298,7 @@ def _sample_size_problem(n) -> str | None:
 
 def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
     """Draw n rows; deterministic for a fixed seed. Columns follow node indices."""
-    _model(m, "sample needs")
+    _instance(m, "sample needs", GaussianSem)
     if problem := _sample_size_problem(n):
         raise ValidationError(problem)
     rng = seeded_rng(seed)
@@ -336,7 +326,7 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
         raise ValidationError(f"node count must be an integer, got {p!r}")
     if p < 2:
         raise ValidationError(f"need at least 2 nodes, got {p}")
-    if protocol not in WEIGHT_WINDOWS:
+    if not (isinstance(protocol, str) and protocol in WEIGHT_WINDOWS):
         raise ValidationError(f"unknown protocol {protocol!r}")
     rng = seeded_rng(seed)
     b = _square(p, float)
@@ -375,6 +365,8 @@ def protocol_sem(protocol: str, p: int, seed: int) -> GaussianSem:
 
 
 def format_sem(m: GaussianSem) -> str:
+    _instance(m, "SEM text needs", GaussianSem)
+
     def fmt(x: float) -> str:
         return f"{x:.17g}"
 

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cvdag.bench import ExperimentConfig
-from cvdag.errors import NumericalDegeneracyError, ValidationError
+import cvdag
+from cvdag import datasets, graphs, learner
+from cvdag.bench import ExperimentConfig, emit_report, run_experiment
+from cvdag.errors import NumericalDegeneracyError, ToolkitError, ValidationError
 from cvdag.learner import LearnConfig, learn_from_covariance
 from cvdag.numerics import fisher_z_test, partial_correlation
-from cvdag.sem import derive_seed, population_conditional_variance
+from cvdag.sem import derive_seed, population_conditional_variance, random_sem, write_sem
 
 # rule -> caller -> a call that hands the bad value to that rule
 CALLERS = {
@@ -74,3 +76,151 @@ def test_every_covariance_reader_shares_the_gate(cov, error, message):
         with pytest.raises(error) as err:
             read(cov)
         assert str(err.value) == message.format(caller=caller)
+
+
+# entry points outside cvdag.__all__ that read outside input or serve the
+# benchmark's output checks
+INNER = {
+    "datasets.parse_dataset": datasets.parse_dataset,
+    "graphs.descendant_mask": graphs.descendant_mask,
+    "learner.ordering_is_greedy_minimal": learner.ordering_is_greedy_minimal,
+}
+# the submodules in cvdag.__all__ are not callable
+ENTRY_POINTS = [name for name in cvdag.__all__ if callable(getattr(cvdag, name))] + list(INNER)
+
+# (name, position) -> why None there is valid input, so the call must succeed
+NONE_IS_VALID = {
+    ("GaussianSem", 2): "intercepts None means zero intercepts",
+    ("check_identifiability", 1): "pi None checks along the graph's topological order",
+    ("estimate_parents", 2): "cfg None means LearnConfig()",
+    ("learn", 1): "cfg None means LearnConfig()",
+    ("learn_from_covariance", 1): "cfg None means LearnConfig()",
+}
+# names that keep any argument as it is given, so every value is valid input
+ANY_VALUE_IS_VALID = {
+    "ExperimentReport": "a plain record of a finished run",
+    "IdentifiabilityReport": "a plain record of a finished check",
+    "IndependenceDecision": "a plain record of a finished test",
+    "LearnResult": "a plain record of a finished learn",
+    **{name: "an exception takes any message" for name in cvdag.__all__
+       if isinstance(getattr(cvdag, name), type) and issubclass(getattr(cvdag, name), Exception)},
+}
+# (name, position, value): further wrong values, each once a bare exception
+MORE_WRONG_VALUES = [
+    ("random_sem", 1, ["homogeneous"]),  # unhashable
+]
+
+
+@pytest.fixture(scope="module")
+def valid_calls(tmp_path_factory):
+    """name -> (callable, valid positional arguments)."""
+    tmp = tmp_path_factory.mktemp("surface")
+    model = random_sem(4, "homogeneous", 1)
+    dag, data = model.dag, cvdag.sample(model, 30, 2)
+    cpdag, cov = cvdag.dag_to_cpdag(dag), cvdag.population_covariance(model)
+    order = cvdag.topological_order(dag)
+    config = cvdag.ExperimentConfig("homogeneous", 3, (10,), 1, 0, 0.05, "conditional")
+    report = run_experiment(config)
+    result = cvdag.learn(data)
+    files = {"dag": tmp / "g.graph", "cpdag": tmp / "g.cpdag", "sem": tmp / "m.sem",
+             "csv": tmp / "d.csv"}
+    cvdag.write_graph(dag, files["dag"])
+    cvdag.write_graph(cpdag, files["cpdag"])
+    write_sem(model, files["sem"])
+    cvdag.write_dataset(data, files["csv"])
+    calls = {
+        "Cpdag": (3, {(0, 1)}, {(1, 2)}),
+        "Dag": (3, {(0, 1), (1, 2)}),
+        "Dataset": (("a", "b"), np.eye(2)),
+        "ExperimentConfig": tuple(vars(config).values()),
+        "ExperimentReport": (config, report.cells, report.aggregates),
+        "GaussianSem": (model.B, model.sigma2, model.intercepts),
+        "IdentifiabilityReport": (True, None, 1.0),
+        "IndependenceDecision": (True, 3.0, 2.0),
+        "LearnConfig": (0.05, 1e-9, "marginal"),
+        "LearnResult": (result.ordering, result.dag, result.step_variances, result.test_log),
+        "Ordering": ((1, 0, 2),),
+        "bivariate_weight_threshold": (0.5,),
+        "bivariate_weight_threshold_conservative": (0.5,),
+        "check_identifiability": (model, order, "later"),
+        "conditional_variance": (data, 0, [1, 2]),
+        "dag_to_cpdag": (dag,),
+        "descendants": (dag, 0),
+        "emit_report": (report, tmp / "report"),
+        "estimate_ordering": (data,),
+        "estimate_parents": (data, order, cvdag.LearnConfig()),
+        "fisher_z_test": (0.3, 50, 2, 0.05),
+        "hamming_cpdag": (cpdag, cpdag),
+        "hamming_dag": (dag, dag),
+        "is_consistent": (order, dag),
+        "learn": (data, cvdag.LearnConfig()),
+        "learn_from_covariance": (cov, cvdag.LearnConfig()),
+        "load_marks": (),
+        "nonfaithful_chain": (),
+        "partial_correlation": (cov, 0, 1, [2]),
+        "population_conditional_variance": (cov, 0, [1]),
+        "population_covariance": (model,),
+        "population_precision": (model,),
+        "random_sem": (3, "heterogeneous", 1),
+        "read_cpdag": (files["cpdag"],),
+        "read_dag": (files["dag"],),
+        "read_dataset": (files["csv"],),
+        "read_sem": (files["sem"],),
+        "run_experiment": (config,),
+        "sample": (model, 10, 1),
+        "sample_covariance": (data,),
+        "topological_order": (dag,),
+        "write_dataset": (data, tmp / "out.csv"),
+        "write_graph": (dag, tmp / "out.graph"),
+        "write_sem": (model, tmp / "out.sem"),
+        "datasets.parse_dataset": ("a,b\n1,2\n3,5\n",),
+        "graphs.descendant_mask": (dag,),
+        "learner.ordering_is_greedy_minimal": (result,),
+    }
+    calls.update((name, ("message",)) for name in ANY_VALUE_IS_VALID if name not in calls)
+    return {name: (INNER.get(name) or getattr(cvdag, name), args) for name, args in calls.items()}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_public_surface_refuses_wrong_arguments(name, valid_calls):
+    # each wrong value below once escaped as a bare AttributeError or TypeError
+    assert name in valid_calls, f"{name} has no valid call in this test"
+    call, args = valid_calls[name]
+    call(*args)
+    wrong = [(i, value) for i in range(len(args)) for value in (None, object())]
+    wrong += [(i, value) for n, i, value in MORE_WRONG_VALUES if n == name]
+    faults = []
+    for i, value in wrong:
+        bad = (*args[:i], value, *args[i + 1:])
+        valid = name in ANY_VALUE_IS_VALID or (value is None and (name, i) in NONE_IS_VALID)
+        try:
+            call(*bad)
+        except ToolkitError:
+            if valid:
+                faults.append(f"argument {i} = {value!r}: refused valid input")
+        except Exception as exc:  # noqa: BLE001 - the point is what escapes
+            faults.append(f"argument {i} = {value!r}: {type(exc).__name__}: {exc}")
+        else:
+            if not valid:
+                faults.append(f"argument {i} = {value!r}: accepted")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_experiment(None), "run_experiment needs an ExperimentConfig, got NoneType"),
+    (lambda: emit_report(None, "unused"), "emit_report needs an ExperimentReport, got NoneType"),
+    (lambda: write_sem(None, "unused.sem"), "SEM text needs a GaussianSem, got NoneType"),
+    (lambda: cvdag.Ordering(None), "ordering must be a sequence, got NoneType"),
+    (lambda: cvdag.Dataset(3, np.eye(2)), "names must be a sequence, got int"),
+    (lambda: cvdag.population_conditional_variance(np.eye(2), 0, 1),
+     "given must be a sequence, got int"),
+    (lambda: random_sem(3, ["homogeneous"], 1), "unknown protocol ['homogeneous']"),
+    (lambda: datasets.parse_dataset(None), "dataset text needs a str, got NoneType"),
+    (lambda: graphs.descendant_mask(None), "descendant_mask needs a Dag, got NoneType"),
+    (lambda: learner.ordering_is_greedy_minimal(None),
+     "ordering_is_greedy_minimal needs a LearnResult, got NoneType"),
+])
+def test_wrong_argument_messages(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
