@@ -51,17 +51,21 @@ def _instance(value, stage: str, *kinds: type):
     ``stage`` otherwise, such as "cfg must be a LearnConfig, got str"."""
     if isinstance(value, kinds):
         return value
-    names = " or ".join(kind.__name__ for kind in kinds)
+    # numpy 2 names np.bool_ "bool", so a name is given once
+    names = " or ".join(dict.fromkeys(kind.__name__ for kind in kinds))
     article = "an" if names[0] in "AEIOU" else "a"
     raise ValidationError(f"{stage} {article} {names}, got {type(value).__name__}")
 
 
 def _sequence(value, name: str) -> tuple:
-    """``value`` as a tuple; ValidationError naming ``name`` where it is not iterable."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}") from None
+    """``value`` as a tuple; ValidationError naming ``name`` where it is not
+    iterable, or is a str or bytes, whose items would be its characters."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}")
 
 
 def _path(path) -> Path:

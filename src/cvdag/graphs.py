@@ -305,22 +305,16 @@ def topological_order(g: Dag) -> Ordering:
 
 
 def descendants(g: Dag, j: int) -> frozenset[int]:
-    """All nodes reachable from j by directed paths, excluding j itself."""
-    children = _rows(_instance(g, "descendants needs", Dag)._adjacency)
-    seen: set[int] = set()
-    stack = list(children[g._node_in_range(j)])
-    while stack:
-        k = stack.pop()
-        if k not in seen:
-            seen.add(k)
-            stack.extend(children[k])
-    return frozenset(seen)
+    """All nodes reachable from j by directed paths, excluding j itself: row j
+    of :func:`descendant_mask`."""
+    g = _instance(g, "descendants needs", Dag)
+    return frozenset(np.flatnonzero(g._descendant_mask[g._node_in_range(j)]).tolist())
 
 
 def descendant_mask(g: Dag) -> np.ndarray:
-    """Read-only boolean p x p matrix whose row j marks ``descendants(g, j)``;
-    built once per graph, in one pass over the nodes in reverse topological
-    order."""
+    """Read-only boolean p x p matrix whose row j marks the nodes reachable
+    from j by directed paths; built once per graph, in one pass over the
+    nodes in reverse topological order."""
     return _instance(g, "descendant_mask needs", Dag)._descendant_mask
 
 
@@ -414,6 +408,7 @@ def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> in
     transpose.
     """
     _comparable(Dag, g_true, g_est)
+    _instance(reversal_as_one, "reversal_as_one must be", bool, np.bool_)
     a_true, a_est = g_true._adjacency, g_est._adjacency
     diff = int(np.count_nonzero(a_true != a_est))
     if reversal_as_one:

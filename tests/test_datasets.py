@@ -154,11 +154,12 @@ class TestParserEquivalence:
     def test_named_syntax_equals_line_scan(self, text):
         _assert_parse_equals_scan(text)
 
-    @pytest.mark.parametrize("delimiter", [",", " "])
-    def test_well_formed_text_skips_the_scan(self, monkeypatch, delimiter):
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("delimiter", [",", " ", "\t"])
+    def test_well_formed_text_skips_the_scan(self, monkeypatch, delimiter, eol):
         rng = np.random.default_rng(1)
-        text = format_dataset(Dataset(tuple(f"x{i}" for i in range(80)),
-                                      rng.normal(size=(200, 80)))).replace(",", delimiter)
+        text = format_dataset(Dataset(tuple(f"x{i}" for i in range(80)), rng.normal(
+            size=(200, 80)))).replace(",", delimiter).replace("\n", eol)
         want = datasets._scan_dataset(text, "<string>")
         monkeypatch.setattr(datasets, "_scan_dataset", None)
         got = parse_dataset(text)
@@ -468,15 +469,17 @@ class TestParseKernel:
         "a_long_header_name,b\n1_0,2\n", "a_long_header_name,b\n1,٣\n",
         *(f"a_long_header_name,b\n1.5,2\n{field},3\n"
           for field in ("1.5e+5e5", "1e", "1e+", "e5", "1e5.5", "1ee5", "1e+-5")),
+        "\na_long_header_name,b\n1,2\n", "a_long_header_name,b\n1,2\n3,4\n\n",
+        *(layout(format_dataset(_table(np.random.default_rng(5).normal(size=24) * 1e3, 6)))
+          for layout in (lambda t: "\n  " + t.replace(",", "   ").replace("\n", " \n\n"),
+                         lambda t: t.replace(",", " , ").replace("\n", " \t\n"))),
     ])
     def test_refused_layouts_give_the_scan_outcome(self, text):
         _assert_parse_equals_scan(text)
 
     @pytest.mark.parametrize("layout", [
         lambda t: t, lambda t: t.replace("\n", "\r\n"), lambda t: t.replace(",", " "),
-        lambda t: t.replace(",", "\t"),
-        lambda t: "\n  " + t.replace(",", "   ").replace("\n", " \n\n"),
-        lambda t: t.replace(",", " , ").replace("\n", " \t\n"), lambda t: t.rstrip("\n"),
+        lambda t: t.replace(",", "\t"), lambda t: t.rstrip("\n"),
     ])
     def test_layouts_are_read_by_the_kernel(self, layout):
         rng = np.random.default_rng(5)
@@ -501,7 +504,7 @@ class TestParseKernel:
     @pytest.mark.parametrize("chunk", [1, 40, 333])
     def test_small_chunks_give_the_same_values(self, monkeypatch, chunk):
         rng = np.random.default_rng(chunk)
-        text = format_dataset(_table(rng.normal(size=300) * 1e3, 3)).replace("\n", " \r\n")
+        text = format_dataset(_table(rng.normal(size=300) * 1e3, 3)).replace("\n", "\r\n")
         want = datasets._scan_dataset(text, "<string>")
         monkeypatch.setattr(datasets, "_PARSE_CHUNK", chunk)
         got = datasets._read_table(text)

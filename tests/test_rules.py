@@ -1,6 +1,7 @@
 """Each shared input rule has one home, so every caller of it refuses the same
 bad value with the same message."""
 
+import inspect
 import math
 
 import numpy as np
@@ -105,10 +106,23 @@ ANY_VALUE_IS_VALID = {
     **{name: "an exception takes any message" for name in cvdag.__all__
        if isinstance(getattr(cvdag, name), type) and issubclass(getattr(cvdag, name), Exception)},
 }
-# (name, position, value): further wrong values, each once a bare exception
+# (name, position or keyword, value): further wrong values, each once a bare
+# exception or accepted
 MORE_WRONG_VALUES = [
     ("random_sem", 1, ["homogeneous"]),  # unhashable
+    ("Dataset", 0, "ab"),  # read as the names ("a", "b")
+    ("hamming_dag", "reversal_as_one", "no"),  # read by its truth
 ]
+
+
+def _keyword_only(call) -> list[str]:
+    """The keyword-only parameters of ``call``; none where it has no
+    signature, as an exception class may not."""
+    try:
+        params = inspect.signature(call).parameters.values()
+    except ValueError:
+        return []
+    return [q.name for q in params if q.kind is q.KEYWORD_ONLY]
 
 
 @pytest.fixture(scope="module")
@@ -187,14 +201,16 @@ def test_public_surface_refuses_wrong_arguments(name, valid_calls):
     assert name in valid_calls, f"{name} has no valid call in this test"
     call, args = valid_calls[name]
     call(*args)
-    wrong = [(i, value) for i in range(len(args)) for value in (None, object())]
+    at = [*range(len(args)), *_keyword_only(call)]
+    wrong = [(i, value) for i in at for value in (None, object())]
     wrong += [(i, value) for n, i, value in MORE_WRONG_VALUES if n == name]
     faults = []
     for i, value in wrong:
-        bad = (*args[:i], value, *args[i + 1:])
+        bad, keywords = ((*args[:i], value, *args[i + 1:]), {}) if isinstance(i, int) else (
+            args, {i: value})
         valid = name in ANY_VALUE_IS_VALID or (value is None and (name, i) in NONE_IS_VALID)
         try:
-            call(*bad)
+            call(*bad, **keywords)
         except ToolkitError:
             if valid:
                 faults.append(f"argument {i} = {value!r}: refused valid input")
@@ -212,6 +228,7 @@ def test_public_surface_refuses_wrong_arguments(name, valid_calls):
     (lambda: write_sem(None, "unused.sem"), "SEM text needs a GaussianSem, got NoneType"),
     (lambda: cvdag.Ordering(None), "ordering must be a sequence, got NoneType"),
     (lambda: cvdag.Dataset(3, np.eye(2)), "names must be a sequence, got int"),
+    (lambda: cvdag.Dataset("ab", np.eye(2)), "names must be a sequence, got str"),
     (lambda: cvdag.population_conditional_variance(np.eye(2), 0, 1),
      "given must be a sequence, got int"),
     (lambda: random_sem(3, ["homogeneous"], 1), "unknown protocol ['homogeneous']"),
