@@ -2,6 +2,8 @@
 ordering, with identifiability checkers, random model generators, and a
 benchmark harness."""
 
+from types import ModuleType as _Module
+
 from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
 from .datasets import load_marks, read_dataset, write_dataset
 from .errors import (
@@ -54,4 +56,5 @@ from .sem import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not (name.startswith("_") or isinstance(globals()[name], _Module))]

@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError, ValidationError, _instance, write_files
-from .graphs import _is_int, dag_to_cpdag, hamming_cpdag, hamming_dag
+from .errors import ToolkitError, ValidationError, _count_problem, _instance, _is_int, write_files
+from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
 from .learner import LearnConfig, _mode_problem, _size_problem, learn
 from .numerics import _alpha_problem
 from .sem import (
     PROTOCOLS,
-    _seed_problem,
     check_identifiability,
     derive_seed,
     protocol_sem,
@@ -54,12 +53,11 @@ class ExperimentConfig:
             problems.append(f"protocol must be a string, got {self.protocol!r}")
         elif self.protocol not in PROTOCOLS:
             problems.append(f"unknown protocol {self.protocol!r}")
-        if not _is_int(self.p):
-            problems.append(f"p must be an integer, got {self.p!r}")
-        elif self.protocol == "nonfaithful" and self.p != 3:
+        if (isinstance(self.protocol, str) and self.protocol == "nonfaithful" and _is_int(self.p)
+                and self.p != 3):
             problems.append("nonfaithful protocol uses the fixed 3-node model (p=3)")
-        elif self.p < 2:
-            problems.append(f"p must be >= 2, got {self.p}")
+        elif problem := _count_problem(self.p, "p", 2):
+            problems.append(problem)
         if not (isinstance(self.n_grid, (list, tuple)) and all(map(_is_int, self.n_grid))):
             problems.append(f"n_grid must be a list of integers, got {self.n_grid!r}")
         elif not self.n_grid:
@@ -69,11 +67,8 @@ class ExperimentConfig:
         elif _is_int(self.p) and (problem := _size_problem(min(self.n_grid), self.p,
                                                             "ordering needs")):
             problems.append(problem)
-        if not _is_int(self.replications):
-            problems.append(f"replications must be an integer, got {self.replications!r}")
-        elif self.replications < 1:
-            problems.append(f"replications must be >= 1, got {self.replications}")
-        problems += filter(None, (_seed_problem(self.seed), _alpha_problem(self.alpha),
+        problems += filter(None, (_count_problem(self.replications, "replications", 1),
+                                  _count_problem(self.seed, "seed"), _alpha_problem(self.alpha),
                                   _mode_problem(self.parent_test_mode)))
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))

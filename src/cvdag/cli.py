@@ -20,13 +20,13 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .datasets import format_dataset, load_marks, read_dataset
-from .errors import DataFormatError, ToolkitError, ValidationError, read_text, write_files
+from .errors import (DataFormatError, ToolkitError, ValidationError, _count_problem, read_text,
+                     write_files)
 from .graphs import dag_to_cpdag, format_graph, read_dag
 from .learner import PARENT_TEST_MODES, LearnConfig, LearnResult, learn
 from .sem import (
     PROTOCOLS,
     SCOPES,
-    _sample_size_problem,
     check_identifiability,
     derive_seed,
     format_sem,
@@ -141,7 +141,7 @@ def _summarize_check(report, verbose: int):
 
 
 def cmd_simulate(args) -> int:
-    if problem := _sample_size_problem(args.n):
+    if problem := _count_problem(args.n, "sample size", 1):
         raise ValidationError(problem)
     if args.sem:
         model = read_sem(Path(args.sem))

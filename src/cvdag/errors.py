@@ -5,10 +5,12 @@ Exit codes are part of the CLI contract: 0 success, 1 validation/parse,
 2 numerical degeneracy, 3 I/O. Every file the package reads or writes for a
 caller goes through :func:`read_text` or :func:`write_text`, so the library
 readers and writers raise the same typed errors as the CLI. Every argument
-type check goes through :func:`_instance`, and every caller's sequence
-through :func:`_sequence`.
+type check goes through :func:`_instance`, every caller's sequence through
+:func:`_sequence`, every integer through :func:`_count_problem` and every
+real number through :func:`_not_real`.
 """
 
+import numbers
 from pathlib import Path
 
 
@@ -66,6 +68,30 @@ def _sequence(value, name: str) -> tuple:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}")
+
+
+def _is_int(x) -> bool:
+    """True for an int or numpy integer, False for a bool or anything else."""
+    # the type test first: an isinstance check against the ABC costs ten times as much
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def _count_problem(value, name: str, least: int = 0) -> str | None:
+    """The problem with ``value`` as the integer ``name`` of at least ``least``, or None."""
+    if _is_int(value) and value >= least:
+        return None
+    if not least:
+        return f"{name} must be a non-negative integer, got {value!r}"
+    if not _is_int(value):
+        return f"{name} must be an integer, got {value!r}"
+    return f"{name} must be >= {least}, got {value}"
+
+
+def _not_real(value, name: str) -> str | None:
+    """The problem with ``value`` as the real number ``name`` (a bool is not one), or None."""
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return None
+    return f"{name} must be a real number, got {value!r}"
 
 
 def _path(path) -> Path:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import numbers
 import operator
 from collections.abc import Set
 from dataclasses import dataclass, field, fields
@@ -29,14 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DataFormatError, ValidationError, _instance, _located, _sequence, read_text,
-                     write_text)
-
-
-def _is_int(x) -> bool:
-    """True for an int or numpy integer, False for a bool or anything else."""
-    # the type test first: an isinstance check against the ABC costs ten times as much
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+from .errors import (DataFormatError, ValidationError, _count_problem, _instance, _is_int, _located,
+                     _sequence, read_text, write_text)
 
 
 def _node(x) -> int:
@@ -48,8 +41,8 @@ def _node(x) -> int:
 
 def _node_count(p) -> int:
     """``p`` as a node count: an int >= 0, or ValidationError naming the value."""
-    if not (_is_int(p) and p >= 0):
-        raise ValidationError(f"node count must be a non-negative integer, got {p!r}")
+    if problem := _count_problem(p, "node count"):
+        raise ValidationError(problem)
     return int(p)
 
 

@@ -37,9 +37,10 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
     _instance,
+    _not_real,
 )
 from .graphs import Dag, Ordering, _ordering
-from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _not_real, _triangle
+from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _triangle
 
 ParentTestMode = Literal["conditional", "marginal"]
 PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
@@ -66,7 +67,7 @@ class LearnConfig:
 
     def __post_init__(self):
         tol = self.oracle_tolerance
-        if problem := _alpha_problem(self.alpha) or _not_real("oracle_tolerance", tol):
+        if problem := _alpha_problem(self.alpha) or _not_real(tol, "oracle_tolerance"):
             raise ValidationError(problem)
         if not 0.0 < tol < math.inf:
             raise ValidationError(f"oracle_tolerance must be positive and finite, got {tol}")

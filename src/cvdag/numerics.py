@@ -21,7 +21,6 @@ symmetric, and factor it by ``_cholesky``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -33,10 +32,12 @@ from .errors import (
     InsufficientSamplesError,
     NumericalDegeneracyError,
     ValidationError,
+    _count_problem,
     _instance,
+    _is_int,
+    _not_real,
     _sequence,
 )
-from .graphs import _is_int
 
 
 def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
@@ -96,14 +97,9 @@ def _cholesky(block: np.ndarray, refusal: str) -> np.ndarray:
         raise NumericalDegeneracyError(refusal) from None
 
 
-def _not_real(name: str, x) -> str | None:
-    """The problem with ``x`` as the real number ``name``, or None."""
-    return None if isinstance(x, numbers.Real) else f"{name} must be a real number, got {x!r}"
-
-
 def _alpha_problem(alpha) -> str | None:
     """The problem with ``alpha`` as a significance level, or None."""
-    if (problem := _not_real("alpha", alpha)) or 0.0 < alpha < 1.0:
+    if (problem := _not_real(alpha, "alpha")) or 0.0 < alpha < 1.0:
         return problem
     return f"alpha must lie in (0, 1), got {alpha}"
 
@@ -228,12 +224,12 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
     with an infinite statistic. ``n`` must be an integer and ``s`` a
     non-negative one, with n > s + 3.
     """
-    if problem := _not_real("r", r) or _alpha_problem(alpha):
+    if problem := _not_real(r, "r") or _alpha_problem(alpha):
         raise ValidationError(problem)
     if not _is_int(n):
         raise ValidationError(f"n must be an integer, got {n!r}")
-    if not (_is_int(s) and s >= 0):
-        raise ValidationError(f"s must be a non-negative integer, got {s!r}")
+    if problem := _count_problem(s, "s"):
+        raise ValidationError(problem)
     if n <= s + 3:
         raise InsufficientSamplesError(
             f"Fisher z needs n > s + 3 (n={n}, conditioning size s={s})"

@@ -21,11 +21,10 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _instance,
-                     _located, _sequence, read_text, write_text)
-from .graphs import Dag, _is_int, _ordering, _square, descendant_mask, is_consistent, topological_order
-from .numerics import (Dataset, _check_condition_args, _cholesky, _covariance, _not_real,
-                       _real_array, _triangle)
+from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _count_problem,
+                     _instance, _located, _not_real, _sequence, read_text, write_text)
+from .graphs import Dag, _ordering, _square, descendant_mask, is_consistent, topological_order
+from .numerics import Dataset, _check_condition_args, _cholesky, _covariance, _real_array, _triangle
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -41,14 +40,8 @@ _LTV_RTOL = 1e-9
 _MARGIN_FIELDS = np.dtype([("j", np.intp), ("k", np.intp), ("lhs", float), ("rhs", float)])
 
 
-def _seed_problem(seed) -> str | None:
-    """The problem with ``seed`` as a seed, or None."""
-    ok = _is_int(seed) and seed >= 0
-    return None if ok else f"seed must be a non-negative integer, got {seed!r}"
-
-
 def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    if problem := _seed_problem(seed):
+    if problem := _count_problem(seed, "seed"):
         raise ValidationError(problem)
     return np.random.SeedSequence(seed, spawn_key=key)
 
@@ -258,7 +251,7 @@ def check_identifiability(
 
 def _check_ratio(r) -> None:
     """ValidationError naming ``r`` unless it is a positive real number."""
-    if problem := _not_real("variance ratio", r):
+    if problem := _not_real(r, "variance ratio"):
         raise ValidationError(problem)
     if not r > 0.0:
         raise ValidationError(f"variance ratio must be positive, got {r!r}")
@@ -289,17 +282,10 @@ def _propagate(m: GaussianSem, noise: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sample_size_problem(n) -> str | None:
-    """The problem with ``n`` as a number of rows to draw, or None."""
-    if not _is_int(n):
-        return f"sample size must be an integer, got {n!r}"
-    return None if n >= 1 else f"sample size must be >= 1, got {n}"
-
-
 def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
     """Draw n rows; deterministic for a fixed seed. Columns follow node indices."""
     _instance(m, "sample needs", GaussianSem)
-    if problem := _sample_size_problem(n):
+    if problem := _count_problem(n, "sample size", 1):
         raise ValidationError(problem)
     rng = seeded_rng(seed)
     try:
@@ -322,10 +308,8 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
     (|b| < 0.25 homogeneous, |b| < 1 heterogeneous); homogeneous fixes all
     error variances at 1, heterogeneous draws them uniform on [1, 3].
     """
-    if not _is_int(p):
-        raise ValidationError(f"node count must be an integer, got {p!r}")
-    if p < 2:
-        raise ValidationError(f"need at least 2 nodes, got {p}")
+    if problem := _count_problem(p, "node count", 2):
+        raise ValidationError(problem)
     if not (isinstance(protocol, str) and protocol in WEIGHT_WINDOWS):
         raise ValidationError(f"unknown protocol {protocol!r}")
     rng = seeded_rng(seed)
@@ -397,10 +381,9 @@ def read_sem(path) -> GaussianSem:
         first_line[kind] = lineno
         try:
             if kind == "p":
-                (p,) = rest
-                p = int(p)
-                if p < 1:
-                    raise DataFormatError(f"{path}:{lineno}: p must be >= 1, got {p}")
+                (p,) = map(int, rest)
+                if problem := _count_problem(p, "p", 1):
+                    raise DataFormatError(f"{path}:{lineno}: {problem}")
             elif kind in ("sigma2", "intercept"):
                 vectors[kind] = np.array([float(v) for v in rest])
             elif kind == "edge":
@@ -423,6 +406,8 @@ def read_sem(path) -> GaussianSem:
         if not (0 <= parent < p and 0 <= child < p):
             raise DataFormatError(f"{path}:{lineno}: edge ({parent},{child}) out of range")
         edge = f"edge ({parent},{child})"
+        if beta == 0.0:
+            raise DataFormatError(f"{path}:{lineno}: {edge} has weight 0")
         if edge in first_line:
             raise DataFormatError(f"{path}:{lineno}: {edge} repeats line {first_line[edge]}")
         first_line[edge] = lineno

@@ -1,19 +1,22 @@
 """Each shared input rule has one home, so every caller of it refuses the same
 bad value with the same message."""
 
+import argparse
 import inspect
 import math
+from types import ModuleType
 
 import numpy as np
 import pytest
 
 import cvdag
-from cvdag import datasets, graphs, learner
+from cvdag import cli, datasets, graphs, learner
 from cvdag.bench import ExperimentConfig, emit_report, run_experiment
 from cvdag.errors import NumericalDegeneracyError, ToolkitError, ValidationError
 from cvdag.learner import LearnConfig, learn_from_covariance
 from cvdag.numerics import fisher_z_test, partial_correlation
-from cvdag.sem import derive_seed, population_conditional_variance, random_sem, write_sem
+from cvdag.sem import (derive_seed, nonfaithful_chain, population_conditional_variance, random_sem,
+                       sample, write_sem)
 
 # rule -> caller -> a call that hands the bad value to that rule
 CALLERS = {
@@ -30,6 +33,28 @@ CALLERS = {
         "derive_seed": lambda v: derive_seed(v, 0),
         "ExperimentConfig": lambda v: ExperimentConfig(seed=v),
     },
+    # the integer rule, errors._count_problem, at each of its least values
+    "node count": {
+        "Dag": lambda v: cvdag.Dag(v, ()),
+        "Cpdag": lambda v: cvdag.Cpdag(v, (), ()),
+    },
+    "s": {
+        "fisher_z_test": lambda v: fisher_z_test(0.3, 50, v, 0.05),
+    },
+    "sample size": {
+        "sample": lambda v: sample(nonfaithful_chain(), v, 0),
+        # the early check of the subcommand, before any model is built
+        "cvdag simulate --n": lambda v: cli.cmd_simulate(argparse.Namespace(n=v)),
+    },
+    "SEM node count": {
+        "random_sem": lambda v: random_sem(v, "homogeneous", 0),
+    },
+    "p": {
+        "ExperimentConfig": lambda v: ExperimentConfig(p=v),
+    },
+    "replications": {
+        "ExperimentConfig": lambda v: ExperimentConfig(replications=v),
+    },
 }
 # ExperimentConfig reports every problem at once, after this opening
 OPENING = {"ExperimentConfig": "invalid experiment config: "}
@@ -41,10 +66,30 @@ OPENING = {"ExperimentConfig": "invalid experiment config: "}
     ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
     ("alpha", 1.0, "alpha must lie in (0, 1), got 1.0"),
     ("alpha", math.nan, "alpha must lie in (0, 1), got nan"),
+    ("alpha", True, "alpha must be a real number, got True"),
     ("mode", "partial", "unknown parent_test_mode 'partial'"),
     ("mode", None, "parent_test_mode must be a string, got None"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
+    ("node count", True, "node count must be a non-negative integer, got True"),
+    ("node count", 1.5, "node count must be a non-negative integer, got 1.5"),
+    ("node count", -1, "node count must be a non-negative integer, got -1"),
+    ("s", True, "s must be a non-negative integer, got True"),
+    ("s", 1.5, "s must be a non-negative integer, got 1.5"),
+    ("s", -1, "s must be a non-negative integer, got -1"),
+    ("sample size", True, "sample size must be an integer, got True"),
+    ("sample size", 1.5, "sample size must be an integer, got 1.5"),
+    ("sample size", 0, "sample size must be >= 1, got 0"),
+    ("SEM node count", True, "node count must be an integer, got True"),
+    ("SEM node count", 1.5, "node count must be an integer, got 1.5"),
+    ("SEM node count", 1, "node count must be >= 2, got 1"),
+    ("p", True, "p must be an integer, got True"),
+    ("p", 1.5, "p must be an integer, got 1.5"),
+    ("p", 1, "p must be >= 2, got 1"),
+    ("replications", True, "replications must be an integer, got True"),
+    ("replications", 1.5, "replications must be an integer, got 1.5"),
+    ("replications", 0, "replications must be >= 1, got 0"),
 ])
 def test_every_caller_gives_the_rule_message(rule, value, message):
     got = {}
@@ -86,8 +131,7 @@ INNER = {
     "graphs.descendant_mask": graphs.descendant_mask,
     "learner.ordering_is_greedy_minimal": learner.ordering_is_greedy_minimal,
 }
-# the submodules in cvdag.__all__ are not callable
-ENTRY_POINTS = [name for name in cvdag.__all__ if callable(getattr(cvdag, name))] + list(INNER)
+ENTRY_POINTS = [*cvdag.__all__, *INNER]
 
 # (name, position) -> why None there is valid input, so the call must succeed
 NONE_IS_VALID = {
@@ -112,7 +156,18 @@ MORE_WRONG_VALUES = [
     ("random_sem", 1, ["homogeneous"]),  # unhashable
     ("Dataset", 0, "ab"),  # read as the names ("a", "b")
     ("hamming_dag", "reversal_as_one", "no"),  # read by its truth
+    ("ExperimentConfig", 0, np.array(["a", "b"])),  # compared to "nonfaithful" by truth
+    # numbers.Real counts a bool, so these once read True as 1.0
+    ("LearnConfig", 1, True),  # oracle_tolerance
+    ("fisher_z_test", 0, True),  # r
+    ("bivariate_weight_threshold", 0, True),
+    ("bivariate_weight_threshold_conservative", 0, True),
 ]
+
+
+def test_all_lists_no_submodule():
+    # "from cvdag import *" once bound bench, sem and the other submodules
+    assert [name for name in cvdag.__all__ if isinstance(getattr(cvdag, name), ModuleType)] == []
 
 
 def _keyword_only(call) -> list[str]:

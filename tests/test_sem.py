@@ -113,9 +113,16 @@ class TestModelValidation:
         ("p 2\nsigma2 1 1\nintercept 0 -inf\n", "intercepts must be finite"),
         ("p 0\nsigma2\n", "bad.sem:1: p must be >= 1"),
         ("sigma2 1\np -1\n", "bad.sem:2: p must be >= 1"),
+        # the integer rule reads p only after int() parses it
+        ("sigma2 1\np 0\n", "bad.sem:2: p must be >= 1, got 0$"),
+        ("p True\nsigma2 1\n", "bad.sem:1: cannot parse 'p True'$"),
+        ("p 1.5\nsigma2 1\n", r"bad.sem:1: cannot parse 'p 1\.5'$"),
         ("p 1000000000\nsigma2 1\n", "bad.sem:2: sigma2 has 1 values for p=1000000000"),
         ("p 2\nsigma2 1 1\ncolor red\n", "bad.sem:3: unknown field 'color'"),
         ("p 2\nsigma2 1 1\nedge 0 1 1\nedge 2 0 1\n", r"bad.sem:4: edge \(2,0\) out of range$"),
+        # once read back as a model without the edge
+        ("p 2\nsigma2 1 1\nedge 1 1 0\n", r"bad.sem:3: edge \(1,1\) has weight 0$"),
+        ("p 2\nsigma2 1 1\nedge 0 1 -0.0\n", r"bad.sem:3: edge \(0,1\) has weight 0$"),
     ])
     def test_read_sem_rejects_invalid_values(self, tmp_path, text, where):
         path = tmp_path / "bad.sem"
