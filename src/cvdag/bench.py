@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError, ValidationError, _count_problem, _instance, _is_int, write_files
+from .errors import (ToolkitError, ValidationError, _choice_problem, _count_problem, _instance,
+                     _is_int, write_files)
 from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
-from .learner import LearnConfig, _mode_problem, _size_problem, learn
+from .learner import PARENT_TEST_MODES, LearnConfig, _size_problem, learn
 from .numerics import _alpha_problem
 from .sem import (
     PROTOCOLS,
@@ -48,13 +49,8 @@ class ExperimentConfig:
     parent_test_mode: str = LearnConfig.parent_test_mode
 
     def __post_init__(self):
-        problems = []
-        if not isinstance(self.protocol, str):
-            problems.append(f"protocol must be a string, got {self.protocol!r}")
-        elif self.protocol not in PROTOCOLS:
-            problems.append(f"unknown protocol {self.protocol!r}")
-        if (isinstance(self.protocol, str) and self.protocol == "nonfaithful" and _is_int(self.p)
-                and self.p != 3):
+        problems = list(filter(None, [_choice_problem(self.protocol, "protocol", PROTOCOLS)]))
+        if not problems and self.protocol == "nonfaithful" and _is_int(self.p) and self.p != 3:
             problems.append("nonfaithful protocol uses the fixed 3-node model (p=3)")
         elif problem := _count_problem(self.p, "p", 2):
             problems.append(problem)
@@ -69,7 +65,8 @@ class ExperimentConfig:
             problems.append(problem)
         problems += filter(None, (_count_problem(self.replications, "replications", 1),
                                   _count_problem(self.seed, "seed"), _alpha_problem(self.alpha),
-                                  _mode_problem(self.parent_test_mode)))
+                                  _choice_problem(self.parent_test_mode, "parent_test_mode",
+                                                  PARENT_TEST_MODES)))
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))

@@ -5,9 +5,9 @@ Exit codes are part of the CLI contract: 0 success, 1 validation/parse,
 2 numerical degeneracy, 3 I/O. Every file the package reads or writes for a
 caller goes through :func:`read_text` or :func:`write_text`, so the library
 readers and writers raise the same typed errors as the CLI. Every argument
-type check goes through :func:`_instance`, every caller's sequence through
-:func:`_sequence`, every integer through :func:`_count_problem` and every
-real number through :func:`_not_real`.
+type check goes through :func:`_instance`, every sequence through :func:`_sequence`,
+every integer through :func:`_count_problem`, every real number (one float64 holds)
+through :func:`_not_real` and every named option through :func:`_choice_problem`.
 """
 
 import numbers
@@ -76,7 +76,7 @@ def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
-def _count_problem(value, name: str, least: int = 0) -> str | None:
+def _count_problem(value, name: str, least: float = 0) -> str | None:
     """The problem with ``value`` as the integer ``name`` of at least ``least``, or None."""
     if _is_int(value) and value >= least:
         return None
@@ -88,10 +88,21 @@ def _count_problem(value, name: str, least: int = 0) -> str | None:
 
 
 def _not_real(value, name: str) -> str | None:
-    """The problem with ``value`` as the real number ``name`` (a bool is not one), or None."""
-    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return None
-    return f"{name} must be a real number, got {value!r}"
+    """The problem with ``value`` as a real ``name`` that float64 holds (not a bool), or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name} must be a real number, got {value!r}"
+    try:
+        float(value)
+    except OverflowError:
+        return f"{name} is too large for float64"
+    return None
+
+
+def _choice_problem(value, name: str, choices) -> str | None:
+    """The problem with ``value`` as the option ``name``, a str in ``choices``, or None."""
+    if isinstance(value, str):
+        return None if value in choices else f"unknown {name} {value!r}"
+    return f"{name} must be a string, got {value!r}"
 
 
 def _path(path) -> Path:

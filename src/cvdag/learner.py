@@ -8,7 +8,8 @@ oracle, factors the L^T of a covariance matrix and, with no n, thresholds
 arithmetic. The factorization has a float64 floor: when a placed node keeps
 less than 1e-29 of its sum of squares given the nodes before it, its residual
 is rounding noise, and every entry point raises NumericalDegeneracyError
-naming the step, the variable and that ratio instead of returning a graph.
+naming the step, the variable and that ratio instead of returning a graph; so
+it does for a sum of squares that float64 cannot hold (see ``_SS_RANGE``).
 Above the floor, on ill-conditioned covariances the rounded |r| of a non-edge
 can still exceed the oracle's tolerance, and the returned graph then has
 extra edges without any error being raised.
@@ -31,14 +32,8 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    InsufficientSamplesError,
-    NumericalDegeneracyError,
-    ValidationError,
-    _instance,
-    _not_real,
-)
+from .errors import (DegenerateDesignError, InsufficientSamplesError, NumericalDegeneracyError,
+                     ValidationError, _choice_problem, _instance, _not_real)
 from .graphs import Dag, Ordering, _ordering
 from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _triangle
 
@@ -50,6 +45,8 @@ PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
 # of its column's, the size of the rounding left by the earlier reflections,
 # so the residual and every r read off it carry no information.
 _PIVOT_RATIO_FLOOR = 1e-29
+# normal, so no digit of a sum of squares is lost, and low enough that no reflector overflows
+_SS_RANGE = (np.finfo(float).tiny, np.finfo(float).max / 8)
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,8 @@ class LearnConfig:
             raise ValidationError(problem)
         if not 0.0 < tol < math.inf:
             raise ValidationError(f"oracle_tolerance must be positive and finite, got {tol}")
-        if problem := _mode_problem(self.parent_test_mode):
+        if problem := _choice_problem(self.parent_test_mode, "parent_test_mode", PARENT_TEST_MODES):
             raise ValidationError(problem)
-
-
-def _mode_problem(mode) -> str | None:
-    """The problem with ``mode`` as a parent-test mode, or None."""
-    if not isinstance(mode, str):
-        return f"parent_test_mode must be a string, got {mode!r}"
-    return None if mode in PARENT_TEST_MODES else f"unknown parent_test_mode {mode!r}"
 
 
 def _config(cfg) -> LearnConfig:
@@ -223,7 +213,8 @@ def _factor(x: np.ndarray, order=None):
     index; otherwise ``order[m]`` is. Both run the same arithmetic, so a given
     order reproduces the greedy R bit for bit. Needs at least as many rows as
     columns. A placed column whose RSS is zero raises DegenerateDesignError;
-    one whose RSS is below ``_PIVOT_RATIO_FLOOR`` times its step-0 RSS raises
+    one whose RSS is below ``_PIVOT_RATIO_FLOOR`` times its step-0 RSS, or
+    below ``_SS_RANGE``, or a step-0 RSS above it, raises
     NumericalDegeneracyError.
 
     Tall input is first reduced to its p x p triangle by one unpivoted LAPACK
@@ -263,6 +254,13 @@ def _factor(x: np.ndarray, order=None):
             raise DegenerateDesignError(
                 f"factorization step {m}: variable {nodes[m + i]} has zero residual given"
                 f" the {m} variables placed before it"
+            )
+        # step 0 bounds every later RSS, so its largest is checked there only
+        j = i if m or least < _SS_RANGE[0] else rss.argmax()
+        if not _SS_RANGE[0] <= (ss := rss.item(j)) <= _SS_RANGE[1]:
+            raise NumericalDegeneracyError(
+                f"factorization step {m}: variable {nodes[m + j]} has a sum of squares {ss:g},"
+                f" outside the range [{_SS_RANGE[0]:g}, {_SS_RANGE[1]:g}] float64 can factor"
             )
         # step 0 lists every node in node order, so steps[j] is j's step-0 RSS
         if least < _PIVOT_RATIO_FLOOR * (total := steps.item(nodes[m + i])):
@@ -304,6 +302,8 @@ def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
     """
     p = r.shape[0]
     rows, cols = _triangle(p)
+    # a power-of-two scale per column keeps every r and keeps R^-1 finite
+    r = np.ldexp(r, -np.frexp(r.diagonal())[1])
     if mode == "marginal":
         gram = r.T @ r
         scale = np.sqrt(np.diag(gram))
@@ -425,8 +425,8 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     extra edges (on random models of either protocol, on 10 of 120 at p=20
     and on all 120 at p=40). The covariance gate of :mod:`numerics` refuses a
     covariance that is not real, square, finite or symmetric; one with no
-    Cholesky factor, or whose factor falls below the float64 floor of
-    :func:`_factor`, raises NumericalDegeneracyError. Costs O(p^3).
+    Cholesky factor, or whose factor :func:`_factor` refuses, raises
+    NumericalDegeneracyError. Costs O(p^3).
     """
     cfg = _config(cfg)
     cov = _covariance(cov, "learn_from_covariance")

@@ -15,7 +15,8 @@ random_sem's draw order and the rows of TestLog and the later-scope margins.
 :func:`partial_correlation`, :func:`sem.population_conditional_variance` and
 :func:`learner.learn_from_covariance` read a covariance through one gate,
 ``_covariance``, which refuses one that is not real, square, finite and
-symmetric, and factor it by ``_cholesky``.
+symmetric, and factor it by ``_cholesky``; the first two through the block
+rule ``_covariance_block``, which checks their indices by the index rule.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    InsufficientSamplesError,
-    NumericalDegeneracyError,
-    ValidationError,
-    _count_problem,
-    _instance,
-    _is_int,
-    _not_real,
-    _sequence,
-)
+from .errors import (DegenerateDesignError, InsufficientSamplesError, NumericalDegeneracyError,
+                     ValidationError, _count_problem, _instance, _not_real, _sequence)
 
 
 def _repeated_name(names: list[str] | tuple[str, ...]) -> str | None:
@@ -95,6 +87,18 @@ def _cholesky(block: np.ndarray, refusal: str) -> np.ndarray:
         return np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         raise NumericalDegeneracyError(refusal) from None
+
+
+def _covariance_block(cov, caller: str, given, **variables) -> np.ndarray:
+    """The lower Cholesky factor of the block [given..., variables...] of a ``cov``
+    that passes the gate and the index rule; NumericalDegeneracyError if it has none."""
+    given = _sequence(given, "given")
+    cov = _covariance(cov, caller)
+    _check_condition_args(cov.shape[0], tuple(variables.values()), given)
+    idx = [*given, *variables.values()]
+    named = ", ".join(f"{name}={x}" for name, x in variables.items())
+    return _cholesky(cov[np.ix_(idx, idx)], f"{caller}: the covariance block of {named} and"
+                     f" given={list(given)} is not positive definite")
 
 
 def _alpha_problem(alpha) -> str | None:
@@ -181,7 +185,7 @@ def conditional_variance(data: Dataset, j: int, given) -> float:
     residual is the projection's; a constant one raises DegenerateDesignError.
     """
     given = _sequence(given, "given")
-    _check_condition_args(_instance(data, "conditional variance needs", Dataset).p, j, given)
+    _check_condition_args(_instance(data, "conditional variance needs", Dataset).p, (j,), given)
     if data.n <= len(given) + 1:
         raise InsufficientSamplesError(
             f"n={data.n} rows cannot support conditioning on {len(given)} columns"
@@ -204,15 +208,7 @@ def partial_correlation(cov: np.ndarray, j: int, k: int, given) -> float:
     ordered as [given..., j, k]; works for sample and population covariances
     alike.
     """
-    given = _sequence(given, "given")
-    if j == k:
-        raise ValidationError("partial correlation needs two distinct variables")
-    cov = _covariance(cov, "partial_correlation")
-    _check_condition_args(cov.shape[0], j, given)
-    _check_condition_args(cov.shape[0], k, given)
-    idx = list(given) + [j, k]
-    low = _cholesky(cov[np.ix_(idx, idx)], "partial_correlation: the covariance block of"
-                    f" j={j}, k={k} and given={list(given)} is not positive definite")
+    low = _covariance_block(cov, "partial_correlation", given, j=j, k=k)
     return float(low[-1, -2] / math.hypot(low[-1, -2], low[-1, -1]))
 
 
@@ -221,14 +217,11 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
 
     The statistic is sqrt(n - s - 3) * |atanh(r)| compared against the standard
     normal critical value at level alpha. |r| >= 1 short-circuits to dependence
-    with an infinite statistic. ``n`` must be an integer and ``s`` a
-    non-negative one, with n > s + 3.
+    with an infinite statistic. ``n`` must be an integer that float64 can
+    hold and ``s`` a non-negative one, with n > s + 3.
     """
-    if problem := _not_real(r, "r") or _alpha_problem(alpha):
-        raise ValidationError(problem)
-    if not _is_int(n):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if problem := _count_problem(s, "s"):
+    if problem := (_not_real(r, "r") or _alpha_problem(alpha) or _count_problem(n, "n", -math.inf)
+                   or _not_real(n, "n") or _count_problem(s, "s")):
         raise ValidationError(problem)
     if n <= s + 3:
         raise InsufficientSamplesError(
@@ -245,13 +238,17 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
     return IndependenceDecision(statistic > threshold, statistic, threshold)
 
 
-def _check_condition_args(p: int, j: int, given: tuple[int, ...]):
-    for kind, x in (("variable", j), *(("conditioning", s) for s in given)):
-        if not _is_int(x):
-            raise ValidationError(f"{kind} index must be an integer, got {x!r}")
+def _check_condition_args(p: int, variables: tuple[int, ...], given: tuple[int, ...]):
+    """The index rule: each index an integer in [0, p), the variables distinct
+    and outside ``given``, and ``given`` free of duplicates; else ValidationError."""
+    for kind, x in (*(("variable", j) for j in variables), *(("conditioning", s) for s in given)):
+        if problem := _count_problem(x, f"{kind} index", -math.inf):
+            raise ValidationError(problem)
         if not 0 <= x < p:
             raise ValidationError(f"{kind} index {x} out of range for p={p}")
-    if j in given:
-        raise ValidationError(f"variable {j} cannot appear in its conditioning set")
+    if len(set(variables)) < len(variables):
+        raise ValidationError("partial correlation needs two distinct variables")
+    if inside := [j for j in variables if j in given]:
+        raise ValidationError(f"variable {inside[0]} cannot appear in its conditioning set")
     if len(set(given)) != len(given):
         raise ValidationError("conditioning set contains duplicates")

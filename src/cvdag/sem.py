@@ -21,10 +21,10 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _count_problem,
-                     _instance, _located, _not_real, _sequence, read_text, write_text)
+from .errors import (DataFormatError, NumericalDegeneracyError, ValidationError, _choice_problem,
+                     _count_problem, _instance, _located, _not_real, read_text, write_text)
 from .graphs import Dag, _ordering, _square, descendant_mask, is_consistent, topological_order
-from .numerics import Dataset, _check_condition_args, _cholesky, _covariance, _real_array, _triangle
+from .numerics import Dataset, _covariance_block, _real_array, _triangle
 
 Protocol = Literal["homogeneous", "heterogeneous"]
 PROTOCOLS: tuple[str, ...] = (*get_args(Protocol), "nonfaithful")
@@ -41,8 +41,9 @@ _MARGIN_FIELDS = np.dtype([("j", np.intp), ("k", np.intp), ("lhs", float), ("rhs
 
 
 def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    if problem := _count_problem(seed, "seed"):
-        raise ValidationError(problem)
+    for name, value in (("seed", seed), *(("seed key", k) for k in key)):
+        if problem := _count_problem(value, name):
+            raise ValidationError(problem)
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
@@ -163,12 +164,7 @@ def population_conditional_variance(cov: np.ndarray, k: int, given) -> float:
     """Var(X_k | X_given) from a covariance that passes the gate of :mod:`numerics`:
     the squared last diagonal entry of the Cholesky factor of the block ordered
     as [given..., k]."""
-    given = _sequence(given, "given")
-    cov = _covariance(cov, "population_conditional_variance")
-    _check_condition_args(cov.shape[0], k, given)
-    idx = list(given) + [k]
-    low = _cholesky(cov[np.ix_(idx, idx)], "population_conditional_variance: the covariance"
-                    f" block of k={k} and given={list(given)} is not positive definite")
+    low = _covariance_block(cov, "population_conditional_variance", given, k=k)
     return float(low[-1, -1] ** 2)
 
 
@@ -202,8 +198,8 @@ def check_identifiability(
     README names a model that passes it and whose greedy misplaces a node.
     """
     _instance(m, "identifiability check needs", GaussianSem)
-    if scope not in SCOPES:
-        raise ValidationError(f"unknown scope {scope!r}: use {' or '.join(map(repr, SCOPES))}")
+    if problem := _choice_problem(scope, "scope", SCOPES):
+        raise ValidationError(problem)
     if pi is None:
         order = topological_order(m.dag)
     elif not is_consistent(order := _ordering(pi, m.p), m.dag):
@@ -308,10 +304,9 @@ def random_sem(p: int, protocol: Protocol, seed: int) -> GaussianSem:
     (|b| < 0.25 homogeneous, |b| < 1 heterogeneous); homogeneous fixes all
     error variances at 1, heterogeneous draws them uniform on [1, 3].
     """
-    if problem := _count_problem(p, "node count", 2):
+    if problem := _count_problem(p, "node count", 2) or _choice_problem(
+            protocol, "protocol", WEIGHT_WINDOWS):
         raise ValidationError(problem)
-    if not (isinstance(protocol, str) and protocol in WEIGHT_WINDOWS):
-        raise ValidationError(f"unknown protocol {protocol!r}")
     rng = seeded_rng(seed)
     b = _square(p, float)
     perm = rng.permutation(p)

@@ -835,6 +835,81 @@ class TestPivotRatioFloor:
         assert learn(data).ordering.order == order
 
 
+class TestSumOfSquaresRange:
+    """The factorization squares its input: a sum of squares float64 cannot
+    hold (above an eighth of the largest float64, or below the smallest
+    normal one) is refused at step 0 in every learner, where it once gave a
+    graph read off NaN with only RuntimeWarnings; exact power-of-two scales
+    inside the range change nothing."""
+
+    DATA = sample(random_sem(10, "heterogeneous", 3), 200, 4)
+    ORDER = (9, 0, 2, 6, 7, 1, 4, 8, 3, 5)
+    RANGE = "outside the range [2.22507e-308, 2.24712e+307] float64 can factor"
+
+    def scaled(self, scale):
+        return Dataset(self.DATA.names, self.DATA.data * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
+    def test_power_of_two_scales_give_the_same_graph(self, scale):
+        want = learn(self.DATA)
+        got = learn(self.scaled(scale))
+        assert got.ordering.order == want.ordering.order == self.ORDER
+        assert got.dag == want.dag and len(got.dag.edges) == 20
+        assert got.test_log.r.tobytes() == want.test_log.r.tobytes()
+        parents, _ = estimate_parents(self.scaled(scale), self.ORDER)
+        assert parents == want.dag
+
+    @pytest.mark.parametrize("scale, variable, ss", [(1e155, 0, "inf"),
+                                                     (1e-160, 9, "2.65211e-318")])
+    def test_extreme_scales_refused_by_every_learner(self, scale, variable, ss):
+        data = self.scaled(scale)
+        for run in (learn, estimate_ordering, lambda d: estimate_parents(d, self.ORDER)):
+            with pytest.raises(NumericalDegeneracyError) as err:
+                run(data)
+            assert err.value.exit_code == 2
+            assert str(err.value) == (f"factorization step 0: variable {variable} has a sum"
+                                      f" of squares {ss}, {self.RANGE}")
+
+    @pytest.mark.parametrize("power, refusal", [
+        (1000, None), (-1000, None),
+        (1012, "variable 8 has a sum of squares 2.38491e+307"),
+        (-1030, "variable 9 has a sum of squares 1.15836e-310"),
+    ])
+    def test_covariance_scales(self, power, refusal):
+        cov = sample_covariance(self.DATA)
+        if refusal is None:
+            got, want = learn_from_covariance(cov * 2.0**power), learn_from_covariance(cov)
+            assert got.ordering == want.ordering and got.dag == want.dag
+            return
+        with pytest.raises(NumericalDegeneracyError) as err:
+            learn_from_covariance(cov * 2.0**power)
+        assert str(err.value) == f"factorization step 0: {refusal}, {self.RANGE}"
+
+    def test_ceiling_checked_on_the_largest_column(self):
+        # one column near the ceiling and the others small: the reflectors of
+        # the small ones would overflow on it before it is placed
+        x = self.DATA.data.copy()
+        x[:, 4] *= 1e152
+        with pytest.raises(NumericalDegeneracyError) as err:
+            learn(Dataset(self.DATA.names, x))
+        assert str(err.value).startswith("factorization step 0: variable 4 has a sum of squares")
+
+    def test_no_scale_gives_a_bare_error(self):
+        # every learner returns a graph or raises a typed error over scales
+        # 2**-520 to 2**505 of the data; pytest turns a RuntimeWarning into an
+        # error, so none is raised either
+        for power in range(-1040, 1020, 10):
+            data = self.scaled(2.0 ** (power / 2) * 1.37)
+            cov = sample_covariance(self.DATA) * 2.0**power
+            for run in (learn, lambda d: learn(d, LearnConfig(parent_test_mode="marginal")),
+                        estimate_ordering, lambda d: estimate_parents(d, self.ORDER),
+                        lambda _: learn_from_covariance(cov)):
+                try:
+                    run(data)
+                except NumericalDegeneracyError:
+                    pass
+
+
 def reference_pair_correlations(r, mode):
     """``_pair_correlations`` as it was before it read U = R^-1 by flat index:
     T = (R^T)^-1, 2-d fancy indexing and np.clip."""

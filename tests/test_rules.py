@@ -14,9 +14,9 @@ from cvdag import cli, datasets, graphs, learner
 from cvdag.bench import ExperimentConfig, emit_report, run_experiment
 from cvdag.errors import NumericalDegeneracyError, ToolkitError, ValidationError
 from cvdag.learner import LearnConfig, learn_from_covariance
-from cvdag.numerics import fisher_z_test, partial_correlation
-from cvdag.sem import (derive_seed, nonfaithful_chain, population_conditional_variance, random_sem,
-                       sample, write_sem)
+from cvdag.numerics import conditional_variance, fisher_z_test, partial_correlation
+from cvdag.sem import (check_identifiability, derive_seed, nonfaithful_chain,
+                       population_conditional_variance, random_sem, sample, seeded_rng, write_sem)
 
 # rule -> caller -> a call that hands the bad value to that rule
 CALLERS = {
@@ -32,6 +32,18 @@ CALLERS = {
     "seed": {
         "derive_seed": lambda v: derive_seed(v, 0),
         "ExperimentConfig": lambda v: ExperimentConfig(seed=v),
+    },
+    "seed key": {
+        "derive_seed": lambda v: derive_seed(1, v),
+        "seeded_rng": lambda v: seeded_rng(1, 0, v),
+    },
+    # the choice rule, errors._choice_problem
+    "protocol": {
+        "random_sem": lambda v: random_sem(3, v, 0),
+        "ExperimentConfig": lambda v: ExperimentConfig(protocol=v),
+    },
+    "scope": {
+        "check_identifiability": lambda v: check_identifiability(nonfaithful_chain(), scope=v),
     },
     # the integer rule, errors._count_problem, at each of its least values
     "node count": {
@@ -72,6 +84,14 @@ OPENING = {"ExperimentConfig": "invalid experiment config: "}
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
     ("seed", True, "seed must be a non-negative integer, got True"),
+    ("seed key", -1, "seed key must be a non-negative integer, got -1"),
+    ("seed key", 1.5, "seed key must be a non-negative integer, got 1.5"),
+    ("seed key", "a", "seed key must be a non-negative integer, got 'a'"),
+    ("seed key", None, "seed key must be a non-negative integer, got None"),
+    ("protocol", "nope", "unknown protocol 'nope'"),
+    ("protocol", None, "protocol must be a string, got None"),
+    ("scope", "Later", "unknown scope 'Later'"),
+    ("scope", 1, "scope must be a string, got 1"),
     ("node count", True, "node count must be a non-negative integer, got True"),
     ("node count", 1.5, "node count must be a non-negative integer, got 1.5"),
     ("node count", -1, "node count must be a non-negative integer, got -1"),
@@ -124,6 +144,46 @@ def test_every_covariance_reader_shares_the_gate(cov, error, message):
         assert str(err.value) == message.format(caller=caller)
 
 
+# reader -> a call that hands the variable indices and ``given`` to the
+# index rule, numerics._check_condition_args
+INDEX_READERS = {
+    "conditional_variance": lambda variables, given: conditional_variance(
+        cvdag.Dataset(("a", "b", "c"), np.random.default_rng(0).normal(size=(10, 3))),
+        variables[0], given),
+    "partial_correlation": lambda variables, given: partial_correlation(
+        np.eye(3), *variables, given),
+    "population_conditional_variance": lambda variables, given: population_conditional_variance(
+        np.eye(3), variables[0], given),
+}
+
+
+@pytest.mark.parametrize("variables, given, message", [
+    ((np.array([1, 2]), 0), (), "variable index must be an integer, got array([1, 2])"),
+    ((1, 0), (np.array([2]),), "conditioning index must be an integer, got array([2])"),
+    ((3, 0), (), "variable index 3 out of range for p=3"),
+    ((1, 0), (-1,), "conditioning index -1 out of range for p=3"),
+    ((1, 0), (2, 1), "variable 1 cannot appear in its conditioning set"),
+    ((1, 0), (2, 2), "conditioning set contains duplicates"),
+])
+def test_every_index_reader_shares_the_rule(variables, given, message):
+    # the conditional variances read variables[0], partial_correlation both
+    for reader, read in INDEX_READERS.items():
+        with pytest.raises(ValidationError) as err:
+            read(variables, given)
+        assert str(err.value) == message, reader
+
+
+@pytest.mark.parametrize("j", [1, np.int64(1)])
+def test_two_equal_variables_refused(j):
+    # the index rule refuses them after their types, so an array j is named as one
+    with pytest.raises(ValidationError) as err:
+        partial_correlation(np.eye(3), j, 1, [])
+    assert str(err.value) == "partial correlation needs two distinct variables"
+    with pytest.raises(ValidationError) as err:
+        partial_correlation(np.eye(3), np.array([1, 1]), 1, [])
+    assert str(err.value) == "variable index must be an integer, got array([1, 1])"
+
+
 # entry points outside cvdag.__all__ that read outside input or serve the
 # benchmark's output checks
 INNER = {
@@ -162,6 +222,16 @@ MORE_WRONG_VALUES = [
     ("fisher_z_test", 0, True),  # r
     ("bivariate_weight_threshold", 0, True),
     ("bivariate_weight_threshold_conservative", 0, True),
+    # arrays once compared by truth, a bare ValueError
+    ("partial_correlation", 1, np.array([1, 2])),  # j
+    ("partial_correlation", 2, np.array([1, 2])),  # k
+    ("check_identifiability", 2, np.array(["a", "b"])),  # scope
+    # an int that float64 cannot hold once escaped as a bare OverflowError
+    ("LearnConfig", 1, 10**400),  # oracle_tolerance, accepted and raised on use
+    ("fisher_z_test", 0, 10**400),  # r
+    ("fisher_z_test", 1, 10**400),  # n
+    ("bivariate_weight_threshold", 0, 10**400),
+    ("bivariate_weight_threshold_conservative", 0, 10**400),
 ]
 
 
@@ -286,7 +356,10 @@ def test_public_surface_refuses_wrong_arguments(name, valid_calls):
     (lambda: cvdag.Dataset("ab", np.eye(2)), "names must be a sequence, got str"),
     (lambda: cvdag.population_conditional_variance(np.eye(2), 0, 1),
      "given must be a sequence, got int"),
-    (lambda: random_sem(3, ["homogeneous"], 1), "unknown protocol ['homogeneous']"),
+    (lambda: random_sem(3, ["homogeneous"], 1), "protocol must be a string, got ['homogeneous']"),
+    (lambda: fisher_z_test(10**400, 50, 0, 0.05), "r is too large for float64"),
+    (lambda: fisher_z_test(0.3, -10**400, 0, 0.05), "n is too large for float64"),
+    (lambda: LearnConfig(oracle_tolerance=10**400), "oracle_tolerance is too large for float64"),
     (lambda: datasets.parse_dataset(None), "dataset text needs a str, got NoneType"),
     (lambda: graphs.descendant_mask(None), "descendant_mask needs a Dag, got NoneType"),
     (lambda: learner.ordering_is_greedy_minimal(None),

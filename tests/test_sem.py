@@ -654,7 +654,8 @@ class TestCheckIdentifiability:
 
     @pytest.mark.parametrize("scope", ["Later", "descendant", "", None])
     def test_unknown_scope_rejected(self, scope):
-        with pytest.raises(ValidationError, match="unknown scope"):
+        message = "unknown scope" if isinstance(scope, str) else "scope must be a string, got None"
+        with pytest.raises(ValidationError, match=message):
             check_identifiability(nonfaithful_chain(), scope=scope)
 
     def test_homogeneous_later_scope_tie_is_not_satisfied(self):
