@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ToolkitError, ValidationError, _choice_problem, _count_problem, _instance,
                      _is_int, write_files)
 from .graphs import dag_to_cpdag, hamming_cpdag, hamming_dag
-from .learner import PARENT_TEST_MODES, LearnConfig, _size_problem, learn
+from .learner import LearnConfig, _size_problem, learn
 from .numerics import _alpha_problem
 from .sem import (
     PROTOCOLS,
@@ -46,7 +46,6 @@ class ExperimentConfig:
     replications: int = DEFAULT_REPLICATIONS
     seed: int = 0
     alpha: float = LearnConfig.alpha
-    parent_test_mode: str = LearnConfig.parent_test_mode
 
     def __post_init__(self):
         problems = list(filter(None, [_choice_problem(self.protocol, "protocol", PROTOCOLS)]))
@@ -64,9 +63,7 @@ class ExperimentConfig:
                                                             "ordering needs")):
             problems.append(problem)
         problems += filter(None, (_count_problem(self.replications, "replications", 1),
-                                  _count_problem(self.seed, "seed"), _alpha_problem(self.alpha),
-                                  _choice_problem(self.parent_test_mode, "parent_test_mode",
-                                                  PARENT_TEST_MODES)))
+                                  _count_problem(self.seed, "seed"), _alpha_problem(self.alpha)))
         if problems:
             raise ValidationError("invalid experiment config: " + "; ".join(problems))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -115,7 +112,7 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> list[Cell]:
         return [Cell(n, rep, math.nan, math.nan, seconds, False, failed=True, error=str(exc))
                 for n in cfg.n_grid]
     true_cpdag = dag_to_cpdag(model.dag)
-    lcfg = LearnConfig(alpha=cfg.alpha, parent_test_mode=cfg.parent_test_mode)
+    lcfg = LearnConfig(alpha=cfg.alpha)
     cells = []
     for i, n in enumerate(cfg.n_grid):
         data = sample(model, n, derive_seed(cfg.seed, rep, 1 + i))

@@ -23,7 +23,7 @@ from .datasets import format_dataset, load_marks, read_dataset
 from .errors import (DataFormatError, ToolkitError, ValidationError, _count_problem, read_text,
                      write_files)
 from .graphs import dag_to_cpdag, format_graph, read_dag
-from .learner import PARENT_TEST_MODES, LearnConfig, LearnResult, learn
+from .learner import LearnConfig, LearnResult, learn
 from .sem import (
     PROTOCOLS,
     SCOPES,
@@ -58,9 +58,6 @@ def build_parser() -> _Parser:
                                  "for the bundled examination-marks fixture")
     p.add_argument("--alpha", type=float, default=LearnConfig.alpha,
                    help="significance level of the parent tests (default %(default)s)")
-    p.add_argument("--parent-test", choices=PARENT_TEST_MODES,
-                   default=LearnConfig.parent_test_mode, dest="parent_test",
-                   help="conditioning mode of the parent tests")
     add_common(p)
 
     p = sub.add_parser("simulate", help="sample a dataset from a model")
@@ -116,8 +113,7 @@ def _print_result(ds, result: LearnResult, verbose: int):
 def cmd_learn(args) -> int:
     path = Path(args.input)
     ds = load_marks() if args.input == "marks" else read_dataset(path)
-    cfg = LearnConfig(alpha=args.alpha, parent_test_mode=args.parent_test)
-    result = learn(ds, cfg)
+    result = learn(ds, LearnConfig(alpha=args.alpha))
     tests = ((t.earlier, t.later, ";".join(map(str, t.given)), t.r, t.statistic, t.threshold,
               t.dependent) for t in result.test_log)
     write_files(args.output, {

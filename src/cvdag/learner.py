@@ -28,17 +28,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from statistics import NormalDist
-from typing import Literal, Sequence, get_args
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (DegenerateDesignError, InsufficientSamplesError, NumericalDegeneracyError,
-                     ValidationError, _choice_problem, _instance, _not_real)
+                     ValidationError, _instance, _not_real)
 from .graphs import Dag, Ordering, _ordering
 from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _triangle
-
-ParentTestMode = Literal["conditional", "marginal"]
-PARENT_TEST_MODES: tuple[str, ...] = get_args(ParentTestMode)
 
 # The float64 floor of the pivot ratio: a placed node's RSS over its step-0
 # RSS. Below it the residual's norm is under ~14 ulps (sqrt(1e-29) ~ 3.2e-15)
@@ -51,16 +48,11 @@ _SS_RANGE = (np.finfo(float).tiny, np.finfo(float).max / 8)
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Knobs of the learner.
-
-    ``parent_test_mode`` selects the conditioning set of each parent test:
-    "conditional" tests a candidate given all other predecessors, "marginal"
-    tests the plain pairwise correlation.
-    """
+    """Knobs of the learner: the level ``alpha`` of the Fisher z parent tests, each
+    given the other predecessors, and the oracle's |r| ``oracle_tolerance``."""
 
     alpha: float = 0.01
     oracle_tolerance: float = 1e-9
-    parent_test_mode: ParentTestMode = "conditional"
 
     def __post_init__(self):
         tol = self.oracle_tolerance
@@ -68,8 +60,6 @@ class LearnConfig:
             raise ValidationError(problem)
         if not 0.0 < tol < math.inf:
             raise ValidationError(f"oracle_tolerance must be positive and finite, got {tol}")
-        if problem := _choice_problem(self.parent_test_mode, "parent_test_mode", PARENT_TEST_MODES):
-            raise ValidationError(problem)
 
 
 def _config(cfg) -> LearnConfig:
@@ -122,14 +112,13 @@ class TestLog(_Rows):
     (3, 0), ... The array holds each pair's ``r``; one ``threshold`` and the
     sample size ``n`` (None for the oracle, as in :class:`StepLog`) serve
     every row. Storage is O(p^2): the record's nodes ``earlier`` = order[e]
-    and ``later`` = order[m], its conditioning set order[:e] + order[e+1:m]
-    (empty in marginal mode), its ``statistic`` and ``dependent``, that is
-    statistic > threshold, are derived when it is read. The log reads as the
-    tuple of its :class:`TestRecord` values.
+    and ``later`` = order[m], its conditioning set order[:e] + order[e+1:m],
+    its ``statistic`` and ``dependent``, that is statistic > threshold, are
+    derived when it is read. The log reads as the tuple of its
+    :class:`TestRecord` values.
     """
 
     order: tuple[int, ...]
-    mode: ParentTestMode
     threshold: float
     r: np.ndarray
     n: int | None = None
@@ -142,7 +131,7 @@ class TestLog(_Rows):
         """Each row's statistic, read-only, derived from ``r`` on first read:
         |r| without ``n``, the Fisher z statistic with it."""
         rows = _triangle(len(self.order))[0]
-        statistic = _statistic(self.r, self.n, rows - 1 if self.mode == "conditional" else 0)
+        statistic = _statistic(self.r, self.n, rows - 1)
         statistic.flags.writeable = False
         return statistic
 
@@ -152,10 +141,9 @@ class TestLog(_Rows):
     def _row(self, i: int) -> TestRecord:
         rows, cols = _triangle(len(self.order))
         m, e = rows.item(i), cols.item(i)
-        given = () if self.mode == "marginal" else self.order[:e] + self.order[e + 1:m]
         statistic = float(self.statistic[i])
-        return TestRecord(self.order[e], self.order[m], given, float(self.r[i]), statistic,
-                          self.threshold, statistic > self.threshold)
+        return TestRecord(self.order[e], self.order[m], self.order[:e] + self.order[e + 1:m],
+                          float(self.r[i]), statistic, self.threshold, statistic > self.threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,32 +276,26 @@ def _factor(x: np.ndarray, order=None):
     return tuple(nodes), w, steps
 
 
-def _pair_correlations(r: np.ndarray, mode: ParentTestMode):
+def _pair_correlations(r: np.ndarray):
     """(m, e, r) over the strict lower triangle, positions e < m of the order.
 
     ``r`` is the factor of :func:`_factor` in some order, so R^T R is the Gram
     matrix. The three arrays run in :class:`TestLog` row order, p (p - 1) / 2
-    long, with r clipped to [-1, 1]. Marginal mode normalizes R^T R.
-    Conditional mode conditions on the other predecessors of ``later`` and
-    reads the precision of each leading block off U = R^-1:
-    r(e, m | rest) = -sign(U[m,m]) U[e,m] / |U[e, :m+1]|, every entry and
-    running row norm taken from U and the cumulative sum of U*U along its
-    rows by flat index.
+    long, with r clipped to [-1, 1]. Each r conditions on the other
+    predecessors of ``later`` and reads the precision of each leading block
+    off U = R^-1: r(e, m | rest) = -sign(U[m,m]) U[e,m] / |U[e, :m+1]|, every
+    entry and running row norm taken from U and the cumulative sum of U*U
+    along its rows by flat index.
     """
     p = r.shape[0]
     rows, cols = _triangle(p)
     # a power-of-two scale per column keeps every r and keeps R^-1 finite
     r = np.ldexp(r, -np.frexp(r.diagonal())[1])
-    if mode == "marginal":
-        gram = r.T @ r
-        scale = np.sqrt(np.diag(gram))
-        corr = gram[rows, cols] / (scale[rows] * scale[cols])
-    else:
-        # LU of an upper-triangular matrix swaps no rows, so U is exactly upper
-        u = np.linalg.inv(r)
-        upper, diag = cols * p + rows, rows * (p + 1)
-        norms = np.sqrt(np.cumsum(u * u, axis=1).take(upper))
-        corr = -np.sign(u.take(diag)) * u.take(upper) / norms
+    # LU of an upper-triangular matrix swaps no rows, so U is exactly upper
+    u = np.linalg.inv(r)
+    upper, diag = cols * p + rows, rows * (p + 1)
+    norms = np.sqrt(np.cumsum(u * u, axis=1).take(upper))
+    corr = -np.sign(u.take(diag)) * u.take(upper) / norms
     np.maximum(corr, -1.0, out=corr)
     np.minimum(corr, 1.0, out=corr)
     return rows, cols, corr
@@ -338,15 +320,14 @@ def _parents(order, r: np.ndarray, cfg: LearnConfig, n: int | None):
     """(DAG, log) of one test per ordered pair of the factor ``r``: Fisher z
     at cfg.alpha with ``n``, |r| against cfg.oracle_tolerance without. The DAG
     stores the adjacency mask scattered from the dependent pairs."""
-    mode = cfg.parent_test_mode
-    rows, cols, rho = _pair_correlations(r, mode)
+    rows, cols, rho = _pair_correlations(r)
     threshold = cfg.oracle_tolerance if n is None else NormalDist().inv_cdf(1 - cfg.alpha / 2)
-    dependent = _statistic(rho, n, rows - 1 if mode == "conditional" else 0) > threshold
+    dependent = _statistic(rho, n, rows - 1) > threshold
     nodes = np.asarray(order, dtype=np.intp)
     adjacency = np.zeros((len(order), len(order)), dtype=bool)
     adjacency[nodes[cols[dependent]], nodes[rows[dependent]]] = True
     # every edge points forward along the ordering, so the graph is acyclic
-    return Dag._trusted(len(order), adjacency), TestLog(tuple(order), mode, threshold, rho, n)
+    return Dag._trusted(len(order), adjacency), TestLog(tuple(order), threshold, rho, n)
 
 
 def _learn(x: np.ndarray, cfg: LearnConfig, n: int | None) -> LearnResult:
@@ -388,10 +369,9 @@ def estimate_ordering(data: Dataset):
 def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None = None):
     """Parent sets along ``pi`` by Fisher z tests at cfg.alpha.
 
-    Conditional mode tests each candidate given the remaining predecessors;
-    marginal mode tests the pairwise correlation. Every r comes from one QR
-    of the centered data in the order ``pi``, which needs n > p + 1 in both
-    modes. Every decision is logged, so the log is a complete audit of the
+    Each candidate is tested given the remaining predecessors. Every r comes
+    from one QR of the centered data in the order ``pi``, which needs
+    n > p + 1. Every decision is logged, so the log is a complete audit of the
     returned edge set. A ``pi`` that is not a permutation of the columns, or
     holds an id that is not an integer, raises ValidationError.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,11 +32,9 @@ class TestConfigValidation:
     def test_type_violations_reported_at_once(self):
         with pytest.raises(ValidationError) as err:
             bench.ExperimentConfig(protocol=3, p="10", n_grid=[100.5, 200],
-                                   replications=2.5, seed=-1, alpha="0.1",
-                                   parent_test_mode=None)
+                                   replications=2.5, seed=-1, alpha="0.1")
         message = str(err.value)
-        for key in ("protocol", "p", "n_grid", "replications", "seed", "alpha",
-                    "parent_test_mode"):
+        for key in ("protocol", "p", "n_grid", "replications", "seed", "alpha"):
             assert f"{key} must" in message
 
     def test_integer_likes_accepted(self):
@@ -50,12 +49,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("args, message", [
         ({"p": 1}, "p must be >= 2, got 1"),
-        ({"parent_test_mode": "partial"}, "unknown parent_test_mode 'partial'"),
+        ({"n_grid": ()}, "n_grid must be nonempty"),
+        ({"replications": 0}, "replications must be >= 1, got 0"),
     ])
     def test_single_violation_message(self, args, message):
         with pytest.raises(ValidationError) as err:
             bench.ExperimentConfig(**args)
         assert str(err.value) == f"invalid experiment config: {message}"
+
+    def test_parent_test_mode_is_gone(self):
+        # every parent test conditions on the other predecessors
+        fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+        assert "parent_test_mode" not in fields
+        with pytest.raises(TypeError):
+            bench.ExperimentConfig(parent_test_mode="marginal")
 
     def test_nonfaithful_pins_p(self):
         with pytest.raises(ValidationError):

@@ -193,6 +193,12 @@ class TestLearn:
         dag = read_dag(tmp_path / "marks.graph")
         assert len(dag.edges) == 6
 
+    def test_parent_test_flag_is_gone(self, tmp_path, capsys):
+        assert run("learn", "marks", "--parent-test", "conditional", "-o", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "cvdag: error: cvdag: unrecognized arguments: --parent-test conditional\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_row_names_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n3,oops\n")
@@ -269,13 +275,11 @@ class TestLearn:
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
         write_dataset(read_dataset(path), again)
         assert again.read_bytes() == path.read_bytes()
-        for mode in learner.PARENT_TEST_MODES:
-            a, b = cli_twice("learn", path, "--parent-test", mode, "-v", "-o", "out")
-            assert a == b
-            assert a.code == 0
-            assert sorted(a.files) == ["out/large.graph", "out/large.order",
-                                       "out/large.tests.csv"]
-            assert "test: " in a.stdout
+        a, b = cli_twice("learn", path, "-v", "-o", "out")
+        assert a == b
+        assert a.code == 0
+        assert sorted(a.files) == ["out/large.graph", "out/large.order", "out/large.tests.csv"]
+        assert "test: " in a.stdout
 
     def test_verbose_prints_test_log(self, tmp_path, capsys):
         run("simulate", "--protocol", "nonfaithful", "--n", 500, "--seed", 4,
@@ -509,7 +513,6 @@ class TestBenchCommand:
         ({"replications": 2.5}, "replications"),
         ({"seed": -1}, "seed"),
         ({"protocol": 3}, "protocol"),
-        ({"parent_test_mode": None}, "parent_test_mode"),
     ])
     def test_wrong_value_types_rejected(self, body, key, tmp_path, capsys):
         # once TypeError or numpy AxisError tracebacks, or a silently truncated n
@@ -534,6 +537,13 @@ class TestBenchCommand:
         cfg = self.config(tmp_path, extra_knob=1)
         assert run("bench", cfg, "-o", tmp_path) == 1
         assert "extra_knob" in capsys.readouterr().err
+
+    def test_parent_test_mode_key_is_gone(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, parent_test_mode="conditional")
+        assert run("bench", cfg, "-o", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"cvdag: error: {cfg}: unknown config keys: parent_test_mode\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert run("bench", tmp_path / "none.json", "-o", tmp_path) == 3
@@ -626,22 +636,17 @@ class TestContract:
             return action.choices
 
         assert choices("simulate", "protocol") == sem.PROTOCOLS
-        assert choices("learn", "parent_test") == learner.PARENT_TEST_MODES
         assert choices("check", "scope") == sem.SCOPES
         assert sem.PROTOCOLS == ("homogeneous", "heterogeneous", "nonfaithful")
-        assert learner.PARENT_TEST_MODES == ("conditional", "marginal")
         assert sem.SCOPES == ("descendants", "later")
 
     def test_defaults_are_the_library_defaults(self):
         parser = build_parser()
         learn_args = parser.parse_args(["learn", "data.csv"])
         library = learner.LearnConfig()
-        assert (learn_args.alpha, learn_args.parent_test) == (library.alpha,
-                                                              library.parent_test_mode)
+        assert learn_args.alpha == library.alpha
         assert parser.parse_args(["check", "model.sem"]).scope == sem.SCOPES[0]
-        experiment = ExperimentConfig()
-        assert (experiment.alpha, experiment.parent_test_mode) == (library.alpha,
-                                                                   library.parent_test_mode)
+        assert ExperimentConfig().alpha == library.alpha
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         help_text = " ".join(sub.choices["learn"].format_help().split())
         assert f"significance level of the parent tests (default {library.alpha})" in help_text

@@ -69,16 +69,17 @@ PURE_CHAIN_SEM = GaussianSem(
 class TestLearnConfig:
     def test_defaults(self):
         cfg = LearnConfig()
-        assert cfg.alpha == 0.01
-        assert cfg.parent_test_mode == "conditional"
+        assert (cfg.alpha, cfg.oracle_tolerance) == (0.01, 1e-9)
 
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             LearnConfig(alpha=0.0)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValidationError):
-            LearnConfig(parent_test_mode="sideways")
+    def test_parent_test_mode_is_gone(self):
+        # every parent test conditions on the other predecessors
+        assert [f.name for f in dataclasses.fields(LearnConfig)] == ["alpha", "oracle_tolerance"]
+        with pytest.raises(TypeError):
+            LearnConfig(parent_test_mode="marginal")
 
     @pytest.mark.parametrize("name, value", [("alpha", "0.1"), ("alpha", None),
                                              ("oracle_tolerance", "x"),
@@ -138,12 +139,10 @@ class TestOracle:
                 result = learn_from_covariance(population_covariance(m))
                 assert hamming_dag(m.dag, result.dag) == 0, (protocol, seed)
 
-    def test_marginal_mode_includes_ancestors(self):
-        cov = population_covariance(PURE_CHAIN_SEM)
-        conditional = learn_from_covariance(cov)
-        marginal = learn_from_covariance(cov, LearnConfig(parent_test_mode="marginal"))
-        assert conditional.dag.edges == {(0, 1), (1, 2)}
-        assert marginal.dag.edges == {(0, 1), (0, 2), (1, 2)}
+    def test_chain_has_no_ancestor_edge(self):
+        # 0 and 2 are dependent, but independent given 1
+        result = learn_from_covariance(population_covariance(PURE_CHAIN_SEM))
+        assert result.dag.edges == {(0, 1), (1, 2)}
 
     def test_non_spd_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
@@ -311,11 +310,6 @@ class TestEstimateParents:
             predecessors = {j for j in range(5) if pos[j] < pos[rec.later]}
             assert set(rec.given) == predecessors - {rec.earlier}
 
-    def test_marginal_mode_conditions_on_nothing(self):
-        data = sample(random_sem(5, "heterogeneous", seed=21), 600, seed=22)
-        result = learn(data, LearnConfig(parent_test_mode="marginal"))
-        assert all(rec.given == () for rec in result.test_log)
-
     def test_ordering_length_must_match(self):
         from cvdag.graphs import Ordering
 
@@ -363,7 +357,7 @@ class TestInputTypes:
     ])
     @pytest.mark.parametrize("cfg, name", [({"alpha": 0.05}, "dict"), (0.05, "float")])
     def test_cfg_must_be_a_learn_config(self, call, cfg, name):
-        # a dict once raised a bare AttributeError on .parent_test_mode
+        # a dict once raised a bare AttributeError on a LearnConfig field
         with pytest.raises(ValidationError) as err:
             call(cfg)
         assert str(err.value) == f"cfg must be a LearnConfig, got {name}"
@@ -377,8 +371,13 @@ class TestLearn:
         result = learn(data)
         assert is_consistent(result.ordering, result.dag)
 
-    @pytest.mark.parametrize("mode", ["conditional", "marginal"])
-    def test_learn_factors_once(self, monkeypatch, mode):
+    @pytest.mark.parametrize("run", [
+        lambda data, cov: learn(data, LearnConfig(alpha=0.05)),
+        lambda data, cov: estimate_ordering(data),
+        lambda data, cov: estimate_parents(data, range(8), LearnConfig(alpha=0.05)),
+        lambda data, cov: learn_from_covariance(cov),
+    ], ids=["learn", "estimate_ordering", "estimate_parents", "learn_from_covariance"])
+    def test_learn_factors_once(self, monkeypatch, run):
         calls = []
 
         def counting(*args, **kwargs):
@@ -386,10 +385,11 @@ class TestLearn:
             return _factor(*args, **kwargs)
 
         monkeypatch.setattr(learner_module, "_factor", counting)
-        data = sample(random_sem(8, "heterogeneous", seed=5), 300, seed=6)
-        learn(data, LearnConfig(parent_test_mode=mode))
+        model = random_sem(8, "heterogeneous", seed=5)
+        data, cov = sample(model, 300, seed=6), population_covariance(model)
+        run(data, cov)
         assert len(calls) == 1
-        learn(data)
+        run(data, cov)
         assert len(calls) == 2
 
     def test_single_column_dataset(self):
@@ -463,7 +463,7 @@ class TestLearn:
         log = result.test_log
         assert len(log) == 320 * 319 // 2
         assert [f.name for f in dataclasses.fields(log)] == [
-            "order", "mode", "threshold", "r", "n"]
+            "order", "threshold", "r", "n"]
         assert log.n == 2000
         for column in (log.r, log.statistic):
             assert type(column) is np.ndarray and column.dtype == np.float64
@@ -483,7 +483,6 @@ SMALL_DRAWS = dict(
     p=st.integers(2, 6),
     protocol=st.sampled_from(["homogeneous", "heterogeneous"]),
 )
-MODES = ["conditional", "marginal"]
 
 
 class TestAgainstReferences:
@@ -499,45 +498,45 @@ class TestAgainstReferences:
                     conditional_variance(data, j, prefix), rel=1e-10
                 )
 
-    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @given(**SMALL_DRAWS)
     @settings(max_examples=25, deadline=None)
-    def test_test_log_matches_partial_correlation(self, mode, seed, p, protocol):
+    def test_test_log_matches_partial_correlation(self, seed, p, protocol):
         data = sample(random_sem(p, protocol, seed), 60, seed)
         cov = sample_covariance(data)
-        result = learn(data, LearnConfig(parent_test_mode=mode))
+        result = learn(data)
         for rec in result.test_log:
             want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
             assert rec.r == pytest.approx(want, abs=1e-9)
 
-    @given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
            protocol=st.sampled_from(["homogeneous", "heterogeneous"]),
            alpha=st.sampled_from([0.01, 0.05, 0.2]))
     @settings(max_examples=40, deadline=None)
-    def test_test_log_matches_scalar_fisher_z(self, mode, seed, p, protocol, alpha):
+    def test_test_log_matches_scalar_fisher_z(self, seed, p, protocol, alpha):
         data = sample(random_sem(p, protocol, seed), 40, seed)
-        result = learn(data, LearnConfig(alpha=alpha, parent_test_mode=mode))
+        result = learn(data, LearnConfig(alpha=alpha))
         order = result.ordering.order
         pairs = [(e, m) for m in range(1, p) for e in range(m)]
         assert len(result.test_log) == len(pairs)
         for (e, m), rec in zip(pairs, result.test_log):
-            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
+            given = order[:e] + order[e + 1:m]
             out = fisher_z_test(rec.r, data.n, len(given), alpha)
             want = learner_module.TestRecord(order[e], order[m], given, rec.r, out.statistic,
                                              out.threshold, out.dependent)
             assert rec == want
         assert list(result.test_log) == [result.test_log[i] for i in range(len(pairs))]
 
-    @given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8),
            protocol=st.sampled_from(["homogeneous", "heterogeneous"]))
     @settings(max_examples=40, deadline=None)
-    def test_oracle_log_matches_scalar_threshold(self, mode, seed, p, protocol):
-        cfg = LearnConfig(parent_test_mode=mode)
+    def test_oracle_log_matches_scalar_threshold(self, seed, p, protocol):
+        cfg = LearnConfig()
         result = learn_from_covariance(population_covariance(random_sem(p, protocol, seed)), cfg)
         order = result.ordering.order
         pairs = [(e, m) for m in range(1, p) for e in range(m)]
         assert len(result.test_log) == len(pairs)
         for (e, m), rec in zip(pairs, result.test_log):
-            given = () if mode == "marginal" else order[:e] + order[e + 1:m]
+            given = order[:e] + order[e + 1:m]
             tol = cfg.oracle_tolerance
             want = learner_module.TestRecord(order[e], order[m], given, rec.r, abs(rec.r), tol,
                                              abs(rec.r) > tol)
@@ -569,11 +568,11 @@ class TestAgainstReferences:
             want = res[:, 0] @ res[:, 1] / np.sqrt((res * res).sum(axis=0).prod())
             assert rec.r == pytest.approx(want, abs=1e-9)
 
-    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @given(**SMALL_DRAWS)
     @settings(max_examples=25, deadline=None)
-    def test_oracle_r_matches_partial_correlation(self, mode, seed, p, protocol):
+    def test_oracle_r_matches_partial_correlation(self, seed, p, protocol):
         cov = population_covariance(random_sem(p, protocol, seed))
-        result = learn_from_covariance(cov, LearnConfig(parent_test_mode=mode))
+        result = learn_from_covariance(cov)
         for rec in result.test_log:
             want = partial_correlation(cov, rec.later, rec.earlier, rec.given)
             assert rec.r == pytest.approx(want, abs=1e-9)
@@ -600,29 +599,35 @@ class TestAgainstReferences:
         assert again[0] == order
         assert again[1].tobytes() == r.tobytes() and again[2].tobytes() == steps.tobytes()
 
-    @given(mode=st.sampled_from(MODES), **SMALL_DRAWS)
+    @given(**SMALL_DRAWS)
     @settings(max_examples=25, deadline=None)
-    def test_learn_is_the_composition_of_its_stages(self, mode, seed, p, protocol):
+    def test_learn_is_the_composition_of_its_stages(self, seed, p, protocol):
         data = sample(random_sem(p, protocol, seed), 60, seed)
-        cfg = LearnConfig(parent_test_mode=mode)
+        cfg = LearnConfig(alpha=0.05)
         ordering, steps = estimate_ordering(data)
         dag, log = estimate_parents(data, ordering, cfg)
         assert learn(data, cfg) == LearnResult(ordering, dag, steps, log)
 
 
+SOURCES = ["sample", "given-order", "oracle"]
+
+
 def learned_log(source):
-    """The test log of a p=6 model: learned in either parent-test mode, or by
-    the oracle from its covariance."""
+    """The test log of a p=6 model: learned from a sample of it, tested along
+    a given order on that sample, or by the oracle from its covariance."""
     model = random_sem(6, "heterogeneous", seed=3)
     if source == "oracle":
         return learn_from_covariance(population_covariance(model)).test_log
-    return learn(sample(model, 500, seed=4), LearnConfig(parent_test_mode=source)).test_log
+    data = sample(model, 500, seed=4)
+    if source == "given-order":
+        return estimate_parents(data, (5, 4, 3, 2, 1, 0))[1]
+    return learn(data).test_log
 
 
 class TestTestLog:
     """The columnar decision record reads as the tuple of its records."""
 
-    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_indexing_matches_the_tuple(self, source):
         log = learned_log(source)
         whole = tuple(log)
@@ -636,7 +641,7 @@ class TestTestLog:
             with pytest.raises(IndexError):
                 log[bad]
 
-    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_equality_in_both_directions(self, source):
         log = learned_log(source)
         whole = tuple(log)
@@ -650,21 +655,19 @@ class TestTestLog:
         assert log != changed and changed != log
         assert log != list(whole)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_oracle_statistic_is_abs_r(self, mode):
-        cov = population_covariance(random_sem(6, "heterogeneous", seed=3))
-        log = learn_from_covariance(cov, LearnConfig(parent_test_mode=mode)).test_log
+    def test_oracle_statistic_is_abs_r(self):
+        log = learned_log("oracle")
         assert log.n is None
         assert log.statistic.tobytes() == np.abs(log.r).tobytes()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_learned_statistic_is_the_scalar_fisher_z(self, mode):
-        log = learned_log(mode)
+    @pytest.mark.parametrize("source", ["sample", "given-order"])
+    def test_learned_statistic_is_the_scalar_fisher_z(self, source):
+        log = learned_log(source)
         assert log.n == 500
         want = [fisher_z_test(rec.r, log.n, len(rec.given), 0.01).statistic for rec in log]
         assert log.statistic.tolist() == want
 
-    @pytest.mark.parametrize("source", MODES + ["oracle"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_statistic_is_derived_on_first_read_and_kept(self, source):
         log = learned_log(source)
         assert "statistic" not in vars(log)
@@ -901,8 +904,7 @@ class TestSumOfSquaresRange:
         for power in range(-1040, 1020, 10):
             data = self.scaled(2.0 ** (power / 2) * 1.37)
             cov = sample_covariance(self.DATA) * 2.0**power
-            for run in (learn, lambda d: learn(d, LearnConfig(parent_test_mode="marginal")),
-                        estimate_ordering, lambda d: estimate_parents(d, self.ORDER),
+            for run in (learn, estimate_ordering, lambda d: estimate_parents(d, self.ORDER),
                         lambda _: learn_from_covariance(cov)):
                 try:
                     run(data)
@@ -910,32 +912,29 @@ class TestSumOfSquaresRange:
                     pass
 
 
-def reference_pair_correlations(r, mode):
+def reference_pair_correlations(r):
     """``_pair_correlations`` as it was before it read U = R^-1 by flat index:
     T = (R^T)^-1, 2-d fancy indexing and np.clip."""
     rows, cols = np.tril_indices(r.shape[0], -1)
-    if mode == "marginal":
-        gram = r.T @ r
-        scale = np.sqrt(np.diag(gram))
-        corr = gram[rows, cols] / (scale[rows] * scale[cols])
-    else:
-        # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
-        t = np.linalg.inv(r).T
-        norms = np.sqrt(np.cumsum(t * t, axis=0))
-        corr = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
+    # LU of an upper-triangular matrix swaps no rows, so T is exactly lower
+    t = np.linalg.inv(r).T
+    norms = np.sqrt(np.cumsum(t * t, axis=0))
+    corr = -np.sign(t[rows, rows]) * t[rows, cols] / norms[rows, cols]
     return rows, cols, np.clip(corr, -1.0, 1.0)
 
 
 class TestPairCorrelationsAgainstReference:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("order", ["greedy", "reversed"])
     @pytest.mark.parametrize("p", [2, 3, 10, 40, 80])
     @pytest.mark.parametrize("protocol", ["homogeneous", "heterogeneous"])
-    def test_tall_and_square_factors(self, mode, p, protocol):
+    def test_tall_and_square_factors(self, order, p, protocol):
+        # greedy is the factor of learn; a given order is that of estimate_parents
+        given = None if order == "greedy" else tuple(range(p - 1, -1, -1))
         for seed in range(2):
             for x in factor_inputs(p, protocol, seed):
-                _, r, _ = _factor(x)
-                want = reference_pair_correlations(r, mode)
-                got = learner_module._pair_correlations(r, mode)
+                _, r, _ = _factor(x, given)
+                want = reference_pair_correlations(r)
+                got = learner_module._pair_correlations(r)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

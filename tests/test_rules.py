@@ -25,10 +25,6 @@ CALLERS = {
         "fisher_z_test": lambda v: fisher_z_test(0.3, 50, 0, v),
         "ExperimentConfig": lambda v: ExperimentConfig(alpha=v),
     },
-    "mode": {
-        "LearnConfig": lambda v: LearnConfig(parent_test_mode=v),
-        "ExperimentConfig": lambda v: ExperimentConfig(parent_test_mode=v),
-    },
     "seed": {
         "derive_seed": lambda v: derive_seed(v, 0),
         "ExperimentConfig": lambda v: ExperimentConfig(seed=v),
@@ -79,8 +75,6 @@ OPENING = {"ExperimentConfig": "invalid experiment config: "}
     ("alpha", 1.0, "alpha must lie in (0, 1), got 1.0"),
     ("alpha", math.nan, "alpha must lie in (0, 1), got nan"),
     ("alpha", True, "alpha must be a real number, got True"),
-    ("mode", "partial", "unknown parent_test_mode 'partial'"),
-    ("mode", None, "parent_test_mode must be a string, got None"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
     ("seed", True, "seed must be a non-negative integer, got True"),
@@ -258,7 +252,7 @@ def valid_calls(tmp_path_factory):
     dag, data = model.dag, cvdag.sample(model, 30, 2)
     cpdag, cov = cvdag.dag_to_cpdag(dag), cvdag.population_covariance(model)
     order = cvdag.topological_order(dag)
-    config = cvdag.ExperimentConfig("homogeneous", 3, (10,), 1, 0, 0.05, "conditional")
+    config = cvdag.ExperimentConfig("homogeneous", 3, (10,), 1, 0, 0.05)
     report = run_experiment(config)
     result = cvdag.learn(data)
     files = {"dag": tmp / "g.graph", "cpdag": tmp / "g.cpdag", "sem": tmp / "m.sem",
@@ -276,7 +270,7 @@ def valid_calls(tmp_path_factory):
         "GaussianSem": (model.B, model.sigma2, model.intercepts),
         "IdentifiabilityReport": (True, None, 1.0),
         "IndependenceDecision": (True, 3.0, 2.0),
-        "LearnConfig": (0.05, 1e-9, "marginal"),
+        "LearnConfig": (0.05, 1e-9),
         "LearnResult": (result.ordering, result.dag, result.step_variances, result.test_log),
         "Ordering": ((1, 0, 2),),
         "bivariate_weight_threshold": (0.5,),
