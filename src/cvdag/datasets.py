@@ -96,9 +96,10 @@ def read_dataset(path) -> Dataset:
 
 def _header(names: tuple[str, ...]) -> str:
     """The header row of ``names``; ValidationError names the first column
-    that :func:`parse_dataset` would not read back from it as it is."""
+    that :func:`read_dataset` would not read back from it as it is, such as a
+    first name opening with the byte-order mark that the reader drops."""
     header = ",".join(names)
-    fields = _split(header, "," if "," in header else None)
+    fields = _split(header.removeprefix("\ufeff"), "," if "," in header else None)
     for j, name in enumerate(names):
         if fields[j:j + 1] != [name] or len(name.splitlines()) != 1:
             raise ValidationError(
@@ -488,5 +489,5 @@ def write_dataset(ds: Dataset, path) -> None:
 
 def load_marks() -> Dataset:
     """The classic 88-student, five-subject examination marks table."""
-    text = resources.files("cvdag").joinpath("data/marks.csv").read_text()
+    text = resources.files("cvdag").joinpath("data/marks.csv").read_text(encoding="utf-8")
     return parse_dataset(text, where="marks.csv")

@@ -117,10 +117,12 @@ def _path(path) -> Path:
 
 
 def read_text(path) -> str:
-    """The text of ``path``; a failed read is ReportIOError, undecodable text DataFormatError."""
+    """The UTF-8 text of ``path`` without one leading byte-order mark, which
+    Notepad and Excel write; a failed read is ReportIOError, undecodable text
+    DataFormatError naming the file's byte offset."""
     path = _path(path)
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ReportIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -139,10 +141,10 @@ def _located(path, build, *args):
 
 
 def write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path``; a failed write is ReportIOError naming its directory."""
+    """Write ``text`` to ``path`` as UTF-8; a failed write is ReportIOError naming its directory."""
     path = _path(path)
     try:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ReportIOError(f"cannot write under {path.parent}: {exc}") from exc
     return path

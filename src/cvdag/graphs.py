@@ -391,22 +391,11 @@ def _comparable(kind: type, a, b) -> None:
         raise ValidationError(f"node counts differ: {a.p} vs {b.p}")
 
 
-def hamming_dag(g_true: Dag, g_est: Dag, *, reversal_as_one: bool = False) -> int:
-    """Missing plus extra directed edges; a reversed edge costs 2 by default.
-
-    Counts the entries where the two graphs' adjacency masks differ.
-    ``reversal_as_one`` switches to the common SHD variant where a reversal
-    counts once: it subtracts the edges of ``g_true`` that ``g_est`` holds
-    reversed, the entries set in both the true mask and the estimate's
-    transpose.
-    """
+def hamming_dag(g_true: Dag, g_est: Dag) -> int:
+    """Missing plus extra directed edges, so a reversed edge costs 2: the
+    entries where the two graphs' adjacency masks differ."""
     _comparable(Dag, g_true, g_est)
-    _instance(reversal_as_one, "reversal_as_one must be", bool, np.bool_)
-    a_true, a_est = g_true._adjacency, g_est._adjacency
-    diff = int(np.count_nonzero(a_true != a_est))
-    if reversal_as_one:
-        diff -= int(np.count_nonzero(a_true & a_est.T))
-    return diff
+    return int(np.count_nonzero(g_true._adjacency != g_est._adjacency))
 
 
 def hamming_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:

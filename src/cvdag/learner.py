@@ -4,14 +4,15 @@ parent selection by partial-correlation tests along the ordering.
 One pipeline serves both versions: `learn` factors centered data of n rows
 and tests each pair by Fisher z; `learn_from_covariance`, the population
 oracle, factors the L^T of a covariance matrix and, with no n, thresholds
-|partial correlation| instead. It computes in float64, not in exact
+|partial correlation| at 1e-9 instead: a population non-edge has r = 0, so
+the tolerance only absorbs rounding. It computes in float64, not in exact
 arithmetic. The factorization has a float64 floor: when a placed node keeps
 less than 1e-29 of its sum of squares given the nodes before it, its residual
 is rounding noise, and every entry point raises NumericalDegeneracyError
 naming the step, the variable and that ratio instead of returning a graph; so
 it does for a sum of squares that float64 cannot hold (see ``_SS_RANGE``).
 Above the floor, on ill-conditioned covariances the rounded |r| of a non-edge
-can still exceed the oracle's tolerance, and the returned graph then has
+can still exceed that tolerance, and the returned graph then has
 extra edges without any error being raised.
 
 Both read every r off one factorization as arrays and decide all pairs in one
@@ -27,15 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (DegenerateDesignError, InsufficientSamplesError, NumericalDegeneracyError,
-                     ValidationError, _instance, _not_real)
+                     ValidationError, _instance)
 from .graphs import Dag, Ordering, _ordering
-from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _triangle
+from .numerics import (Dataset, _alpha_problem, _cholesky, _covariance, _critical_value, _fisher_z,
+                       _triangle)
 
 # The float64 floor of the pivot ratio: a placed node's RSS over its step-0
 # RSS. Below it the residual's norm is under ~14 ulps (sqrt(1e-29) ~ 3.2e-15)
@@ -44,27 +45,27 @@ from .numerics import Dataset, _alpha_problem, _cholesky, _covariance, _triangle
 _PIVOT_RATIO_FLOOR = 1e-29
 # normal, so no digit of a sum of squares is lost, and low enough that no reflector overflows
 _SS_RANGE = (np.finfo(float).tiny, np.finfo(float).max / 8)
+# the oracle's |r| threshold: a population non-edge has r = 0, so it only absorbs rounding
+_ORACLE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Knobs of the learner: the level ``alpha`` of the Fisher z parent tests, each
-    given the other predecessors, and the oracle's |r| ``oracle_tolerance``."""
+    """The learner's one knob: the level ``alpha`` of the Fisher z parent tests,
+    each given the other predecessors."""
 
     alpha: float = 0.01
-    oracle_tolerance: float = 1e-9
 
     def __post_init__(self):
-        tol = self.oracle_tolerance
-        if problem := _alpha_problem(self.alpha) or _not_real(tol, "oracle_tolerance"):
+        if problem := _alpha_problem(self.alpha):
             raise ValidationError(problem)
-        if not 0.0 < tol < math.inf:
-            raise ValidationError(f"oracle_tolerance must be positive and finite, got {tol}")
 
 
-def _config(cfg) -> LearnConfig:
-    """``cfg``, or LearnConfig() for None; ValidationError for anything else."""
-    return LearnConfig() if cfg is None else _instance(cfg, "cfg must be", LearnConfig)
+def _threshold(cfg) -> float:
+    """The Fisher z critical value at the alpha of ``cfg``, or of LearnConfig()
+    for None; ValidationError for anything else."""
+    cfg = LearnConfig() if cfg is None else _instance(cfg, "cfg must be", LearnConfig)
+    return _critical_value(cfg.alpha)
 
 
 @dataclass(frozen=True)
@@ -303,25 +304,16 @@ def _pair_correlations(r: np.ndarray):
 
 def _statistic(r: np.ndarray, n: int | None, s) -> np.ndarray:
     """The statistic of each partial correlation ``r`` given ``s`` conditioning
-    nodes: |r| for the population (``n`` None), else the arithmetic of
-    :func:`numerics.fisher_z_test` over all pairs at once, sqrt(n - s - 3)
-    |atanh(r)|, +inf where |r| >= 1. atanh is ``math.atanh``, since
-    ``np.arctanh`` differs from it in the last bit on some inputs.
-    """
-    if n is None:
-        return np.abs(r)
-    # guard atanh against r rounded to within 1e-12 of +-1
-    clipped = np.clip(r, -(1.0 - 1e-12), 1.0 - 1e-12)
-    z = np.fromiter(map(math.atanh, clipped.tolist()), float, len(clipped))
-    return np.where(np.abs(r) >= 1.0, math.inf, np.sqrt(n - s - 3.0) * np.abs(z))
+    nodes: |r| for the population (``n`` None), else the Fisher z statistic of
+    :func:`numerics.fisher_z_test` over all pairs at once."""
+    return np.abs(r) if n is None else _fisher_z(r, n, s)
 
 
-def _parents(order, r: np.ndarray, cfg: LearnConfig, n: int | None):
-    """(DAG, log) of one test per ordered pair of the factor ``r``: Fisher z
-    at cfg.alpha with ``n``, |r| against cfg.oracle_tolerance without. The DAG
-    stores the adjacency mask scattered from the dependent pairs."""
+def _parents(order, r: np.ndarray, threshold: float, n: int | None):
+    """(DAG, log) of one test per ordered pair of the factor ``r``, dependent where
+    its statistic exceeds ``threshold``. The DAG stores the adjacency mask
+    scattered from the dependent pairs."""
     rows, cols, rho = _pair_correlations(r)
-    threshold = cfg.oracle_tolerance if n is None else NormalDist().inv_cdf(1 - cfg.alpha / 2)
     dependent = _statistic(rho, n, rows - 1) > threshold
     nodes = np.asarray(order, dtype=np.intp)
     adjacency = np.zeros((len(order), len(order)), dtype=bool)
@@ -330,11 +322,11 @@ def _parents(order, r: np.ndarray, cfg: LearnConfig, n: int | None):
     return Dag._trusted(len(order), adjacency), TestLog(tuple(order), threshold, rho, n)
 
 
-def _learn(x: np.ndarray, cfg: LearnConfig, n: int | None) -> LearnResult:
+def _learn(x: np.ndarray, threshold: float, n: int | None) -> LearnResult:
     """Ordering, then parents, off one greedy factor of ``x``: centered data
     of ``n`` rows, or with ``n`` None the L^T of a population covariance."""
     order, r, steps = _factor(x)
-    dag, log = _parents(order, r, cfg, n)
+    dag, log = _parents(order, r, threshold, n)
     return LearnResult(Ordering(order), dag, StepLog(order, steps, n), log)
 
 
@@ -375,10 +367,10 @@ def estimate_parents(data: Dataset, pi: Sequence[int], cfg: LearnConfig | None =
     returned edge set. A ``pi`` that is not a permutation of the columns, or
     holds an id that is not an integer, raises ValidationError.
     """
-    cfg = _config(cfg)
+    threshold = _threshold(cfg)
     x = _centered(data, "parent tests need")
     order, r, _ = _factor(x, _ordering(pi, data.p).order)
-    return _parents(order, r, cfg, data.n)
+    return _parents(order, r, threshold, data.n)
 
 
 def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
@@ -388,17 +380,17 @@ def learn(data: Dataset, cfg: LearnConfig | None = None) -> LearnResult:
     bit for bit, this equals :func:`estimate_parents` along the ordering of
     :func:`estimate_ordering`.
     """
-    return _learn(_centered(data, "ordering needs"), _config(cfg), data.n)
+    return _learn(_centered(data, "ordering needs"), _threshold(cfg), data.n)
 
 
-def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> LearnResult:
+def learn_from_covariance(cov: np.ndarray) -> LearnResult:
     """Population analogue of :func:`learn` on a covariance matrix, in float64.
 
     With cov = L L^T, the columns of L^T have cov as their Gram matrix, so
     this is :func:`learn` on L^T without a sample size (n None in both logs):
     the step variances are the conditional variances (raw RSS, no degrees of
     freedom), and each test's statistic is |partial correlation|, independent
-    while <= cfg.oracle_tolerance.
+    while <= 1e-9, the float64 rounding of a non-edge's r = 0.
     In exact arithmetic only a scope="later" pass of check_identifiability
     certifies its ordering. In float64 each r's rounding error must also stay
     below the tolerance: on ill-conditioned covariances it silently returns
@@ -408,11 +400,10 @@ def learn_from_covariance(cov: np.ndarray, cfg: LearnConfig | None = None) -> Le
     Cholesky factor, or whose factor :func:`_factor` refuses, raises
     NumericalDegeneracyError. Costs O(p^3).
     """
-    cfg = _config(cfg)
     cov = _covariance(cov, "learn_from_covariance")
     low = _cholesky(cov, f"learn_from_covariance: SPD gate: covariance of shape {cov.shape} has"
                     " no Cholesky factor (matrix is not positive definite)")
-    return _learn(low.T, cfg, None)
+    return _learn(low.T, _ORACLE_TOLERANCE, None)
 
 
 def ordering_is_greedy_minimal(result: LearnResult) -> bool:

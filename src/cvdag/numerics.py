@@ -216,8 +216,8 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
     """Two-sided Fisher z decision for a (partial) correlation r.
 
     The statistic is sqrt(n - s - 3) * |atanh(r)| compared against the standard
-    normal critical value at level alpha. |r| >= 1 short-circuits to dependence
-    with an infinite statistic. ``n`` must be an integer that float64 can
+    normal critical value at level alpha, by the rules the learner uses too.
+    |r| >= 1 gives dependence with an infinite statistic. ``n`` must be an integer that float64 can
     hold and ``s`` a non-negative one, with n > s + 3.
     """
     if problem := (_not_real(r, "r") or _alpha_problem(alpha) or _count_problem(n, "n", -math.inf)
@@ -229,13 +229,26 @@ def fisher_z_test(r: float, n: int, s: int, alpha: float) -> IndependenceDecisio
         )
     if math.isnan(r):
         raise ValidationError("correlation r is NaN")
-    threshold = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    if abs(r) >= 1.0:
-        return IndependenceDecision(True, math.inf, threshold)
-    # guard atanh against r rounded to within 1e-12 of +-1
-    r = min(1.0 - 1e-12, max(-(1.0 - 1e-12), r))
-    statistic = math.sqrt(n - s - 3) * abs(math.atanh(r))
+    threshold = _critical_value(alpha)
+    statistic = _fisher_z(np.array([r]), n, s).item()
     return IndependenceDecision(statistic > threshold, statistic, threshold)
+
+
+def _critical_value(alpha: float) -> float:
+    """The two-sided standard normal critical value at level ``alpha``."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
+def _fisher_z(r: np.ndarray, n: int, s) -> np.ndarray:
+    """sqrt(n - s - 3) |atanh(r)| of each correlation of the array ``r`` given
+    ``s`` conditioning variables (an int or an array like ``r``), +inf where
+    |r| >= 1. atanh is ``math.atanh``, since ``np.arctanh`` differs from it in
+    the last bit on some inputs, and n - s - 3 is rounded to float64 once."""
+    # guard atanh against r rounded to within 1e-12 of +-1
+    clipped = np.clip(r, -(1.0 - 1e-12), 1.0 - 1e-12)
+    z = np.fromiter(map(math.atanh, clipped.tolist()), float, len(clipped))
+    scale = np.sqrt(np.asarray(n - s - 3, dtype=float))
+    return np.where(np.abs(r) >= 1.0, math.inf, scale * np.abs(z))
 
 
 def _check_condition_args(p: int, variables: tuple[int, ...], given: tuple[int, ...]):

@@ -492,6 +492,16 @@ class TestBenchCommand:
         assert run("bench", cfg, "--replications", 0, "-o", tmp_path) == 1
         assert "replications" in capsys.readouterr().err
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        # once "invalid JSON: Unexpected UTF-8 BOM" with exit 1
+        cfg = self.config(tmp_path)
+        plain = run("bench", cfg, "-o", tmp_path / "plain"), capsys.readouterr().out
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        marked = run("bench", cfg, "-o", tmp_path / "marked"), capsys.readouterr().out
+        assert marked[0] == plain[0] == 0
+        keep = [ln.rsplit(",", 1)[0] for ln in plain[1].splitlines() if "," in ln]
+        assert [ln.rsplit(",", 1)[0] for ln in marked[1].splitlines() if "," in ln] == keep
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -283,6 +283,7 @@ class TestRoundTrip:
         (("a b",), 0),  # a one-column header splits on whitespace
         (("",), 0),  # an empty one-column header is no header
         (("a,b",), 0),
+        (("\ufeffa", "b"), 0),  # the reader drops a leading byte-order mark
     ])
     def test_header_that_would_not_read_back_rejected(self, tmp_path, names, column):
         ds = Dataset(names, np.ones((2, len(names))))

@@ -548,7 +548,6 @@ class TestHammingDag:
         a = Dag(2, frozenset({(0, 1)}))
         b = Dag(2, frozenset({(1, 0)}))
         assert hamming_dag(a, b) == 2
-        assert hamming_dag(a, b, reversal_as_one=True) == 1
 
     def test_empty_estimate_costs_edge_count(self):
         assert hamming_dag(DIAMOND, Dag(4, frozenset())) == 4
@@ -606,11 +605,11 @@ class TestHammingDag:
                 b = Dag(p, frozenset(edges))
                 if rng.random() < 0.5:
                     b = Dag(p, frozenset((y, x) for x, y in b.edges))
-            for flag in (False, True):
-                want = hamming_dag_by_sets(a, b, reversal_as_one=flag)
-                assert hamming_dag(a, b, reversal_as_one=flag) == want, (seed, flag)
-                assert hamming_dag(b, a, reversal_as_one=flag) == want, (seed, flag)
-            reversals += hamming_dag(a, b) - hamming_dag(a, b, reversal_as_one=True)
+            want = hamming_dag_by_sets(a, b)
+            assert hamming_dag(a, b) == want, seed
+            assert hamming_dag(b, a) == want, seed
+            # the inputs hold many reversals, each counted twice
+            reversals += want - hamming_dag_by_sets(a, b, reversal_as_one=True)
         assert reversals > 1000
 
     @given(st.integers(0, 10_000))

@@ -68,22 +68,28 @@ PURE_CHAIN_SEM = GaussianSem(
 
 class TestLearnConfig:
     def test_defaults(self):
-        cfg = LearnConfig()
-        assert (cfg.alpha, cfg.oracle_tolerance) == (0.01, 1e-9)
+        assert LearnConfig().alpha == 0.01
 
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             LearnConfig(alpha=0.0)
 
     def test_parent_test_mode_is_gone(self):
-        # every parent test conditions on the other predecessors
-        assert [f.name for f in dataclasses.fields(LearnConfig)] == ["alpha", "oracle_tolerance"]
-        with pytest.raises(TypeError):
-            LearnConfig(parent_test_mode="marginal")
+        # every parent test conditions on the other predecessors, the oracle
+        # thresholds |r| at a fixed 1e-9 and a reversal costs 2: the retired
+        # settings are Python's own TypeError
+        assert [f.name for f in dataclasses.fields(LearnConfig)] == ["alpha"]
+        cov = population_covariance(COLLIDER_SEM)
+        a, b = Dag(2, {(0, 1)}), Dag(2, {(1, 0)})
+        for retired in (lambda: LearnConfig(parent_test_mode="marginal"),
+                        lambda: LearnConfig(oracle_tolerance=1e-6),
+                        lambda: learn_from_covariance(cov, LearnConfig()),
+                        lambda: hamming_dag(a, b, reversal_as_one=True)):
+            with pytest.raises(TypeError):
+                retired()
+        assert learn_from_covariance(cov).test_log.threshold == 1e-9
 
-    @pytest.mark.parametrize("name, value", [("alpha", "0.1"), ("alpha", None),
-                                             ("oracle_tolerance", "x"),
-                                             ("oracle_tolerance", [1e-9])])
+    @pytest.mark.parametrize("name, value", [("alpha", "0.1"), ("alpha", None)])
     def test_non_number_rejected(self, name, value):
         # these reached a comparison and raised a bare TypeError
         with pytest.raises(ValidationError,
@@ -91,14 +97,7 @@ class TestLearnConfig:
             LearnConfig(**{name: value})
 
     def test_numpy_numbers_accepted(self):
-        cfg = LearnConfig(alpha=np.float64(0.05), oracle_tolerance=np.float32(1e-6))
-        assert (cfg.alpha, cfg.oracle_tolerance) == (0.05, np.float32(1e-6))
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
-    def test_bad_oracle_tolerance(self, tol):
-        # a NaN tolerance used to pass and make every pair independent
-        with pytest.raises(ValidationError, match="oracle_tolerance"):
-            LearnConfig(oracle_tolerance=tol)
+        assert LearnConfig(alpha=np.float64(0.05)).alpha == 0.05
 
 
 class TestOracle:
@@ -353,7 +352,6 @@ class TestInputTypes:
     @pytest.mark.parametrize("call", [
         lambda cfg: learn(sample(COLLIDER_SEM, 30, seed=1), cfg),
         lambda cfg: estimate_parents(sample(COLLIDER_SEM, 30, seed=1), (0, 1, 2), cfg),
-        lambda cfg: learn_from_covariance(population_covariance(COLLIDER_SEM), cfg),
     ])
     @pytest.mark.parametrize("cfg, name", [({"alpha": 0.05}, "dict"), (0.05, "float")])
     def test_cfg_must_be_a_learn_config(self, call, cfg, name):
@@ -530,14 +528,13 @@ class TestAgainstReferences:
            protocol=st.sampled_from(["homogeneous", "heterogeneous"]))
     @settings(max_examples=40, deadline=None)
     def test_oracle_log_matches_scalar_threshold(self, seed, p, protocol):
-        cfg = LearnConfig()
-        result = learn_from_covariance(population_covariance(random_sem(p, protocol, seed)), cfg)
+        result = learn_from_covariance(population_covariance(random_sem(p, protocol, seed)))
         order = result.ordering.order
         pairs = [(e, m) for m in range(1, p) for e in range(m)]
         assert len(result.test_log) == len(pairs)
         for (e, m), rec in zip(pairs, result.test_log):
             given = order[:e] + order[e + 1:m]
-            tol = cfg.oracle_tolerance
+            tol = 1e-9
             want = learner_module.TestRecord(order[e], order[m], given, rec.r, abs(rec.r), tol,
                                              abs(rec.r) > tol)
             assert rec == want

@@ -15,6 +15,7 @@ from cvdag.errors import (
 )
 from cvdag.numerics import (
     Dataset,
+    _fisher_z,
     _triangle,
     conditional_variance,
     fisher_z_test,
@@ -326,6 +327,19 @@ class TestFisherZ:
         lo, hi = sorted([r1, r2])
         if fisher_z_test(lo, n, s, 0.05).dependent:
             assert fisher_z_test(hi, n, s, 0.05).dependent
+
+    def test_array_rule_is_the_scalar_rule(self):
+        # the learner's statistics and fisher_z_test share _fisher_z: +inf at
+        # |r| >= 1, atanh clipped within 1e-12 of +-1, and s per entry
+        edge = 1.0 - 1e-13
+        r = np.array([-1.0, -edge, -0.5, 0.0, 0.3, edge, 1.0])
+        s = np.array([0, 1, 2, 3, 4, 5, 6])
+        want = [math.inf if abs(x) >= 1.0 else
+                math.sqrt(50 - k - 3) * abs(math.atanh(min(1.0 - 1e-12, max(-(1.0 - 1e-12), x))))
+                for x, k in zip(r.tolist(), s.tolist())]
+        assert _fisher_z(r, 50, s).tolist() == want
+        assert [fisher_z_test(x, 50, k, 0.05).statistic
+                for x, k in zip(r.tolist(), s.tolist())] == want
 
     def test_perfect_correlation_flagged_infinite(self):
         out = fisher_z_test(1.0, 50, 0, 0.05)

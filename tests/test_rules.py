@@ -193,7 +193,6 @@ NONE_IS_VALID = {
     ("check_identifiability", 1): "pi None checks along the graph's topological order",
     ("estimate_parents", 2): "cfg None means LearnConfig()",
     ("learn", 1): "cfg None means LearnConfig()",
-    ("learn_from_covariance", 1): "cfg None means LearnConfig()",
 }
 # names that keep any argument as it is given, so every value is valid input
 ANY_VALUE_IS_VALID = {
@@ -209,10 +208,8 @@ ANY_VALUE_IS_VALID = {
 MORE_WRONG_VALUES = [
     ("random_sem", 1, ["homogeneous"]),  # unhashable
     ("Dataset", 0, "ab"),  # read as the names ("a", "b")
-    ("hamming_dag", "reversal_as_one", "no"),  # read by its truth
     ("ExperimentConfig", 0, np.array(["a", "b"])),  # compared to "nonfaithful" by truth
     # numbers.Real counts a bool, so these once read True as 1.0
-    ("LearnConfig", 1, True),  # oracle_tolerance
     ("fisher_z_test", 0, True),  # r
     ("bivariate_weight_threshold", 0, True),
     ("bivariate_weight_threshold_conservative", 0, True),
@@ -221,7 +218,6 @@ MORE_WRONG_VALUES = [
     ("partial_correlation", 2, np.array([1, 2])),  # k
     ("check_identifiability", 2, np.array(["a", "b"])),  # scope
     # an int that float64 cannot hold once escaped as a bare OverflowError
-    ("LearnConfig", 1, 10**400),  # oracle_tolerance, accepted and raised on use
     ("fisher_z_test", 0, 10**400),  # r
     ("fisher_z_test", 1, 10**400),  # n
     ("bivariate_weight_threshold", 0, 10**400),
@@ -270,7 +266,7 @@ def valid_calls(tmp_path_factory):
         "GaussianSem": (model.B, model.sigma2, model.intercepts),
         "IdentifiabilityReport": (True, None, 1.0),
         "IndependenceDecision": (True, 3.0, 2.0),
-        "LearnConfig": (0.05, 1e-9),
+        "LearnConfig": (0.05,),
         "LearnResult": (result.ordering, result.dag, result.step_variances, result.test_log),
         "Ordering": ((1, 0, 2),),
         "bivariate_weight_threshold": (0.5,),
@@ -287,7 +283,7 @@ def valid_calls(tmp_path_factory):
         "hamming_dag": (dag, dag),
         "is_consistent": (order, dag),
         "learn": (data, cvdag.LearnConfig()),
-        "learn_from_covariance": (cov, cvdag.LearnConfig()),
+        "learn_from_covariance": (cov,),
         "load_marks": (),
         "nonfaithful_chain": (),
         "partial_correlation": (cov, 0, 1, [2]),
@@ -353,7 +349,6 @@ def test_public_surface_refuses_wrong_arguments(name, valid_calls):
     (lambda: random_sem(3, ["homogeneous"], 1), "protocol must be a string, got ['homogeneous']"),
     (lambda: fisher_z_test(10**400, 50, 0, 0.05), "r is too large for float64"),
     (lambda: fisher_z_test(0.3, -10**400, 0, 0.05), "n is too large for float64"),
-    (lambda: LearnConfig(oracle_tolerance=10**400), "oracle_tolerance is too large for float64"),
     (lambda: datasets.parse_dataset(None), "dataset text needs a str, got NoneType"),
     (lambda: graphs.descendant_mask(None), "descendant_mask needs a Dag, got NoneType"),
     (lambda: learner.ordering_is_greedy_minimal(None),
