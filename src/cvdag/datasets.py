@@ -290,7 +290,7 @@ def _read_table(text: str) -> Dataset | None:
         chunks.append(values)
         start = end
     try:
-        return Dataset(tuple(names), np.concatenate(chunks).reshape(-1, len(names)))
+        return Dataset._fresh(tuple(names), np.concatenate(chunks).reshape(-1, len(names)))
     except ValidationError:
         return None
 

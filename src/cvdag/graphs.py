@@ -3,13 +3,17 @@
 Nodes are integers 0..p-1. A directed edge is the ordered pair (parent, child);
 undirected edges are stored canonically as (low, high). A DAG is converted to
 its CPDAG by Chickering's edge labeling (UAI 1995) in one pass over the nodes
-in topological order, O(p + |E|·max in-degree); no orientation rules are run.
+in topological order; no orientation rules are run. That labeling, the
+topological sort (Kahn's, smallest ready node first), the descendant mask and
+the v-structures run on transient row bitsets: each call packs the mask, or
+its transpose, into one Python int per node, bit j of row i set for entry
+[i, j], with one ``np.packbits`` per orientation it reads, and drops them.
 A Dag stores one thing, its read-only p x p bool adjacency mask, entry
 [parent, child] set for each edge, and caches only its topological order and
-descendant mask, nothing per node; ``Dag.edges`` is a read-only set view over
-that mask, equal to and hashing as the frozenset of its (parent, child) pairs,
-iterated in sorted order; a Cpdag stores two such views, the second over the
-(low, high) mask of its undirected edges. The distance between two DAGs counts
+descendant mask, nothing per node and no bitsets; ``Dag.edges`` is a
+read-only set view over that mask, equal to and hashing as the frozenset of
+its (parent, child) pairs, iterated in sorted order; a Cpdag stores two such
+views, the second over the (low, high) mask of its undirected edges. The distance between two DAGs counts
 the entries where their masks differ, and between two CPDAGs the node pairs
 whose two entries in the PDAG mask differ. A node count and every node id must
 be an integer (numpy integers count, bools do not), and every edge a pair of
@@ -18,12 +22,10 @@ them; anything else raises ValidationError naming the value.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import operator
 from collections.abc import Set
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -78,12 +80,44 @@ def _square(p: int, dtype) -> np.ndarray:
         raise ValidationError(f"node count p={p} is too large to hold a p x p matrix") from None
 
 
-def _rows(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The columns set in each row of ``mask``, as a tuple per row."""
-    rows, cols = np.nonzero(mask)
-    cols = cols.tolist()
-    ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
-    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+def _bitsets(mask: np.ndarray) -> list[int]:
+    """Row i of the bool ``mask`` as the int whose bit j is entry [i, j]: each
+    row packed into little-endian 64-bit words, joined high word first."""
+    rows, cols = mask.shape
+    packed = np.zeros((rows, 8 * max(1, -(-cols // 64))), np.uint8)
+    packed[:, :(cols + 7) // 8] = np.packbits(mask, axis=1, bitorder="little")
+    words = packed.view("<u8")
+    bits = words[:, -1].tolist()
+    for k in range(words.shape[1] - 2, -1, -1):
+        bits = [b << 64 | w for b, w in zip(bits, words[:, k].tolist())]
+    return bits
+
+
+def _unpack(bits: list[int], p: int) -> np.ndarray:
+    """The len(bits) x p bool matrix whose row i holds the low p bits of
+    bits[i]; the inverse of :func:`_bitsets`."""
+    width = (p + 7) // 8
+    raw = np.frombuffer(b"".join([b.to_bytes(width, "little") for b in bits]), np.uint8)
+    return np.unpackbits(raw.reshape(len(bits), width), axis=1, count=p,
+                         bitorder="little").view(bool)
+
+
+def _members(bits: int) -> list[int]:
+    """The indices of the set bits of ``bits``, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+@lru_cache(maxsize=16)
+def _upper(p: int) -> np.ndarray:
+    """The read-only p x p bool mask of the entries above the diagonal."""
+    mask = ~np.tri(p, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class _EdgeView(Set):
@@ -135,12 +169,15 @@ class _EdgeView(Set):
 class _Graph:
     """Base of Dag and Cpdag, frozen dataclasses whose first field is the node
     count ``p`` and each further field a read-only _EdgeView over a bool mask;
-    each defines ``_adjacency``, its p x p mask in pcalg's [parent, child] form."""
+    each defines ``_adjacency``, its p x p mask in pcalg's [parent, child] form,
+    and gets ``_edge_fields``, the names of its edge fields, read once below."""
+
+    _edge_fields: tuple[str, ...]
 
     def _store(self, p: int, *masks: np.ndarray):
         object.__setattr__(self, "p", p)
-        for f, mask in zip(fields(self)[1:], masks):
-            object.__setattr__(self, f.name, _EdgeView(mask))
+        for name, mask in zip(self._edge_fields, masks):
+            object.__setattr__(self, name, _EdgeView(mask))
         return self
 
     @classmethod
@@ -190,23 +227,24 @@ class Dag(_Graph):
         # built on first use, so a trusted Dag that is only compared or
         # counted never pays for it; not a dataclass field, so equality and
         # hashing still see only (p, edges)
-        order = _kahn(self._adjacency.sum(axis=0).tolist(), _rows(self._adjacency))
+        order = _kahn(_bitsets(self._adjacency.T))
         return None if order is None else Ordering(order)
 
     # like _ordering, built on first use and shared read-only
     @cached_property
     def _descendant_mask(self) -> np.ndarray:
-        # one pass in reverse topological order unions {c} and row c over the
-        # children c of j, on int bitsets unpacked into the matrix at the end
-        children = _rows(self._adjacency)
-        bits = [0] * self.p
+        # one pass in reverse topological order unions the children of j and
+        # their rows, on transient row bitsets unpacked into the matrix
+        children = _bitsets(self._adjacency)
+        reach = [0] * self.p
         for j in reversed(self._ordering.order):
-            for c in children[j]:
-                bits[j] |= bits[c] | (1 << c)
-        width = (self.p + 7) // 8
-        raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
-        mask = np.unpackbits(raw.reshape(self.p, width), axis=1, count=self.p,
-                             bitorder="little").view(bool)
+            below = rest = children[j]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                below |= reach[bit.bit_length() - 1]
+            reach[j] = below
+        mask = _unpack(reach, self.p)
         mask.flags.writeable = False
         return mask
 
@@ -275,20 +313,26 @@ class Cpdag(_Graph):
         return self.directed._mask | self.undirected._mask | self.undirected._mask.T
 
 
-def _kahn(indeg: list[int], children) -> tuple[int, ...] | None:
-    """Topological sort, smallest node index first; None if cyclic. ``indeg``
-    holds each node's parent count and is used up."""
-    heap = [j for j, d in enumerate(indeg) if d == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        j = heapq.heappop(heap)
+for _cls in (Dag, Cpdag):
+    _cls._edge_fields = tuple(f.name for f in fields(_cls)[1:])
+del _cls
+
+
+def _kahn(parents: list[int]) -> tuple[int, ...] | None:
+    """Topological sort of the graph with these parent row bitsets, smallest
+    ready node first; None if cyclic. Each step places the first node, in
+    index order, whose parents are all placed."""
+    placed, out, left = 0, [], list(range(len(parents)))
+    while left:
+        for i, j in enumerate(left):
+            if not parents[j] & ~placed:
+                break
+        else:
+            return None
+        del left[i]
         out.append(j)
-        for c in children[j]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
-    return tuple(out) if len(out) == len(indeg) else None
+        placed |= 1 << j
+    return tuple(out)
 
 
 def topological_order(g: Dag) -> Ordering:
@@ -332,12 +376,15 @@ def is_consistent(ordering: Sequence[int], g: Dag) -> bool:
 
 def vstructures(g: Dag) -> frozenset[tuple[int, int, int]]:
     """Unshielded colliders (a, c, b) with a->c<-b, a<b, and a,b non-adjacent."""
-    adjacent = g._adjacency | g._adjacency.T
+    parents = _bitsets(g._adjacency.T)
+    adjacent = [pa | ch for pa, ch in zip(parents, _bitsets(g._adjacency))]
     return frozenset(
         (a, c, b)
-        for c, parents in enumerate(_rows(g._adjacency.T))
-        for a, b in itertools.combinations(parents, 2)
-        if not adjacent[a, b]
+        for c, pa in enumerate(parents)
+        for a in _members(pa)
+        # the parents of c above a that are not adjacent to a
+        if (far := (pa >> a + 1 << a + 1) & ~adjacent[a])
+        for b in _members(far)
     )
 
 
@@ -352,34 +399,28 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     of y, visits the edges in that order without the O(|E| log |E|) sort. If
     some compelled w->x has w not a parent of y, or y has a parent other than
     x that is not a parent of x, every edge into y is compelled; otherwise
-    exactly the edges w->y with w->x compelled are. Cost O(p + |E|·max
-    in-degree). No orientation rules (Meek, UAI 1995) are needed.
+    exactly the edges w->y with w->x compelled are. Each node's step is a few
+    operations on parent bitsets. No orientation rules (Meek, UAI 1995) are
+    needed.
     """
     topo = _instance(g, "dag_to_cpdag needs", Dag)._ordering.order
-    pos = [0] * g.p
-    for i, j in enumerate(topo):
-        pos[j] = i
-    pa = list(map(frozenset, _rows(g._adjacency.T)))
-    compelled: list[frozenset[int]] = [frozenset()] * g.p
-    tails: list[int] = []
-    heads: list[int] = []
-    for y in topo:
-        pa_y = pa[y]
-        if not pa_y:
-            continue
-        x = max(pa_y, key=pos.__getitem__)
-        if compelled[x] <= pa_y and pa_y - {x} <= pa[x]:
-            compelled[y] = compelled[x]
-        else:
-            compelled[y] = pa_y
-        tails += compelled[y]
-        heads += [y] * len(compelled[y])
+    # bit w of pa[y], and of compelled[y], for each such edge w->y
+    pa = _bitsets(g._adjacency.T)
+    compelled = [0] * g.p
+    for i, y in enumerate(topo):
+        if pa_y := pa[y]:
+            # x, the parent of y placed last: the first one back along topo
+            k = i - 1
+            while not pa_y >> topo[k] & 1:
+                k -= 1
+            x = topo[k]
+            c = compelled[x]
+            compelled[y] = pa_y if c & ~pa_y or (pa_y ^ 1 << x) & ~pa[x] else c
     # the edges of g not compelled are reversible, kept at (low, high); edges
     # of a valid Dag, so the Cpdag needs no re-validation
-    d = np.zeros((g.p, g.p), dtype=bool)
-    d[tails, heads] = True
+    d = _unpack(compelled, g.p).T
     reversible = g._adjacency & ~d
-    return Cpdag._trusted(g.p, d, np.triu(reversible | reversible.T, 1))
+    return Cpdag._trusted(g.p, d, (reversible | reversible.T) & _upper(g.p))
 
 
 def _comparable(kind: type, a, b) -> None:

@@ -101,10 +101,18 @@ def _covariance_block(cov, caller: str, given, **variables) -> np.ndarray:
                      f" given={list(given)} is not positive definite")
 
 
+# the least alpha for which 1 - alpha / 2 rounds below 1.0, so that
+# _critical_value has a normal quantile to take
+_ALPHA_MIN = math.nextafter(2.0 ** -53, 1.0)
+
+
 def _alpha_problem(alpha) -> str | None:
     """The problem with ``alpha`` as a significance level, or None."""
-    if (problem := _not_real(alpha, "alpha")) or 0.0 < alpha < 1.0:
+    if (problem := _not_real(alpha, "alpha")) or _ALPHA_MIN <= alpha < 1.0:
         return problem
+    if 0.0 < alpha < _ALPHA_MIN:
+        return (f"alpha must be at least {_ALPHA_MIN!r}, below which 1 - alpha/2 rounds"
+                f" to 1 in float64, got {alpha}")
     return f"alpha must lie in (0, 1), got {alpha}"
 
 
@@ -125,14 +133,23 @@ class Dataset:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = _real_array(self.data, "dataset")
+        self._keep(self.names, _real_array(self.data, "dataset"))
+
+    @classmethod
+    def _fresh(cls, names, data: np.ndarray) -> Dataset:
+        """A Dataset over ``data``, a float64 array the package has just made
+        and holds nowhere else, kept without the copy that the constructor
+        makes; every other check of the constructor is made."""
+        return object.__new__(cls)._keep(names, data)
+
+    def _keep(self, names, data: np.ndarray) -> Dataset:
         if data.ndim != 2:
             raise ValidationError(f"dataset must be 2-D, got shape {data.shape}")
         if data.shape[0] < 1:
             raise ValidationError("dataset needs at least one row")
         if data.shape[1] < 1:
             raise ValidationError("dataset needs at least one column")
-        names = _sequence(self.names, "names")
+        names = _sequence(names, "names")
         if len(names) != data.shape[1]:
             raise ValidationError(f"{len(names)} names for {data.shape[1]} columns")
         names = tuple(map(str, names))
@@ -144,6 +161,7 @@ class Dataset:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "names", names)
+        return self
 
     @property
     def n(self) -> int:

@@ -290,7 +290,7 @@ def sample(m: GaussianSem, n: int, seed: int) -> Dataset:
         raise ValidationError(
             f"sample size n={n} is too large to hold an n x p array at p={m.p}") from None
     names = tuple(f"X{j}" for j in range(m.p))
-    return Dataset(names, _propagate(m, noise * np.sqrt(m.sigma2)))
+    return Dataset._fresh(names, _propagate(m, noise * np.sqrt(m.sigma2)))
 
 
 #: per-protocol open interval in which a drawn weight is zeroed out

@@ -199,6 +199,14 @@ class TestLearn:
         assert err == "cvdag: error: cvdag: unrecognized arguments: --parent-test conditional\n"
         assert not (tmp_path / "out").exists()
 
+    def test_alpha_too_small_for_float64_refused(self, tmp_path, capsys):
+        # once a bare statistics.StatisticsError traceback
+        assert run("learn", "marks", "--alpha", 1e-17, "-o", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "cvdag: error: alpha must be at least 1.1102230246251568e-16, below which"
+            " 1 - alpha/2 rounds to 1 in float64, got 1e-17\n")
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_row_names_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n3,oops\n")

@@ -490,6 +490,7 @@ class TestParseKernel:
         want = datasets._scan_dataset(text, "<string>")
         assert got is not None and got.names == want.names
         assert got.data.tobytes() == want.data.tobytes()
+        assert not got.data.flags.writeable
 
     @pytest.mark.parametrize("p", [1, 7])
     def test_table_across_a_chunk_boundary(self, p):

@@ -540,6 +540,88 @@ class TestDagToCpdag:
             assert cp == Cpdag(cp.p, cp.directed, cp.undirected)
 
 
+def smallest_ready_order(g: Dag) -> tuple[int, ...]:
+    """Reference: place, one at a time, the smallest node whose parents are
+    all placed."""
+    parents = [g.parents(j) for j in range(g.p)]
+    placed: list[int] = []
+    while len(placed) < g.p:
+        placed.append(min(j for j in range(g.p) if j not in placed and parents[j] <= set(placed)))
+    return tuple(placed)
+
+
+def descendants_by_walk(g: Dag, j: int) -> set[int]:
+    """Reference: the nodes a depth-first walk from j along children reaches."""
+    seen: set[int] = set()
+    stack = [j]
+    while stack:
+        for c in g.children(stack.pop()) - seen:
+            seen.add(c)
+            stack.append(c)
+    return seen
+
+
+def sparse_dag(rng, p: int, k: int) -> Dag:
+    """A DAG of at most k edges among the nodes at the ends of 64-bit words
+    and three others, in a random topological order."""
+    ends = {j for j in (0, 1, 62, 63, 64, 65, p - 1) if 0 <= j < p}
+    nodes = list(ends | set(rng.choice(p, size=min(p, 3), replace=False).tolist()))
+    rng.shuffle(nodes)
+    pairs = list(itertools.combinations(nodes, 2))
+    picks = rng.choice(len(pairs), size=min(k, len(pairs)), replace=False)
+    return Dag(p, frozenset(pairs[i] for i in picks))
+
+
+WORD_ENDS = [0, 1, 63, 64, 65, 130]
+
+
+class TestAtWordBoundaries:
+    """Row bitsets of 64-bit words: graphs one node short of, at and past a
+    word's width agree with references that need no bitsets."""
+
+    @staticmethod
+    def graphs(p: int):
+        rng = np.random.default_rng(p)
+        yield Dag(p, frozenset())
+        if p > 1:
+            # a chain against index order, and one along it
+            yield Dag(p, frozenset((j + 1, j) for j in range(p - 1)))
+            yield Dag(p, frozenset((j, j + 1) for j in range(p - 1)))
+        for prob in (0.03, 0.2, 0.6):
+            for _ in range(2):
+                yield random_dag(rng, p, prob)
+
+    @pytest.mark.parametrize("p", WORD_ENDS)
+    def test_topological_order_is_smallest_ready_first(self, p):
+        for g in self.graphs(p):
+            assert topological_order(g).order == smallest_ready_order(g)
+
+    @pytest.mark.parametrize("p", WORD_ENDS)
+    def test_descendant_mask_matches_walks(self, p):
+        for g in self.graphs(p):
+            mask = descendant_mask(g)
+            assert mask.shape == (p, p) and not mask.flags.writeable
+            for j in range(p):
+                assert set(np.flatnonzero(mask[j]).tolist()) == descendants_by_walk(g, j)
+
+    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65])
+    def test_cpdag_matches_enumeration_oracle(self, p):
+        rng = np.random.default_rng(p)
+        for g in [Dag(p, frozenset()), *(sparse_dag(rng, p, 7) for _ in range(6))]:
+            assert dag_to_cpdag(g) == cpdag_by_enumeration(g)
+
+    @pytest.mark.parametrize("p", [63, 64, 65, 130])
+    def test_cpdag_class_invariants(self, p):
+        for g in self.graphs(p):
+            assert_equivalence_class_invariants(g)
+
+    @pytest.mark.parametrize("p", [64, 65, 130])
+    def test_cycle_across_a_word_end_rejected(self, p):
+        a, b, c = 62, 63, p - 1 if p > 64 else 0
+        with pytest.raises(ValidationError, match="directed cycle"):
+            Dag(p, frozenset({(a, b), (b, c), (c, a)}))
+
+
 class TestHammingDag:
     def test_identical(self):
         assert hamming_dag(CHAIN, CHAIN) == 0

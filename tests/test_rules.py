@@ -75,6 +75,11 @@ OPENING = {"ExperimentConfig": "invalid experiment config: "}
     ("alpha", 1.0, "alpha must lie in (0, 1), got 1.0"),
     ("alpha", math.nan, "alpha must lie in (0, 1), got nan"),
     ("alpha", True, "alpha must be a real number, got True"),
+    # 1 - alpha/2 rounds to 1.0, which has no normal quantile
+    ("alpha", 1e-17, "alpha must be at least 1.1102230246251568e-16, below which"
+     " 1 - alpha/2 rounds to 1 in float64, got 1e-17"),
+    ("alpha", 2.0 ** -53, "alpha must be at least 1.1102230246251568e-16, below which"
+     " 1 - alpha/2 rounds to 1 in float64, got 1.1102230246251565e-16"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
     ("seed", True, "seed must be a non-negative integer, got True"),
@@ -112,6 +117,13 @@ def test_every_caller_gives_the_rule_message(rule, value, message):
             call(value)
         got[caller] = str(err.value).removeprefix(OPENING.get(caller, ""))
     assert got == dict.fromkeys(CALLERS[rule], message)
+
+
+def test_least_alpha_is_accepted_by_every_caller():
+    least = math.nextafter(2.0 ** -53, 1.0)
+    for call in CALLERS["alpha"].values():
+        call(least)
+    assert math.isfinite(fisher_z_test(0.3, 50, 0, least).threshold)
 
 
 COVARIANCE_READERS = {

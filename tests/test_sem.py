@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cvdag.sem as sem
 from cvdag.errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from cvdag.graphs import Dag, Ordering, descendants, topological_order
+from cvdag.numerics import Dataset
 from cvdag.sem import (
     GaussianSem,
     _propagate,
@@ -747,6 +748,28 @@ class TestSampling:
     def test_numpy_integer_n_accepted(self):
         got = sample(nonfaithful_chain(), np.int64(5), seed=0)
         assert np.array_equal(got.data, sample(nonfaithful_chain(), 5, seed=0).data)
+
+    def test_dataset_keeps_the_array_it_was_made_from(self, monkeypatch):
+        # sample hands its fresh array to the Dataset without a copy; the
+        # result equals the public construction from the same values
+        m = random_sem(6, "heterogeneous", seed=3)
+        made = []
+        monkeypatch.setattr(sem, "_propagate",
+                            lambda *args: made.append(_propagate(*args)) or made[0])
+        got = sample(m, 50, seed=4)
+        assert got.data is made[0]
+        noise = seeded_rng(4).standard_normal((50, 6)) * np.sqrt(m.sigma2)
+        want = Dataset(tuple(f"X{j}" for j in range(6)), _propagate(m, noise))
+        assert got.names == want.names
+        assert got.data.tobytes() == want.data.tobytes()
+        assert not got.data.flags.writeable and not want.data.flags.writeable
+
+    def test_overflowing_model_refused_as_non_finite_data(self):
+        b = np.zeros((4, 4))
+        b[1, 0] = b[2, 1] = b[3, 2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValidationError, match="^dataset contains missing or non-finite entries$"):
+            sample(GaussianSem(b, np.ones(4)), 10, seed=0)
 
     def test_column_order_is_node_order_not_topological(self):
         # node 1 is the source here; columns must still appear as X0, X1
